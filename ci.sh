@@ -19,10 +19,11 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 echo "== benches compile =="
 cargo build --benches --release --workspace
 
-echo "== BENCH_sim.json refresh (kernel hot-path before/after numbers) =="
-# Also enforces the zero-allocation steady-state scheduler claim: the
-# bench asserts zero allocs per event and exits non-zero otherwise.
-cargo bench -p fancy-bench --bench sim_kernel | tail -n 4
+echo "== ledger still compiles (benchmark/ against the harness API) =="
+# benchmark/ is a separate package that path-depends on this workspace;
+# its self-test catches a harness API change here instead of at the
+# next benchmark run.
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "== chaos gate (protocol soak + fault-injected determinism) =="
 # Protocol soak: sessions must survive 20% control loss, degrade to

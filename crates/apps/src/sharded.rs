@@ -1,32 +1,33 @@
 //! Sharded materialization of graph scenarios.
 //!
-//! [`ScenarioSpec::build_sharded`] takes the *same* validated
-//! [`GraphPlan`](crate::spec) as the single-kernel build and splits it
-//! across the deterministic `fancy_topo::Partition` of the topology: each
-//! region becomes one [`Network`] (a logical shard), intra-region links
-//! connect normally, and cut edges become mirrored half-links whose
-//! traffic flows through the conservative executor's barrier exchange
-//! ([`ShardedNet`]).
+//! `materialize_sharded` is the one place a validated
+//! [`GraphPlan`](crate::spec) becomes simulator networks: it splits the
+//! plan across a `fancy_topo::Partition` of the topology — each region
+//! becomes one [`Network`] (a logical shard), intra-region links connect
+//! normally, and cut edges become mirrored half-links whose traffic flows
+//! through the conservative executor's barrier exchange ([`ShardedNet`]).
+//! [`ScenarioSpec::build_sharded`] runs it over the topology's
+//! deterministic partition; [`ScenarioSpec::build`] runs it over the
+//! one-region partition and unwraps the single network.
 //!
 //! ## What is mirrored, exactly
 //!
 //! * **Port plan** — every shard connects the links incident to its own
 //!   nodes in the global order (topology edges by edge index, then host
-//!   links by switch index), so each switch's port numbering is identical
-//!   to the single-kernel build. FIBs, monitored-port lists and SPIDER
+//!   links by switch index), so each switch's port numbering is the same
+//!   under every partition. FIBs, monitored-port lists and SPIDER
 //!   reroute tables carry over unchanged.
 //! * **Addressing** — all prefixes are global
 //!   ([`service_prefix`]/[`switch_src_prefix`]), so a FIB entry is
 //!   meaningful regardless of which shard hosts the destination.
 //! * **Seeds** — switch `i` keeps its hash seed `seed + i`. Shard `s`'s
-//!   kernel RNG is seeded `seed + s·φ` (golden-ratio stride), which makes
-//!   the one-region sharded build *bit-identical* to
-//!   [`ScenarioSpec::build`]'s network.
+//!   kernel RNG is seeded `seed + s·φ` (golden-ratio stride), so the
+//!   lone shard of a one-region build is exactly `Network::new(seed)`.
 //!
 //! The determinism contract of a sharded scenario is between sharded runs:
 //! results are byte-identical for every worker count (see
-//! `fancy_sim::shard`). They are *not* packet-identical to the legacy
-//! single-kernel run of the same spec — gray-failure coin flips draw from
+//! `fancy_sim::shard`). They are *not* packet-identical to the one-region
+//! (single-kernel) run of the same spec — gray-failure coin flips draw from
 //! per-shard RNG streams — so harness caches must key on the
 //! materialization, not just the spec.
 
@@ -43,8 +44,8 @@ use crate::spec::{
 };
 
 /// Golden-ratio stride for per-shard kernel RNG seeds: shard 0 keeps the
-/// spec seed (one-region builds match the single-kernel network bit for
-/// bit), higher shards get decorrelated streams.
+/// spec seed (so the one-region build is `Network::new(seed)`, the
+/// single-kernel scenario), higher shards get decorrelated streams.
 const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One connected link of a sharded scenario. Intra-shard edges have equal
@@ -126,13 +127,17 @@ impl ScenarioSpec {
                     .to_owned(),
             });
         }
-        materialize_sharded(self.graph_plan()?)
+        let plan = self.graph_plan()?;
+        let partition = Partition::compute(&plan.topo);
+        materialize_sharded(plan, partition)
     }
 }
 
-/// Split a validated graph plan across the topology partition.
-pub(crate) fn materialize_sharded(mut plan: GraphPlan) -> Result<ShardedScenario, ScenarioError> {
-    let partition = Partition::compute(&plan.topo);
+/// Split a validated graph plan across `partition`.
+pub(crate) fn materialize_sharded(
+    mut plan: GraphPlan,
+    partition: Partition,
+) -> Result<ShardedScenario, ScenarioError> {
     let regions = partition.regions;
     let n = plan.topo.len();
     let seed = plan.seed;

@@ -38,7 +38,9 @@ use fancy_sim::{
     Bridge, Fib, GrayFailure, LinkConfig, LinkId, Network, NodeId, PortId, SimDuration, SimTime,
 };
 use fancy_tcp::{FlowConfig, ReceiverHost, ScheduledFlow, SenderHost, ThroughputProbe, UdpSource};
-use fancy_topo::{BackupPlan, Routes, TopoError, Topology};
+use fancy_topo::{BackupPlan, Partition, Routes, TopoError, Topology};
+
+use crate::sharded::materialize_sharded;
 
 /// Source address used by the sender host in the linear and case-study
 /// scenarios. (In graph scenarios it is the address of switch 0's sender:
@@ -891,78 +893,44 @@ impl ScenarioSpec {
         })
     }
 
+    /// The single-kernel graph build is the sharded materializer over a
+    /// one-region partition with the one network unwrapped: shard 0 keeps
+    /// the spec seed and the plain uid lane, and shard-local node, link and
+    /// port numbering in a lone region is the global numbering.
     fn build_graph(self) -> Result<Scenario, ScenarioError> {
-        let mut plan = self.graph_plan()?;
-        let n = plan.topo.len();
-        let seed = plan.seed;
-
-        let mut net = Network::new(seed);
-        // Switches first, so NodeId == SwitchIdx.
-        for i in 0..n {
-            net.add_node(Box::new(plan.switch(i)));
-        }
-        // Then hosts, per switch: sender, receiver.
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for i in 0..n {
-            senders.push(net.add_node(Box::new(plan.sender(i))));
-            receivers.push(net.add_node(Box::new(plan.receiver(i))));
-        }
-
-        // Connect: topology edges first (edge-index order), then host
-        // links — exactly the port plan above.
-        let mut edges = Vec::with_capacity(plan.topo.edges.len() + 2 * n);
-        for (idx, e) in plan.topo.edges.iter().enumerate() {
-            let link = checked_connect(&mut net, e.a, e.b, e.spec.to_link_config(), &e.name)?;
-            edges.push(EdgeHandle {
-                name: e.name.clone(),
-                link,
-                a: e.a,
-                b: e.b,
-                port_a: plan.ports.edge_ports[idx].0,
-                port_b: plan.ports.edge_ports[idx].1,
-            });
-        }
-        let monitored: Vec<usize> = (0..plan.topo.edges.len()).collect();
-        for i in 0..n {
-            let sname = format!("sender↔{}", plan.topo.switches[i].name);
-            let link = checked_connect(&mut net, senders[i], i, plan.edge_link, &sname)?;
-            edges.push(EdgeHandle {
-                name: sname,
-                link,
-                a: senders[i],
-                b: i,
-                port_a: 0,
-                port_b: plan.ports.sender_port[i],
-            });
-            let rname = format!("{}↔receiver", plan.topo.switches[i].name);
-            let link = checked_connect(&mut net, i, receivers[i], plan.edge_link, &rname)?;
-            edges.push(EdgeHandle {
-                name: rname,
-                link,
-                a: i,
-                b: receivers[i],
-                port_a: plan.ports.receiver_port[i],
-                port_b: 0,
-            });
-        }
-
+        let plan = self.graph_plan()?;
+        let partition = Partition::compute_with(&plan.topo, 1);
+        let sh = materialize_sharded(plan, partition)?;
+        let net = sh.net.into_shards().pop().expect("one region, one net");
+        let local = |locs: Vec<(usize, NodeId)>| locs.into_iter().map(|(_, l)| l).collect();
+        let edges = sh
+            .edges
+            .into_iter()
+            .map(|e| EdgeHandle {
+                name: e.name,
+                link: e.link_a,
+                a: e.local_a,
+                b: e.local_b,
+                port_a: e.port_a,
+                port_b: e.port_b,
+            })
+            .collect();
         Ok(Scenario {
             net,
-            layout: plan.layout,
-            timers: plan.timers,
-            seed,
-            switches: (0..n).collect(),
-            senders,
-            receivers,
+            layout: sh.layout,
+            timers: sh.timers,
+            seed: sh.seed,
+            switches: local(sh.switch_loc),
+            senders: local(sh.sender_loc),
+            receivers: local(sh.receiver_loc),
             udp_sources: Vec::new(),
             bridges: Vec::new(),
             edges,
-            monitored,
+            monitored: sh.monitored,
             fault_edge: None,
-            protected: plan.protected,
-            topology: Some(plan.topo),
-            routes: Some(plan.routes),
+            protected: sh.protected,
+            topology: Some(sh.topology),
+            routes: Some(sh.routes),
         })
     }
 }
@@ -992,9 +960,9 @@ impl PortPlan {
 }
 
 /// Everything a graph materialization needs, fully validated and
-/// deterministic. [`ScenarioSpec::build`] turns this into one
-/// single-kernel [`Scenario`]; `build_sharded` (see [`crate::sharded`])
-/// turns the *same* plan into per-shard networks joined by half-links.
+/// deterministic. `build_sharded` (see [`crate::sharded`]) wires it into
+/// per-region networks joined by half-links; [`ScenarioSpec::build`] is
+/// the same wiring over one region, unwrapped into a [`Scenario`].
 pub(crate) struct GraphPlan {
     pub topo: Topology,
     pub routes: Routes,

@@ -20,8 +20,8 @@
 //!   length + FNV-64 checksum header: a corrupt, truncated, or
 //!   wrong-schema record degrades to a miss, never a panic.
 //!
-//! The sweep runner (`crate::runner`) consults the cache in its
-//! `*_cached` entry points: a warm cell returns instantly with its
+//! The sweep runner (`crate::runner`) consults the cache in
+//! `Sweep::try_run_cached`: a warm cell returns instantly with its
 //! stored result *and* its stored kernel telemetry (so aggregate
 //! reports stay byte-identical to a cold run), a cold cell executes
 //! and is stored on success. Failed or panicked cells are never
@@ -30,7 +30,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fancy_net::mix64;
+use fancy_net::{fnv1a64, mix64, Fnv1a};
 use fancy_sim::{SimDuration, TelemetryCounters};
 use fancy_trace::json::{parse_object, JsonValue, ObjectWriter};
 
@@ -44,19 +44,11 @@ use crate::env::Scale;
 /// statistics fields.
 pub const CACHE_SCHEMA_VERSION: u64 = 3;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 /// Second-lane seed and multiplier (golden-ratio constants in the
 /// xxHash/splitmix tradition), so the two lanes never agree by
 /// construction.
 const XX_OFFSET: u64 = 0x9E37_79B9_7F4A_7C15;
 const XX_PRIME: u64 = 0x9E37_79B1_85EB_CA87;
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
-}
 
 /// A finished 128-bit content address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,7 +74,7 @@ impl CacheKey {
 /// finishes both lanes through `mix64` for avalanche.
 #[derive(Debug, Clone)]
 pub struct Fingerprint {
-    h1: u64,
+    h1: Fnv1a,
     h2: u64,
 }
 
@@ -96,7 +88,7 @@ impl Fingerprint {
     /// An empty fingerprint (no bytes hashed yet).
     pub fn new() -> Self {
         Fingerprint {
-            h1: FNV_OFFSET,
+            h1: Fnv1a::default(),
             h2: XX_OFFSET,
         }
     }
@@ -104,8 +96,8 @@ impl Fingerprint {
     /// Hash raw bytes into both lanes.
     pub fn push_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.h1 = (self.h1 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            self.h2 = (self.h2 ^ self.h1.rotate_left(23) ^ u64::from(b))
+            self.h1.write(&[b]);
+            self.h2 = (self.h2 ^ self.h1.finish().rotate_left(23) ^ u64::from(b))
                 .wrapping_mul(XX_PRIME)
                 .rotate_left(27);
         }
@@ -137,7 +129,7 @@ impl Fingerprint {
     /// Finish into a content address (the fingerprint stays usable).
     pub fn key(&self) -> CacheKey {
         CacheKey {
-            hi: mix64(self.h1),
+            hi: mix64(self.h1.finish()),
             lo: mix64(self.h2),
         }
     }
@@ -464,7 +456,7 @@ impl CellCache {
         }
         let len: usize = parts.next()?.parse().ok()?;
         let sum = u64::from_str_radix(parts.next()?, 16).ok()?;
-        if parts.next().is_some() || payload.len() != len || fnv64(payload.as_bytes()) != sum {
+        if parts.next().is_some() || payload.len() != len || fnv1a64(payload.as_bytes()) != sum {
             return None;
         }
 
@@ -507,7 +499,7 @@ impl CellCache {
         let content = format!(
             "fancy-cache 1 {} {:016x}\n{payload}",
             payload.len(),
-            fnv64(payload.as_bytes())
+            fnv1a64(payload.as_bytes())
         );
 
         if std::fs::create_dir_all(&self.dir).is_err() {
@@ -782,7 +774,7 @@ mod tests {
         let content = format!(
             "fancy-cache 1 {} {:016x}\n{bumped}",
             bumped.len(),
-            fnv64(bumped.as_bytes())
+            fnv1a64(bumped.as_bytes())
         );
         std::fs::write(&path, content).unwrap();
         assert_eq!(cache.load(key), None);

@@ -13,12 +13,9 @@
 //!   executor inside a single scenario (`fancy_sim::ShardedNet`). The
 //!   shard *layout* is a pure function of the topology, so results are
 //!   bit-identical at any value; this only trades wall-clock (default 1).
-//! * `FANCY_CELL_TIMEOUT=<secs>` — per-cell wall-clock watchdog for
-//!   [`crate::runner::Sweep::run_partial`] sweeps (default: none). A cell
-//!   exceeding it is retried once, then reported as failed.
 //! * `FANCY_CACHE_DIR=<dir>` — content-addressed cell-result cache for
-//!   sweeps run through the `*_cached` entry points (default: caching
-//!   off). Warm cells are served from disk; see EXPERIMENTS.md
+//!   sweeps run through [`crate::runner::Sweep::try_run_cached`]
+//!   (default: caching off). Warm cells are served from disk; see EXPERIMENTS.md
 //!   ("Resumable sweeps") for the invalidation rules.
 //! * `FANCY_TRACE_DIR=<dir>` — directory of compiled `.events` trace
 //!   files for the CAIDA experiments (default: off, synthesize
@@ -45,9 +42,6 @@ pub struct BenchEnv {
     /// `FANCY_SHARDS`: worker threads for the sharded in-scenario DES
     /// executor. Always at least 1; does not affect results.
     pub shards: usize,
-    /// `FANCY_CELL_TIMEOUT`: per-cell watchdog in (fractional) seconds,
-    /// if set and valid.
-    pub cell_timeout: Option<std::time::Duration>,
     /// `FANCY_CACHE_DIR`: directory of the content-addressed cell-result
     /// cache, if set and non-empty.
     pub cache_dir: Option<std::path::PathBuf>,
@@ -80,11 +74,6 @@ impl BenchEnv {
             .and_then(|v| v.parse::<usize>().ok())
             .map(|t| t.max(1))
             .unwrap_or(1);
-        let cell_timeout = std::env::var("FANCY_CELL_TIMEOUT")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|s| s.is_finite() && *s > 0.0)
-            .map(std::time::Duration::from_secs_f64);
         let cache_dir = std::env::var("FANCY_CACHE_DIR")
             .ok()
             .filter(|v| !v.is_empty())
@@ -98,7 +87,6 @@ impl BenchEnv {
             reps,
             threads,
             shards,
-            cell_timeout,
             cache_dir,
             trace_dir,
         }
@@ -219,16 +207,6 @@ mod tests {
         std::env::set_var("FANCY_SHARDS", "all");
         assert_eq!(BenchEnv::from_env().shards, 1);
         std::env::remove_var("FANCY_SHARDS");
-
-        // Watchdog knob: fractional seconds, malformed → unset.
-        std::env::set_var("FANCY_CELL_TIMEOUT", "2.5");
-        assert_eq!(
-            BenchEnv::from_env().cell_timeout,
-            Some(std::time::Duration::from_millis(2500))
-        );
-        std::env::set_var("FANCY_CELL_TIMEOUT", "forever");
-        assert_eq!(BenchEnv::from_env().cell_timeout, None);
-        std::env::remove_var("FANCY_CELL_TIMEOUT");
 
         // Cache knob: empty means unset.
         std::env::set_var("FANCY_CACHE_DIR", "/tmp/fancy-cache-test");

@@ -204,6 +204,31 @@ fn decode_shard_stats(rec: &Record) -> Option<Vec<ShardStats>> {
     Some(out)
 }
 
+/// Read a cell's stored metrics snapshot, refusing one that no longer
+/// parses: a checksum-valid record written before a `fancy-metrics`
+/// JSONL change must degrade to a cache miss (and a cold re-run), the
+/// same way the runner treats its own stored snapshot.
+fn decode_metrics(rec: &Record) -> Option<String> {
+    let jsonl = rec.str("metrics")?;
+    Snapshot::parse_jsonl(jsonl).ok()?;
+    Some(jsonl.to_owned())
+}
+
+/// Merge per-cell snapshots in cell order. The merge is associative and
+/// commutative and outcomes are in input order, so the result is
+/// identical at any thread count and on warm cache replays.
+fn merge_cell_metrics<'a>(cells: impl Iterator<Item = &'a str>) -> Snapshot {
+    let mut merged = Snapshot::default();
+    for jsonl in cells {
+        // Cold cells serialize the snapshot themselves and warm ones
+        // passed `decode_metrics`, so every cell parses.
+        if let Ok(s) = Snapshot::parse_jsonl(jsonl) {
+            merged.merge(&s);
+        }
+    }
+    merged
+}
+
 impl CacheCodec for EdgeOutcome {
     fn encode(&self, rec: &mut Record) {
         rec.put_u64("edge", self.edge as u64);
@@ -236,7 +261,7 @@ impl CacheCodec for EdgeOutcome {
             // these keys and degrade to a cache miss (self-invalidation).
             recovery_ok: rec.u64("recovery")? != 0,
             flaps: rec.u64("flaps")?,
-            metrics_jsonl: rec.str("metrics")?.to_owned(),
+            metrics_jsonl: decode_metrics(rec)?,
             shard_stats: decode_shard_stats(rec)?,
         })
     }
@@ -485,19 +510,7 @@ pub fn run_netwide(
         .iter()
         .filter(|o| o.protected && !o.recovery_ok)
         .count();
-    // Merge per-cell snapshots in edge order. The merge is associative
-    // and commutative and outcomes are in input order, so the result is
-    // identical at any thread count and on warm cache replays.
-    let mut metrics = Snapshot::default();
-    for o in &outcomes {
-        if !o.metrics_jsonl.is_empty() {
-            // Cold cells serialize the snapshot themselves and warm ones
-            // are checksum-guarded, so a parse failure is a codec bug.
-            let s = Snapshot::parse_jsonl(&o.metrics_jsonl)
-                .unwrap_or_else(|e| panic!("edge {} stored a bad snapshot: {e}", o.name));
-            metrics.merge(&s);
-        }
-    }
+    let metrics = merge_cell_metrics(outcomes.iter().map(|o| o.metrics_jsonl.as_str()));
     let shard_breakdown = sum_shard_stats(outcomes.iter().map(|o| o.shard_stats.as_slice()));
     Ok(NetwideReport {
         outcomes,
@@ -844,7 +857,7 @@ impl CacheCodec for ComboOutcome {
         Some(ComboOutcome {
             edges,
             cross_talk: rec.u64("cross_talk")?,
-            metrics_jsonl: rec.str("metrics")?.to_owned(),
+            metrics_jsonl: decode_metrics(rec)?,
             shard_stats: decode_shard_stats(rec)?,
         })
     }
@@ -913,14 +926,7 @@ pub fn run_netwide_multi(
         .filter(|e| e.protected && !e.recovery_ok)
         .count();
     let cross_talk = outcomes.iter().map(|o| o.cross_talk).sum();
-    let mut metrics = Snapshot::default();
-    for o in &outcomes {
-        if !o.metrics_jsonl.is_empty() {
-            let s = Snapshot::parse_jsonl(&o.metrics_jsonl)
-                .unwrap_or_else(|e| panic!("combo {} stored a bad snapshot: {e}", o.name()));
-            metrics.merge(&s);
-        }
-    }
+    let metrics = merge_cell_metrics(outcomes.iter().map(|o| o.metrics_jsonl.as_str()));
     let shard_breakdown = sum_shard_stats(outcomes.iter().map(|o| o.shard_stats.as_slice()));
     Ok(MultiReport {
         outcomes,

@@ -2,41 +2,46 @@
 //!
 //! A [`Sweep`] fans a list of independent simulation *cells* (one cell =
 //! one self-contained set of runs, e.g. a heatmap pixel) across worker
-//! threads. Four properties make it safe to use for paper results:
+//! threads. Every entry point runs on the same private *cell board*:
+//! per cell a lifecycle word (state + attempt count) and a result slot,
+//! plus one work queue and one failure list. One `worker()` loop pulls
+//! cells off the queue (slow cells never stall the rest of the grid),
+//! and one `finish()` turns the settled board into results and a
+//! [`SweepReport`]. Five properties make sweeps safe for paper results:
 //!
-//! 1. **Deterministic seeding.** Every cell's RNG seed is derived from
-//!    the sweep's base seed and the cell's *index* — never from the
-//!    thread that happens to execute it. `FANCY_THREADS=1` and
-//!    `FANCY_THREADS=64` produce bit-identical results.
-//! 2. **Indexed result slots.** Each worker writes its result into the
+//! 1. **Deterministic seeding.** Every cell's RNG seed is
+//!    [`Sweep::cell_seed`] of its *index* — never of the thread that
+//!    happens to execute it. `FANCY_THREADS=1` and `FANCY_THREADS=64`
+//!    produce bit-identical results.
+//! 2. **Indexed result slots.** A worker writes its result into the
 //!    slot owned by the cell index, so the output order is the input
 //!    order regardless of completion order.
-//! 3. **Observational telemetry.** Per-cell kernels count their own
-//!    events (see `fancy_sim::telemetry`); each attempt buffers its
-//!    counters privately and only the attempt that *completes the cell*
-//!    commits them to the shared aggregate the final [`SweepReport`]
-//!    reads — a panicked, superseded, or watchdog-abandoned attempt
-//!    contributes nothing (no double counting).
-//! 4. **Crash isolation.** A panicking cell is caught, retried once,
-//!    and — under [`Sweep::run_partial`] — reported in
-//!    [`SweepReport::failed_cells`] without taking down the rest of the
-//!    grid. A wall-clock watchdog ([`Sweep::watchdog`] or
-//!    `FANCY_CELL_TIMEOUT`) applies the same policy to hung cells.
-//! 5. **Resumable runs.** The `*_cached` entry points consult the
+//! 3. **Observational telemetry, committed once, in index order.**
+//!    Each attempt buffers its kernel counters, metrics and timed spans
+//!    privately and publishes the buffer with its result. `finish()`
+//!    folds exactly one buffer per completed cell, walking cells by
+//!    index — so a panicked, superseded, or watchdog-abandoned attempt
+//!    contributes nothing, and every report field (phase label order
+//!    included) is scheduling-independent.
+//! 4. **Crash isolation.** The worker catches a panicking cell and
+//!    hands it back to the queue for one retry. [`Sweep::run`] then
+//!    panics *at the end* naming every cell that failed twice;
+//!    [`Sweep::run_partial`] instead returns the surviving results with
+//!    [`SweepReport::failed_cells`], and adds a wall-clock watchdog
+//!    ([`Sweep::watchdog`]) that applies the same retry-once policy to
+//!    cells that *hang*.
+//! 5. **Resumable runs.** [`Sweep::try_run_cached`] consults the
 //!    content-addressed result store ([`crate::cache`], usually rooted
 //!    at `FANCY_CACHE_DIR`): warm cells return instantly with their
 //!    stored result *and* stored telemetry, cold cells execute and are
-//!    stored on success, so an interrupted or edited sweep re-runs only
-//!    what changed.
-//!
-//! Workers pull the next cell from a shared queue, so slow cells do
-//! not stall the rest of the grid (dynamic load balancing).
+//!    stored on success, so an interrupted, failed or edited sweep
+//!    re-runs only what is missing.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -123,9 +128,18 @@ pub struct FailedCell {
     pub seed: u64,
     /// What went wrong on the final attempt.
     pub cause: CellFailure,
-    /// Attempts made (2 with the one-retry policy, unless the failure
-    /// raced a concurrent retry).
+    /// Attempts made (2 with the one-retry policy).
     pub attempts: u32,
+}
+
+impl fmt::Display for FailedCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "cell {:04} (seed {:#018x}) after {} attempt(s): {}",
+            self.index, self.seed, self.attempts, self.cause,
+        )
+    }
 }
 
 /// Per-cell context handed to the sweep's work function.
@@ -186,11 +200,8 @@ impl CellCtx {
         };
         let start = Instant::now();
         let r = f();
-        pending
-            .lock()
-            .expect("pending stats poisoned")
-            .phases
-            .push((label.to_string(), start.elapsed()));
+        let mut p = pending.lock().expect("pending stats poisoned");
+        p.phases.add(label, start.elapsed());
         r
     }
 
@@ -251,9 +262,9 @@ impl CellCtx {
 }
 
 /// One attempt's privately buffered accounting: kernel telemetry,
-/// cache lookup outcomes, and timed spans. Committed to
-/// [`SharedStats`] only by the attempt that completes its cell;
-/// dropped (never committed) for panicked, superseded, or
+/// cache lookup outcomes, and timed spans. Published next to the
+/// attempt's result and folded into the report by `Board::finish`;
+/// dropped (never folded) for panicked, superseded, or
 /// watchdog-abandoned attempts.
 #[derive(Debug, Default)]
 struct PendingStats {
@@ -263,146 +274,7 @@ struct PendingStats {
     networks: u64,
     cache_hits: u64,
     cache_misses: u64,
-    phases: Vec<(String, Duration)>,
-    metrics: Snapshot,
-}
-
-/// Lock-free aggregate the workers commit completed attempts into (the
-/// span profiler is the one mutex, touched once per committed attempt
-/// with timed spans).
-#[derive(Default)]
-struct SharedStats {
-    events: AtomicU64,
-    arrivals: AtomicU64,
-    timers: AtomicU64,
-    queue_high_water: AtomicU64,
-    timer_high_water: AtomicU64,
-    forwarded: AtomicU64,
-    gray: AtomicU64,
-    control: AtomicU64,
-    congestion: AtomicU64,
-    pool_high_water: AtomicU64,
-    pool_recycled: AtomicU64,
-    chaos_drops: AtomicU64,
-    chaos_dups: AtomicU64,
-    chaos_reorders: AtomicU64,
-    chaos_control_faults: AtomicU64,
-    degraded_entries: AtomicU64,
-    sim_nanos: AtomicU64,
-    wall_nanos: AtomicU64,
-    networks: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    phases: Mutex<Profiler>,
-    // Snapshot::merge is associative and commutative, so commit order
-    // (i.e. thread scheduling) cannot affect the merged result.
-    metrics: Mutex<Snapshot>,
-}
-
-impl SharedStats {
-    /// Fold one attempt's buffered accounting into the aggregate.
-    /// Callers gate this on the attempt actually completing its cell
-    /// (winning the state CAS under `run_partial`), which is what keeps
-    /// a watchdog-abandoned run that finishes late from double-counting
-    /// alongside its replacement.
-    fn commit(&self, p: &PendingStats) {
-        let t = &p.telemetry;
-        // Relaxed is enough: values are only read after every cell is
-        // terminal, and every counter is an independent monotone sum
-        // (or max).
-        self.events
-            .fetch_add(t.events_dispatched, Ordering::Relaxed);
-        self.arrivals
-            .fetch_add(t.packet_arrivals, Ordering::Relaxed);
-        self.timers.fetch_add(t.timers_fired, Ordering::Relaxed);
-        self.queue_high_water
-            .fetch_max(t.queue_high_water, Ordering::Relaxed);
-        self.timer_high_water
-            .fetch_max(t.timer_high_water, Ordering::Relaxed);
-        self.forwarded
-            .fetch_add(t.packets_forwarded, Ordering::Relaxed);
-        self.gray
-            .fetch_add(t.packets_gray_dropped, Ordering::Relaxed);
-        self.control.fetch_add(t.control_drops, Ordering::Relaxed);
-        self.congestion
-            .fetch_add(t.congestion_drops, Ordering::Relaxed);
-        self.pool_high_water
-            .fetch_max(t.pool_high_water, Ordering::Relaxed);
-        self.pool_recycled
-            .fetch_add(t.pool_recycled, Ordering::Relaxed);
-        self.chaos_drops.fetch_add(t.chaos_drops, Ordering::Relaxed);
-        self.chaos_dups.fetch_add(t.chaos_dups, Ordering::Relaxed);
-        self.chaos_reorders
-            .fetch_add(t.chaos_reorders, Ordering::Relaxed);
-        self.chaos_control_faults
-            .fetch_add(t.chaos_control_faults, Ordering::Relaxed);
-        self.degraded_entries
-            .fetch_add(t.degraded_entries, Ordering::Relaxed);
-        self.sim_nanos.fetch_add(p.sim_nanos, Ordering::Relaxed);
-        self.wall_nanos.fetch_add(p.wall_nanos, Ordering::Relaxed);
-        self.networks.fetch_add(p.networks, Ordering::Relaxed);
-        self.cache_hits.fetch_add(p.cache_hits, Ordering::Relaxed);
-        self.cache_misses
-            .fetch_add(p.cache_misses, Ordering::Relaxed);
-        if !p.phases.is_empty() {
-            let mut prof = self.phases.lock().expect("profiler poisoned");
-            for (label, d) in &p.phases {
-                prof.add(label, *d);
-            }
-        }
-        if !p.metrics.is_empty() {
-            self.metrics
-                .lock()
-                .expect("metrics snapshot poisoned")
-                .merge(&p.metrics);
-        }
-    }
-
-    fn counters(&self) -> TelemetryCounters {
-        TelemetryCounters {
-            events_dispatched: self.events.load(Ordering::Relaxed),
-            packet_arrivals: self.arrivals.load(Ordering::Relaxed),
-            timers_fired: self.timers.load(Ordering::Relaxed),
-            queue_high_water: self.queue_high_water.load(Ordering::Relaxed),
-            timer_high_water: self.timer_high_water.load(Ordering::Relaxed),
-            packets_forwarded: self.forwarded.load(Ordering::Relaxed),
-            packets_gray_dropped: self.gray.load(Ordering::Relaxed),
-            control_drops: self.control.load(Ordering::Relaxed),
-            congestion_drops: self.congestion.load(Ordering::Relaxed),
-            pool_high_water: self.pool_high_water.load(Ordering::Relaxed),
-            pool_recycled: self.pool_recycled.load(Ordering::Relaxed),
-            chaos_drops: self.chaos_drops.load(Ordering::Relaxed),
-            chaos_dups: self.chaos_dups.load(Ordering::Relaxed),
-            chaos_reorders: self.chaos_reorders.load(Ordering::Relaxed),
-            chaos_control_faults: self.chaos_control_faults.load(Ordering::Relaxed),
-            degraded_entries: self.degraded_entries.load(Ordering::Relaxed),
-        }
-    }
-
-    fn aggregated(&self) -> Aggregated {
-        Aggregated {
-            telemetry: self.counters(),
-            sim_seconds: self.sim_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            kernel_wall: Duration::from_nanos(self.wall_nanos.load(Ordering::Relaxed)),
-            networks: self.networks.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            phases: std::mem::take(&mut *self.phases.lock().expect("profiler poisoned"))
-                .into_spans(),
-            metrics: std::mem::take(&mut *self.metrics.lock().expect("metrics snapshot poisoned")),
-        }
-    }
-}
-
-/// Snapshot of [`SharedStats`] in report units.
-struct Aggregated {
-    telemetry: TelemetryCounters,
-    sim_seconds: f64,
-    kernel_wall: Duration,
-    networks: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    phases: Vec<(String, Duration)>,
+    phases: Profiler,
     metrics: Snapshot,
 }
 
@@ -432,13 +304,15 @@ pub struct SweepReport {
     pub networks: u64,
     /// Cells served warm from the content-addressed result cache.
     /// Always 0 for the plain `run`/`try_run`/`run_partial` entry
-    /// points and for `*_cached` sweeps with no cache attached.
+    /// points and for [`Sweep::try_run_cached`] with no cache attached.
     pub cache_hits: u64,
-    /// Cells that executed under a `*_cached` entry point because the
+    /// Cells that executed under [`Sweep::try_run_cached`] because the
     /// cache held no usable record for them.
     pub cache_misses: u64,
     /// Wall-clock spans recorded via [`CellCtx::time`], merged by label
-    /// in first-seen order. Empty when cells never time anything.
+    /// in first-seen order walking cells by index (so the label order
+    /// does not depend on scheduling). Empty when cells never time
+    /// anything.
     pub phases: Vec<(String, Duration)>,
     /// Metrics snapshots merged over every absorbed network (counters
     /// add, gauges max, histograms merge exactly). Because the merge is
@@ -561,10 +435,7 @@ impl SweepReport {
             }
         }
         for c in &self.failed_cells {
-            s.push_str(&format!(
-                "\n  FAILED cell {:04} (seed {:#018x}) after {} attempt(s): {}",
-                c.index, c.seed, c.attempts, c.cause,
-            ));
+            s.push_str(&format!("\n  FAILED {c}"));
         }
         s
     }
@@ -581,26 +452,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn failure_diagnosis(label: &str, failed: &[FailedCell], total: usize) -> String {
-    let mut s = format!(
-        "sweep '{label}': {} of {total} cell(s) failed after retry \
-         (use Sweep::run_partial to keep the surviving results):",
-        failed.len(),
-    );
-    for c in failed {
-        s.push_str(&format!(
-            "\n  cell {:04} (seed {:#018x}) after {} attempt(s): {}",
-            c.index, c.seed, c.attempts, c.cause,
-        ));
-    }
-    s
-}
-
-// Per-cell lifecycle word for `run_partial`: the low 2 bits are the
-// state, the rest a run token bumped on every claim so a superseded
-// (timed-out, later-requeued) run can never complete or fail the cell
-// out from under its replacement — every transition is a CAS on the
-// full (state, token) word.
+// Per-cell lifecycle word: the low 2 bits are the state, the rest a run
+// token bumped on every claim — so it doubles as the attempt count —
+// which keeps a superseded (timed-out, later-requeued) run from
+// completing or failing the cell out from under its replacement:
+// every transition is a CAS on the full (state, token) word.
 const ST_PENDING: u64 = 0;
 const ST_RUNNING: u64 = 1;
 const ST_DONE: u64 = 2;
@@ -618,131 +474,215 @@ fn token_of(word: u64) -> u64 {
     word >> 2
 }
 
-/// Shared state of a `run_partial` sweep. Lives behind an `Arc` because
-/// a hung worker thread may outlive the sweep (it is leaked, on
-/// purpose: there is no safe way to kill a thread).
-struct PartialInner<C, R, F> {
-    cells: Vec<C>,
-    f: F,
-    base_seed: u64,
-    stats: Arc<SharedStats>,
+/// One cell's entry on the [`Board`].
+struct Slot<R> {
+    /// [`Sweep::cell_seed`] of this cell, read by the worker (cell
+    /// context) and by whoever records a failure (reproduction seed).
+    seed: u64,
+    state: AtomicU64,
+    started: Mutex<Option<Instant>>,
+    // The result *and* the producing attempt's buffered telemetry;
+    // `finish` folds exactly one buffer per DONE cell after every cell
+    // is terminal, so an abandoned run that finishes late can never
+    // double-count alongside its replacement.
+    result: Mutex<Option<(R, PendingStats)>>,
+}
+
+impl<R> Slot<R> {
+    /// CAS the cell from PENDING to RUNNING with a fresh token, returning
+    /// the new state word. `None` on a stale queue entry: the cell
+    /// already reached a terminal state, or another run claimed it (only
+    /// claims move a PENDING word, so a lost CAS means exactly that).
+    fn claim(&self) -> Option<u64> {
+        let cur = self.state.load(Ordering::Acquire);
+        let running = pack(ST_RUNNING, token_of(cur) + 1);
+        (state_of(cur) == ST_PENDING && self.transition(cur, running)).then_some(running)
+    }
+
+    /// CAS the full state word. `false` when the run that read `from`
+    /// was superseded and no longer owns the cell.
+    fn transition(&self, from: u64, to: u64) -> bool {
+        self.state
+            .compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
+}
+
+/// The shared state of one sweep execution — the only executor there
+/// is. [`Sweep::run`] borrows it from scoped workers; under
+/// [`Sweep::run_partial`] it lives behind an `Arc` because a hung
+/// worker thread may outlive the sweep (it is leaked, on purpose: there
+/// is no safe way to kill a thread).
+struct Board<R> {
+    label: String,
+    threads: usize,
+    start: Instant,
     trace_dir: Option<Arc<PathBuf>>,
-    states: Vec<AtomicU64>,
-    attempts: Vec<AtomicU32>,
-    started: Vec<Mutex<Option<Instant>>>,
-    // Each slot carries the result *and* the producing attempt's
-    // buffered telemetry; the sweep commits exactly one buffer per
-    // DONE cell after every cell is terminal, so an abandoned run that
-    // finishes late can never double-count alongside its replacement.
-    slots: Vec<Mutex<Option<(R, PendingStats)>>>,
+    slots: Vec<Slot<R>>,
     failures: Mutex<Vec<FailedCell>>,
     queue: Mutex<VecDeque<usize>>,
 }
 
-impl<C, R, F> PartialInner<C, R, F>
-where
-    C: Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(&C, &CellCtx) -> R + Send + Sync + 'static,
-{
-    fn worker(self: &Arc<Self>) {
+impl<R> Board<R> {
+    fn new<C: Sync>(sweep: &Sweep<C>) -> Self {
+        let n = sweep.cells.len();
+        let slot = |index| Slot {
+            seed: sweep.cell_seed(index),
+            state: AtomicU64::new(pack(ST_PENDING, 0)),
+            started: Mutex::new(None),
+            result: Mutex::new(None),
+        };
+        Board {
+            label: sweep.label.clone(),
+            threads: sweep.threads.min(n.max(1)),
+            start: Instant::now(),
+            trace_dir: sweep.trace_dir.clone().map(Arc::new),
+            slots: (0..n).map(slot).collect(),
+            failures: Mutex::new(Vec::new()),
+            queue: Mutex::new((0..n).collect()),
+        }
+    }
+
+    /// Pull cells off the queue until it is empty. The one place a cell
+    /// function is called, and the one place its panics are caught.
+    fn worker<C, F>(&self, cells: &[C], f: &F)
+    where
+        F: Fn(&C, &CellCtx) -> R,
+    {
         loop {
-            let index = { self.queue.lock().expect("queue poisoned").pop_front() };
-            let Some(index) = index else { return };
-            // Claim the cell, bumping its run token.
-            let Some(token) = self.claim(index) else {
+            let next = self.queue.lock().expect("queue poisoned").pop_front();
+            let Some(index) = next else { return };
+            let slot = &self.slots[index];
+            let Some(running) = slot.claim() else {
                 continue;
             };
-            let attempt = self.attempts[index].fetch_add(1, Ordering::Relaxed) + 1;
-            *self.started[index].lock().expect("start stamp poisoned") = Some(Instant::now());
-            let seed = mix64(self.base_seed ^ index as u64);
+            *slot.started.lock().expect("start stamp poisoned") = Some(Instant::now());
+            // Fresh buffer per attempt: only an attempt that returns
+            // publishes it, so a panicked attempt's partial absorbs
+            // never reach the report.
             let pending = Arc::new(Mutex::new(PendingStats::default()));
             let ctx = CellCtx {
                 index,
-                seed,
+                seed: slot.seed,
                 pending: Some(pending.clone()),
                 trace_dir: self.trace_dir.clone(),
             };
-            let running = pack(ST_RUNNING, token);
-            match catch_unwind(AssertUnwindSafe(|| (self.f)(&self.cells[index], &ctx))) {
+            match catch_unwind(AssertUnwindSafe(|| f(&cells[index], &ctx))) {
                 Ok(r) => {
-                    // Publish the result (with this attempt's buffered
-                    // telemetry) before the state flip so a DONE state
-                    // always has a filled slot. If the CAS fails the
-                    // watchdog superseded this run; its replacement owns
-                    // the cell now (and, cells being deterministic, will
+                    // Publish the result (with this attempt's buffer)
+                    // before the state flip so a DONE state always has
+                    // a filled slot. If the CAS fails the watchdog
+                    // superseded this run; its replacement owns the
+                    // cell now (and, cells being deterministic, will
                     // write the identical value).
                     let buffered =
                         std::mem::take(&mut *pending.lock().expect("pending stats poisoned"));
-                    *self.slots[index].lock().expect("result slot poisoned") = Some((r, buffered));
-                    let _ = self.states[index].compare_exchange(
-                        running,
-                        pack(ST_DONE, token),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    );
-                }
-                Err(_) if attempt < 2 => {
-                    // One retry: hand the cell back to the queue.
-                    if self.states[index]
-                        .compare_exchange(
-                            running,
-                            pack(ST_PENDING, token),
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.queue.lock().expect("queue poisoned").push_back(index);
-                    }
+                    *slot.result.lock().expect("result slot poisoned") = Some((r, buffered));
+                    slot.transition(running, pack(ST_DONE, token_of(running)));
                 }
                 Err(payload) => {
-                    if self.states[index]
-                        .compare_exchange(
-                            running,
-                            pack(ST_FAILED, token),
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.failures
-                            .lock()
-                            .expect("failure list poisoned")
-                            .push(FailedCell {
-                                index,
-                                seed,
-                                cause: CellFailure::Panicked(panic_message(payload.as_ref())),
-                                attempts: attempt,
-                            });
-                    }
+                    let cause = CellFailure::Panicked(panic_message(payload.as_ref()));
+                    self.give_up(index, running, cause);
                 }
             }
         }
     }
 
-    /// CAS the cell from PENDING to RUNNING with a fresh token. `None`
-    /// on a stale queue entry (the cell already reached a terminal
-    /// state or another run claimed it).
-    fn claim(&self, index: usize) -> Option<u64> {
-        loop {
-            let cur = self.states[index].load(Ordering::Acquire);
-            if state_of(cur) != ST_PENDING {
-                return None;
-            }
-            let token = token_of(cur) + 1;
-            if self.states[index]
-                .compare_exchange(
-                    cur,
-                    pack(ST_RUNNING, token),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                return Some(token);
+    /// The retry-once policy, for panics and watchdog expiries alike:
+    /// the run owning state word `running` ended without a result —
+    /// hand the cell back to the queue if that was its first attempt,
+    /// else record it failed. `false` (and no effect) when that run was
+    /// already superseded.
+    fn give_up(&self, index: usize, running: u64, cause: CellFailure) -> bool {
+        let slot = &self.slots[index];
+        let attempts = token_of(running) as u32;
+        let retry = attempts < 2;
+        let next = if retry { ST_PENDING } else { ST_FAILED };
+        if !slot.transition(running, pack(next, token_of(running))) {
+            return false;
+        }
+        if retry {
+            self.queue.lock().expect("queue poisoned").push_back(index);
+        } else {
+            let mut failures = self.failures.lock().expect("failure list poisoned");
+            failures.push(FailedCell {
+                index,
+                seed: slot.seed,
+                cause,
+                attempts,
+            });
+        }
+        true
+    }
+
+    /// One watchdog pass: expire every run older than `limit` (calling
+    /// `respawn` each time, because the thread stuck on an expired run
+    /// is lost to the pool) and report whether every cell is terminal.
+    fn settled(&self, limit: Option<Duration>, respawn: impl Fn()) -> bool {
+        let mut terminal = 0;
+        for (index, slot) in self.slots.iter().enumerate() {
+            let cur = slot.state.load(Ordering::Acquire);
+            let state = state_of(cur);
+            terminal += usize::from(state == ST_DONE || state == ST_FAILED);
+            let (ST_RUNNING, Some(limit)) = (state, limit) else {
+                continue;
+            };
+            let started = *slot.started.lock().expect("start stamp poisoned");
+            let expired = started.is_some_and(|s| s.elapsed() >= limit);
+            // A lost CAS means the run finished just in time.
+            if expired && self.give_up(index, cur, CellFailure::TimedOut(limit)) {
+                respawn();
             }
         }
+        terminal == self.slots.len()
+    }
+
+    /// Turn the settled board into results and the report. Taking a
+    /// slot's result consumes whichever attempt's publication survived
+    /// there, so exactly one buffer is folded per completed cell — in
+    /// cell-index order, whatever order the cells completed in.
+    fn finish(&self) -> (Vec<Option<R>>, SweepReport) {
+        let mut total = PendingStats::default();
+        let results = self
+            .slots
+            .iter()
+            .map(|slot| {
+                if state_of(slot.state.load(Ordering::Acquire)) != ST_DONE {
+                    return None;
+                }
+                let (r, p) = slot.result.lock().expect("result slot poisoned").take()?;
+                total.telemetry.absorb(&p.telemetry);
+                total.sim_nanos += p.sim_nanos;
+                total.wall_nanos += p.wall_nanos;
+                total.networks += p.networks;
+                total.cache_hits += p.cache_hits;
+                total.cache_misses += p.cache_misses;
+                total.metrics.merge(&p.metrics);
+                for (label, d) in p.phases.spans() {
+                    total.phases.add(label, *d);
+                }
+                Some(r)
+            })
+            .collect();
+        let mut failed_cells =
+            std::mem::take(&mut *self.failures.lock().expect("failure list poisoned"));
+        failed_cells.sort_by_key(|c| c.index);
+        let report = SweepReport {
+            label: self.label.clone(),
+            cells: self.slots.len(),
+            threads: self.threads,
+            wall: self.start.elapsed(),
+            telemetry: total.telemetry,
+            sim_seconds: total.sim_nanos as f64 / 1e9,
+            kernel_wall: Duration::from_nanos(total.wall_nanos),
+            networks: total.networks,
+            cache_hits: total.cache_hits,
+            cache_misses: total.cache_misses,
+            phases: total.phases.into_spans(),
+            metrics: total.metrics,
+            failed_cells,
+        };
+        (results, report)
     }
 }
 
@@ -778,17 +718,15 @@ struct SweepCache {
 
 impl<C: Sync> Sweep<C> {
     /// A sweep over `cells`, using `FANCY_THREADS` (or the machine's
-    /// parallelism) workers, the default base seed, and the
-    /// `FANCY_CELL_TIMEOUT` watchdog (none by default).
+    /// parallelism) workers, the default base seed, and no watchdog.
     pub fn new(label: impl Into<String>, cells: Vec<C>) -> Self {
-        let env = BenchEnv::from_env();
         Sweep {
             label: label.into(),
             cells,
-            threads: env.threads,
+            threads: BenchEnv::from_env().threads,
             base_seed: 0xFA9C,
             trace_dir: None,
-            cell_timeout: env.cell_timeout,
+            cell_timeout: None,
             cache: None,
         }
     }
@@ -815,21 +753,22 @@ impl<C: Sync> Sweep<C> {
     }
 
     /// Set the per-cell wall-clock watchdog used by
-    /// [`Sweep::run_partial`] (overriding `FANCY_CELL_TIMEOUT`). A cell
-    /// exceeding it is retried once on a fresh thread, then reported in
+    /// [`Sweep::run_partial`] (none by default). A cell exceeding it is
+    /// retried once on a fresh thread, then reported in
     /// [`SweepReport::failed_cells`]; the hung thread is abandoned.
     pub fn watchdog(mut self, timeout: Duration) -> Self {
         self.cell_timeout = Some(timeout);
         self
     }
 
-    /// Attach a content-addressed result store: the `*_cached` entry
-    /// points serve warm cells from `store` and persist cold ones on
-    /// success. `salt` is the sweep-level key material — fold in the
-    /// label, scale, grid shape, and anything else that shapes a
-    /// cell's work besides the cell value and its seed (see
-    /// [`crate::cache`] for the full key recipe and invalidation
-    /// rules). The plain entry points ignore the cache entirely.
+    /// Attach a content-addressed result store:
+    /// [`Sweep::try_run_cached`] serves warm cells from `store` and
+    /// persists cold ones on success. `salt` is the sweep-level key
+    /// material — fold in the label, scale, grid shape, and anything
+    /// else that shapes a cell's work besides the cell value and its
+    /// seed (see [`crate::cache`] for the full key recipe and
+    /// invalidation rules). The plain entry points ignore the cache
+    /// entirely.
     pub fn cache(mut self, store: CellCache, salt: Fingerprint) -> Self {
         self.cache = Some(SweepCache { store, salt });
         self
@@ -865,103 +804,30 @@ impl<C: Sync> Sweep<C> {
         R: Send,
         F: Fn(&C, &CellCtx) -> R + Sync,
     {
-        let start = Instant::now();
-        let stats = Arc::new(SharedStats::default());
+        let board = Board::new(self);
         let n = self.cells.len();
-        let trace_dir = self.trace_dir.clone().map(Arc::new);
-        let failures: Mutex<Vec<FailedCell>> = Mutex::new(Vec::new());
-
-        let guarded = |index: usize, cell: &C| -> Option<R> {
-            let seed = self.cell_seed(index);
-            let mut attempts = 0u32;
-            loop {
-                attempts += 1;
-                // Fresh buffer per attempt: only the attempt that
-                // returns commits, so a panicked attempt's partial
-                // absorbs never reach the aggregate.
-                let pending = Arc::new(Mutex::new(PendingStats::default()));
-                let ctx = CellCtx {
-                    index,
-                    seed,
-                    pending: Some(pending.clone()),
-                    trace_dir: trace_dir.clone(),
-                };
-                match catch_unwind(AssertUnwindSafe(|| f(cell, &ctx))) {
-                    Ok(r) => {
-                        stats.commit(&pending.lock().expect("pending stats poisoned"));
-                        return Some(r);
-                    }
-                    Err(_) if attempts < 2 => {} // one retry
-                    Err(payload) => {
-                        failures
-                            .lock()
-                            .expect("failure list poisoned")
-                            .push(FailedCell {
-                                index,
-                                seed,
-                                cause: CellFailure::Panicked(panic_message(payload.as_ref())),
-                                attempts,
-                            });
-                        return None;
-                    }
-                }
-            }
-        };
-
-        let results: Vec<Option<R>> = if self.threads <= 1 || n <= 1 {
-            self.cells
-                .iter()
-                .enumerate()
-                .map(|(index, cell)| guarded(index, cell))
-                .collect()
+        if self.threads <= 1 || n <= 1 {
+            board.worker(&self.cells, &f);
         } else {
-            let mut slots: Vec<Mutex<Option<Option<R>>>> = Vec::with_capacity(n);
-            slots.resize_with(n, || Mutex::new(None));
-            let next = AtomicUsize::new(0);
             std::thread::scope(|scope| {
-                for _ in 0..self.threads.min(n) {
-                    scope.spawn(|| loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(cell) = self.cells.get(index) else {
-                            break;
-                        };
-                        let r = guarded(index, cell);
-                        *slots[index].lock().expect("result slot poisoned") = Some(r);
-                    });
+                for _ in 0..board.threads {
+                    scope.spawn(|| board.worker(&self.cells, &f));
                 }
             });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("result slot poisoned")
-                        .expect("worker exited without writing its slot")
-                })
-                .collect()
-        };
-
-        let mut failed = failures.into_inner().expect("failure list poisoned");
-        failed.sort_by_key(|c| c.index);
-        if !failed.is_empty() {
-            panic!("{}", failure_diagnosis(&self.label, &failed, n));
         }
-
-        let agg = stats.aggregated();
-        let report = SweepReport {
-            label: self.label.clone(),
-            cells: n,
-            threads: self.threads.min(n.max(1)),
-            wall: start.elapsed(),
-            telemetry: agg.telemetry,
-            sim_seconds: agg.sim_seconds,
-            kernel_wall: agg.kernel_wall,
-            networks: agg.networks,
-            cache_hits: agg.cache_hits,
-            cache_misses: agg.cache_misses,
-            phases: agg.phases,
-            metrics: agg.metrics,
-            failed_cells: Vec::new(),
-        };
+        let (results, report) = board.finish();
+        if !report.failed_cells.is_empty() {
+            let mut diagnosis = format!(
+                "sweep '{}': {} of {n} cell(s) failed after retry \
+                 (use Sweep::run_partial to keep the surviving results):",
+                self.label,
+                report.failed_cells.len(),
+            );
+            for c in &report.failed_cells {
+                diagnosis.push_str(&format!("\n  {c}"));
+            }
+            panic!("{diagnosis}");
+        }
         let results = results
             .into_iter()
             .map(|r| r.expect("cell produced neither result nor failure record"))
@@ -979,20 +845,21 @@ impl<C: Sync> Sweep<C> {
         F: Fn(&C, &CellCtx) -> Result<R, E> + Sync,
     {
         let (results, report) = self.run(f);
-        let mut ok = Vec::with_capacity(results.len());
-        for r in results {
-            ok.push(r?);
-        }
-        Ok((ok, report))
+        Ok((results.into_iter().collect::<Result<_, E>>()?, report))
     }
 
-    /// [`Sweep::run`] with the attached cache consulted per cell: warm
-    /// cells return their stored result and stored telemetry without
-    /// executing, cold cells execute and are stored on success. The
-    /// report's [`SweepReport::cache_hits`] / `cache_misses` count the
-    /// lookup outcomes. With no cache attached this is exactly `run`.
+    /// [`Sweep::try_run`] with the attached cache consulted per cell:
+    /// warm cells return their stored result and stored telemetry
+    /// without executing, cold cells execute and are stored on success
+    /// (`Err` results never are). Every surviving cell is stored
+    /// *before* `run` panics at the end, so re-running a sweep that
+    /// lost cells executes only those cells. [`SweepReport::cache_hits`]
+    /// / `cache_misses` count the lookup outcomes. With no cache
+    /// attached this is exactly `try_run`.
     ///
     /// ```
+    /// use std::convert::Infallible;
+    ///
     /// use fancy_bench::cache::Fingerprint;
     /// use fancy_bench::runner::Sweep;
     ///
@@ -1001,22 +868,10 @@ impl<C: Sync> Sweep<C> {
     /// let salt = Fingerprint::new().with("squares");
     /// let (squares, _report) = Sweep::new("squares", (0..8u64).collect::<Vec<_>>())
     ///     .cache_from_env(salt)
-    ///     .run_cached(|&cell, _ctx| cell * cell);
+    ///     .try_run_cached(|&cell, _ctx| Ok::<_, Infallible>(cell * cell))
+    ///     .unwrap();
     /// assert_eq!(squares[5], 25);
     /// ```
-    pub fn run_cached<R, F>(&self, f: F) -> (Vec<R>, SweepReport)
-    where
-        C: CacheKeyed,
-        R: Send + CacheCodec,
-        F: Fn(&C, &CellCtx) -> R + Sync,
-    {
-        let cache = self.cache.as_ref();
-        self.run(|cell, ctx| run_cell_cached_infallible(cache, cell, ctx, &f))
-    }
-
-    /// [`Sweep::try_run`] with the attached cache consulted per cell.
-    /// `Err` results are never stored, so an errored cell re-runs on
-    /// the next sweep instead of caching its failure.
     pub fn try_run_cached<R, E, F>(&self, f: F) -> Result<(Vec<R>, SweepReport), E>
     where
         C: CacheKeyed,
@@ -1026,6 +881,64 @@ impl<C: Sync> Sweep<C> {
     {
         let cache = self.cache.as_ref();
         self.try_run(|cell, ctx| run_cell_cached(cache, cell, ctx, &f))
+    }
+
+    /// Crash-isolated sweep: execute `f` once per cell and return
+    /// whatever results survive, `None`-filling the cells that did not.
+    ///
+    /// Unlike [`Sweep::run`] this never panics on cell failure and —
+    /// when a watchdog is set via [`Sweep::watchdog`] — also survives
+    /// cells that *hang*: a cell exceeding the timeout is abandoned on
+    /// its (leaked) thread and retried once on a fresh one, so one
+    /// wedged pixel cannot stall a whole heatmap. Every unrecoverable
+    /// cell is listed in [`SweepReport::failed_cells`] with its
+    /// deterministic seed for offline reproduction. Without a watchdog,
+    /// a hung cell hangs the sweep (there is no safe way to preempt
+    /// arbitrary code).
+    ///
+    /// Workers run on detached threads (hence the `'static` bounds and
+    /// the consuming `self`); determinism guarantees are unchanged —
+    /// seeds and result slots stay index-keyed.
+    ///
+    /// ```
+    /// use fancy_bench::runner::{CellFailure, Sweep};
+    ///
+    /// let (results, report) = Sweep::new("partial", vec![1u64, 2, 3])
+    ///     .threads(2)
+    ///     .run_partial(|&cell, _ctx| {
+    ///         if cell == 2 {
+    ///             panic!("cell two always crashes");
+    ///         }
+    ///         cell * 10
+    ///     });
+    /// assert_eq!(results, vec![Some(10), None, Some(30)]);
+    /// assert_eq!(report.failed_cells.len(), 1);
+    /// assert_eq!(report.failed_cells[0].index, 1);
+    /// assert!(matches!(report.failed_cells[0].cause, CellFailure::Panicked(_)));
+    /// ```
+    pub fn run_partial<R, F>(self, f: F) -> (Vec<Option<R>>, SweepReport)
+    where
+        C: Send + 'static,
+        R: Send + 'static,
+        F: Fn(&C, &CellCtx) -> R + Send + Sync + 'static,
+    {
+        let timeout = self.cell_timeout;
+        let board = Board::new(&self);
+        let workers = board.threads.min(self.cells.len());
+        let shared = Arc::new((board, self.cells, f));
+        // Detached, not joined: a worker stuck in a hung cell never
+        // returns, and the sweep must not wait for it.
+        let spawn_worker = || {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || shared.0.worker(&shared.1, &shared.2));
+        };
+        for _ in 0..workers {
+            spawn_worker();
+        }
+        while !shared.0.settled(timeout, spawn_worker) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        shared.0.finish()
     }
 }
 
@@ -1051,21 +964,15 @@ where
     if let Some(hit) = cache.store.load(key) {
         // A record whose result (or stored metrics snapshot) no longer
         // decodes degrades to a miss, exactly like a corrupt record.
-        let snap = if hit.metrics.is_empty() {
-            Some(Snapshot::default())
-        } else {
-            Snapshot::parse_jsonl(&hit.metrics).ok()
-        };
-        if let (Some(r), Some(snap)) = (R::decode(&hit.result), snap) {
-            {
-                let mut p = pending.lock().expect("pending stats poisoned");
-                p.telemetry.absorb(&hit.telemetry);
-                p.sim_nanos += hit.sim_nanos;
-                p.networks += hit.networks;
-                p.metrics.merge(&snap);
-                p.cache_hits += 1;
-            }
+        let snap = Snapshot::parse_jsonl(&hit.metrics);
+        if let (Some(r), Ok(snap)) = (R::decode(&hit.result), snap) {
             ctx.write_cache_hit_stub(key, &hit);
+            let mut p = pending.lock().expect("pending stats poisoned");
+            p.telemetry.absorb(&hit.telemetry);
+            p.sim_nanos += hit.sim_nanos;
+            p.networks += hit.networks;
+            p.metrics.merge(&snap);
+            p.cache_hits += 1;
             return Ok(r);
         }
     }
@@ -1074,233 +981,20 @@ where
     // The attempt buffer holds exactly this attempt's absorbs, so it
     // doubles as the per-cell record. Kernel wall-clock is deliberately
     // not stored: a warm run honestly reports its own (near-zero) wall.
-    let (telemetry, sim_nanos, networks, metrics) = {
-        let p = pending.lock().expect("pending stats poisoned");
-        (p.telemetry, p.sim_nanos, p.networks, p.metrics.to_jsonl())
-    };
     let mut result = Record::default();
     r.encode(&mut result);
-    let _ = cache.store.store(
-        key,
-        &CachedCell {
-            telemetry,
-            sim_nanos,
-            networks,
-            metrics,
+    let record = {
+        let p = pending.lock().expect("pending stats poisoned");
+        CachedCell {
+            telemetry: p.telemetry,
+            sim_nanos: p.sim_nanos,
+            networks: p.networks,
+            metrics: p.metrics.to_jsonl(),
             result,
-        },
-    );
+        }
+    };
+    let _ = cache.store.store(key, &record);
     Ok(r)
-}
-
-/// [`run_cell_cached`] for infallible cell functions.
-fn run_cell_cached_infallible<C, R, F>(
-    cache: Option<&SweepCache>,
-    cell: &C,
-    ctx: &CellCtx,
-    f: &F,
-) -> R
-where
-    C: CacheKeyed + ?Sized,
-    R: CacheCodec,
-    F: Fn(&C, &CellCtx) -> R,
-{
-    let wrapped = |c: &C, x: &CellCtx| -> Result<R, std::convert::Infallible> { Ok(f(c, x)) };
-    match run_cell_cached(cache, cell, ctx, &wrapped) {
-        Ok(r) => r,
-        Err(e) => match e {},
-    }
-}
-
-impl<C: Send + Sync + 'static> Sweep<C> {
-    /// Crash-isolated sweep: execute `f` once per cell and return
-    /// whatever results survive, `None`-filling the cells that did not.
-    ///
-    /// Unlike [`Sweep::run`] this never panics on cell failure and —
-    /// when a watchdog is set via [`Sweep::watchdog`] or
-    /// `FANCY_CELL_TIMEOUT` — also survives cells that *hang*: a cell
-    /// exceeding the timeout is abandoned on its (leaked) thread and
-    /// retried once on a fresh one, so one wedged pixel cannot stall a
-    /// whole heatmap. Every unrecoverable cell is listed in
-    /// [`SweepReport::failed_cells`] with its deterministic seed for
-    /// offline reproduction. Without a watchdog, a hung cell hangs the
-    /// sweep (there is no safe way to preempt arbitrary code).
-    ///
-    /// Workers run on detached threads (hence the `'static` bounds and
-    /// the consuming `self`); determinism guarantees are unchanged —
-    /// seeds and result slots stay index-keyed.
-    ///
-    /// ```
-    /// use fancy_bench::runner::{CellFailure, Sweep};
-    ///
-    /// let (results, report) = Sweep::new("partial", vec![1u64, 2, 3])
-    ///     .threads(2)
-    ///     .run_partial(|&cell, _ctx| {
-    ///         if cell == 2 {
-    ///             panic!("cell two always crashes");
-    ///         }
-    ///         cell * 10
-    ///     });
-    /// assert_eq!(results, vec![Some(10), None, Some(30)]);
-    /// assert_eq!(report.failed_cells.len(), 1);
-    /// assert_eq!(report.failed_cells[0].index, 1);
-    /// assert!(matches!(report.failed_cells[0].cause, CellFailure::Panicked(_)));
-    /// ```
-    pub fn run_partial<R, F>(self, f: F) -> (Vec<Option<R>>, SweepReport)
-    where
-        R: Send + 'static,
-        F: Fn(&C, &CellCtx) -> R + Send + Sync + 'static,
-    {
-        let start = Instant::now();
-        let n = self.cells.len();
-        let label = self.label.clone();
-        let threads = self.threads.min(n.max(1));
-        let timeout = self.cell_timeout;
-        let base_seed = self.base_seed;
-
-        let inner = Arc::new(PartialInner {
-            cells: self.cells,
-            f,
-            base_seed,
-            stats: Arc::new(SharedStats::default()),
-            trace_dir: self.trace_dir.map(Arc::new),
-            states: (0..n)
-                .map(|_| AtomicU64::new(pack(ST_PENDING, 0)))
-                .collect(),
-            attempts: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            started: (0..n).map(|_| Mutex::new(None)).collect(),
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            failures: Mutex::new(Vec::new()),
-            queue: Mutex::new((0..n).collect()),
-        });
-
-        for _ in 0..threads.min(n) {
-            let w = Arc::clone(&inner);
-            std::thread::spawn(move || w.worker());
-        }
-
-        // Watchdog loop: poll cell states until every cell reaches a
-        // terminal state, expiring runs that exceed the timeout. Each
-        // expiry spawns a replacement worker because the thread stuck
-        // on the expired cell is lost to the pool.
-        loop {
-            if n == 0 {
-                break;
-            }
-            let mut terminal = 0;
-            for (index, state) in inner.states.iter().enumerate() {
-                let cur = state.load(Ordering::Acquire);
-                match state_of(cur) {
-                    ST_DONE | ST_FAILED => terminal += 1,
-                    ST_RUNNING => {
-                        let Some(limit) = timeout else { continue };
-                        let started = *inner.started[index].lock().expect("start stamp poisoned");
-                        if started.is_none_or(|s| s.elapsed() < limit) {
-                            continue;
-                        }
-                        let token = token_of(cur);
-                        let attempts = inner.attempts[index].load(Ordering::Relaxed);
-                        let (next_state, requeue) = if attempts < 2 {
-                            (ST_PENDING, true)
-                        } else {
-                            (ST_FAILED, false)
-                        };
-                        if state
-                            .compare_exchange(
-                                cur,
-                                pack(next_state, token),
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_err()
-                        {
-                            continue; // the run finished just in time
-                        }
-                        if requeue {
-                            inner.queue.lock().expect("queue poisoned").push_back(index);
-                        } else {
-                            inner.failures.lock().expect("failure list poisoned").push(
-                                FailedCell {
-                                    index,
-                                    seed: mix64(base_seed ^ index as u64),
-                                    cause: CellFailure::TimedOut(limit),
-                                    attempts,
-                                },
-                            );
-                        }
-                        let w = Arc::clone(&inner);
-                        std::thread::spawn(move || w.worker());
-                    }
-                    _ => {}
-                }
-            }
-            if terminal == n {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-
-        let results: Vec<Option<R>> = inner
-            .states
-            .iter()
-            .zip(&inner.slots)
-            .map(|(state, slot)| {
-                if state_of(state.load(Ordering::Acquire)) == ST_DONE {
-                    // Taking the slot consumes whichever attempt's
-                    // publication survived there, so exactly one
-                    // buffered attempt is committed per completed cell.
-                    slot.lock()
-                        .expect("result slot poisoned")
-                        .take()
-                        .map(|(r, buffered)| {
-                            inner.stats.commit(&buffered);
-                            r
-                        })
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let mut failed = inner
-            .failures
-            .lock()
-            .expect("failure list poisoned")
-            .clone();
-        failed.sort_by_key(|c| c.index);
-
-        let agg = inner.stats.aggregated();
-        let report = SweepReport {
-            label,
-            cells: n,
-            threads,
-            wall: start.elapsed(),
-            telemetry: agg.telemetry,
-            sim_seconds: agg.sim_seconds,
-            kernel_wall: agg.kernel_wall,
-            networks: agg.networks,
-            cache_hits: agg.cache_hits,
-            cache_misses: agg.cache_misses,
-            phases: agg.phases,
-            metrics: agg.metrics,
-            failed_cells: failed,
-        };
-        (results, report)
-    }
-
-    /// [`Sweep::run_partial`] with the attached cache consulted per
-    /// cell: on a resumed run, previously completed cells are warm hits
-    /// and only never-completed cells (including the prior run's
-    /// [`SweepReport::failed_cells`]) execute. Failed and timed-out
-    /// cells are never stored, so they always re-run.
-    pub fn run_partial_cached<R, F>(mut self, f: F) -> (Vec<Option<R>>, SweepReport)
-    where
-        C: CacheKeyed,
-        R: Send + CacheCodec + 'static,
-        F: Fn(&C, &CellCtx) -> R + Send + Sync + 'static,
-    {
-        let cache = self.cache.take();
-        self.run_partial(move |cell, ctx| run_cell_cached_infallible(cache.as_ref(), cell, ctx, &f))
-    }
 }
 
 #[cfg(test)]
@@ -1412,11 +1106,12 @@ mod tests {
 
     #[test]
     fn uncached_sweeps_report_zero_cache_counters() {
-        // `run_cached` without an attached cache is exactly `run`: no
-        // lookups, no counters, no summary line.
+        // `try_run_cached` without an attached cache is exactly
+        // `try_run`: no lookups, no counters, no summary line.
         let (out, report) = Sweep::new("plain", (0..4u64).collect::<Vec<_>>())
             .threads(2)
-            .run_cached(|&c, _| c + 1);
+            .try_run_cached(|&c, _| Ok::<_, std::convert::Infallible>(c + 1))
+            .unwrap();
         assert_eq!(out, vec![1, 2, 3, 4]);
         assert_eq!((report.cache_hits, report.cache_misses), (0, 0));
         assert!(!report.summary().contains("cache:"));
@@ -1533,17 +1228,64 @@ mod tests {
         );
     }
 
+    /// The scheduling-independent content of a report: everything except
+    /// `threads` and the wall-clock fields (`wall`, `kernel_wall`, phase
+    /// durations).
+    fn deterministic_fields(r: &SweepReport) -> impl PartialEq + fmt::Debug {
+        (
+            (r.cells, r.telemetry, r.sim_seconds.to_bits(), r.networks),
+            (r.cache_hits, r.cache_misses, r.failed_cells.clone()),
+            r.metrics.to_jsonl(),
+            r.phases.iter().map(|(l, _)| l.clone()).collect::<Vec<_>>(),
+        )
+    }
+
     #[test]
-    fn run_partial_matches_run_results_when_nothing_fails() {
-        let (plain, _) = Sweep::new("ok", (0..16u64).collect::<Vec<_>>())
-            .seed(0xAB)
-            .threads(4)
-            .run(|&c, ctx| c.wrapping_mul(ctx.seed));
-        let (partial, report) = Sweep::new("ok", (0..16u64).collect::<Vec<_>>())
-            .seed(0xAB)
-            .threads(4)
-            .run_partial(|&c, ctx| c.wrapping_mul(ctx.seed));
-        assert_eq!(partial, plain.into_iter().map(Some).collect::<Vec<_>>());
-        assert!(report.failed_cells.is_empty());
+    fn run_and_run_partial_yield_equal_reports_at_any_thread_count() {
+        use fancy_sim::metrics::{Labels, MetricsHub};
+        // 32 absorbing cells, each with its own phase label (so a
+        // completion-order commit would scramble `phases`), a metrics
+        // hub, and a cell-dependent packet count.
+        fn cell(c: &u64, ctx: &CellCtx) -> u64 {
+            let hub = MetricsHub::new();
+            let mut net = Network::new(ctx.seed);
+            net.kernel.set_metrics(hub.clone());
+            let a = net.add_node(Box::new(SinkNode::default()));
+            let b = net.add_node(Box::new(SinkNode::default()));
+            net.connect(a, b, LinkConfig::default());
+            ctx.time(&format!("phase-{:02}", (c * 7) % 32), || {
+                for seq in 0..c % 3 + 1 {
+                    let kind = fancy_sim::PacketKind::Udp { flow: 0, seq };
+                    let pkt = fancy_sim::PacketBuilder::new(1, 2, 100, kind).build();
+                    net.kernel.inject(a, 0, pkt, SimTime::ZERO);
+                }
+                net.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+            });
+            hub.with(|r| r.observe("cell_seed_ns", Labels::new(), ctx.seed % 1_000_000));
+            ctx.absorb(&net);
+            c.wrapping_mul(ctx.seed)
+        }
+        let sweep = |threads| {
+            Sweep::new("same", (0..32u64).collect::<Vec<_>>())
+                .seed(0xAB)
+                .threads(threads)
+        };
+        let (reference, serial) = sweep(1).run(cell);
+        assert_eq!(serial.networks, 32);
+        assert_eq!(serial.phases[1].0, "phase-07", "index-order commit");
+        for threads in [1, 8] {
+            let (plain, run_report) = sweep(threads).run(cell);
+            let (partial, partial_report) = sweep(threads).run_partial(cell);
+            assert_eq!(plain, reference);
+            assert_eq!(partial, plain.into_iter().map(Some).collect::<Vec<_>>());
+            assert_eq!(run_report.threads, threads);
+            for report in [&run_report, &partial_report] {
+                assert_eq!(
+                    deterministic_fields(report),
+                    deterministic_fields(&serial),
+                    "{threads} thread(s) vs the serial run"
+                );
+            }
+        }
     }
 }

@@ -5,12 +5,16 @@
 //! 8 threads; any change to the key inputs re-executes; corrupt or
 //! truncated records degrade to silent misses that self-heal.
 
+use std::convert::Infallible;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::Mutex;
 
-use fancy_bench::cache::{CellCache, Fingerprint};
+use fancy_bench::cache::{cell_key, CacheCodec, CellCache, Fingerprint};
+use fancy_bench::netwide::{ComboOutcome, EdgeOutcome};
 use fancy_bench::runner::{CellCtx, Sweep};
+use fancy_sim::metrics::{Labels, MetricsHub};
 use fancy_sim::{LinkConfig, Network, PacketBuilder, PacketKind, SimDuration, SimTime, SinkNode};
 
 /// A private scratch directory, wiped at the start of each test so a
@@ -52,10 +56,11 @@ fn warm_sweep_executes_zero_cells_and_reproduces_the_report() {
             .seed(0xCAC4E)
             .threads(threads)
             .cache(CellCache::new(&dir), Fingerprint::new().with("acceptance"))
-            .run_cached(|&cell, ctx| {
+            .try_run_cached(|&cell, ctx| {
                 executed.fetch_add(1, Ordering::SeqCst);
-                run_cell(cell, ctx)
+                Ok::<_, Infallible>(run_cell(cell, ctx))
             })
+            .unwrap()
     };
 
     let (cold, cold_report) = run(1);
@@ -89,37 +94,56 @@ fn warm_sweep_executes_zero_cells_and_reproduces_the_report() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `FANCY_CACHE_DIR` + `cache_from_env` warm the crash-isolated
-/// `run_partial_cached` path too.
+/// Resume after failure, through `FANCY_CACHE_DIR` + `cache_from_env`:
+/// a sweep whose cell 7 panics on both attempts still stores every
+/// surviving cell before `run` panics at the end, so the re-run
+/// executes exactly cell 7 and serves the rest warm.
 #[test]
-fn fancy_cache_dir_env_warms_partial_sweeps() {
+fn rerun_after_a_failed_cell_executes_only_that_cell() {
     let dir = fresh_dir("env");
     std::env::set_var("FANCY_CACHE_DIR", &dir);
-    let run = || {
-        let executed = Arc::new(AtomicU32::new(0));
-        let counter = executed.clone();
-        let (results, report) = Sweep::new("env-partial", (0..8usize).collect::<Vec<_>>())
-            .seed(0xE4B)
-            .threads(2)
-            .cache_from_env(Fingerprint::new().with("env-partial"))
-            .run_partial_cached(move |&cell, ctx| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                run_cell(cell, ctx)
-            });
-        (results, report, executed.load(Ordering::SeqCst))
+    let run = |doomed: Option<usize>| {
+        let executed = Mutex::new(Vec::new());
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            Sweep::new("env-resume", (0..8usize).collect::<Vec<_>>())
+                .seed(0xE4B)
+                .threads(2)
+                .cache_from_env(Fingerprint::new().with("env-resume"))
+                .try_run_cached(|&cell, ctx| {
+                    executed.lock().unwrap().push(cell);
+                    if Some(cell) == doomed {
+                        panic!("cell {cell} is doomed");
+                    }
+                    Ok::<_, Infallible>(run_cell(cell, ctx))
+                })
+                .unwrap()
+        }));
+        let mut executed = executed.into_inner().unwrap();
+        executed.sort_unstable();
+        (outcome, executed)
     };
 
-    let (cold, cold_report, cold_executed) = run();
-    let (warm, warm_report, warm_executed) = run();
+    let (failed, first) = run(Some(7));
+    let (resumed, second) = run(None);
     std::env::remove_var("FANCY_CACHE_DIR");
 
-    assert_eq!(cold_executed, 8);
-    assert_eq!(cold_report.cache_misses, 8);
-    assert_eq!(warm_executed, 0, "warm partial sweep executed cells");
-    assert_eq!(warm_report.cache_hits, 8);
-    assert_eq!(warm, cold);
-    assert!(cold.iter().all(Option::is_some));
-    assert_eq!(warm_report.telemetry, cold_report.telemetry);
+    assert!(
+        failed.is_err(),
+        "a twice-panicking cell must fail the sweep"
+    );
+    assert_eq!(
+        first,
+        vec![0, 1, 2, 3, 4, 5, 6, 7, 7],
+        "one retry of cell 7"
+    );
+    assert_eq!(second, vec![7], "the re-run must execute exactly cell 7");
+    let (results, report) = resumed.expect("the resumed sweep completes");
+    assert_eq!((report.cache_hits, report.cache_misses), (7, 1));
+    let sweep = Sweep::new("seeds", vec![(); 8]).seed(0xE4B);
+    for (cell, r) in results.iter().enumerate() {
+        let ctx = CellCtx::detached(sweep.cell_seed(cell));
+        assert_eq!(*r, run_cell(cell, &ctx), "cell {cell}");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -137,10 +161,11 @@ fn any_key_component_change_re_executes() {
             .seed(seed)
             .threads(1)
             .cache(store.clone(), salt)
-            .run_cached(|&cell, ctx| {
+            .try_run_cached(|&cell, ctx| {
                 executed.fetch_add(1, Ordering::SeqCst);
-                run_cell(cell, ctx)
+                Ok::<_, Infallible>(run_cell(cell, ctx))
             })
+            .unwrap()
     };
     let salt = || Fingerprint::new().with("invalidation");
 
@@ -195,10 +220,11 @@ fn corrupt_records_degrade_to_silent_misses() {
             .seed(0xBADF00D)
             .threads(1)
             .cache(store.clone(), Fingerprint::new().with("corruption"))
-            .run_cached(|&cell, ctx| {
+            .try_run_cached(|&cell, ctx| {
                 executed.fetch_add(1, Ordering::SeqCst);
-                run_cell(cell, ctx)
+                Ok::<_, Infallible>(run_cell(cell, ctx))
             })
+            .unwrap()
     };
 
     let (cold, _) = run();
@@ -242,4 +268,73 @@ fn corrupt_records_degrade_to_silent_misses() {
     assert_eq!(warm, cold);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checksum-valid record whose stored metrics snapshot no longer
+/// parses (written before a `fancy-metrics` JSONL change, say) must
+/// degrade to a miss that re-executes and heals — never reach the
+/// netwide aggregation and crash it. One shared decode helper guards
+/// both netwide outcome kinds.
+#[test]
+fn mangled_outcome_metrics_degrade_to_a_miss_and_heal() {
+    fn check<R: CacheCodec + Send>(tag: &str, make: impl Fn() -> R + Sync) {
+        let dir = fresh_dir(tag);
+        let store = CellCache::new(&dir);
+        let salt = || Fingerprint::new().with(tag);
+        let executed = AtomicU32::new(0);
+        let run = || {
+            let sweep = Sweep::new(tag, vec![0usize, 1, 2]).seed(9).threads(1);
+            let (_, report) = sweep
+                .cache(store.clone(), salt())
+                .try_run_cached(|_, _| {
+                    executed.fetch_add(1, Ordering::SeqCst);
+                    Ok::<_, Infallible>(make())
+                })
+                .unwrap();
+            (report.cache_hits, report.cache_misses)
+        };
+        assert_eq!(run(), (0, 3));
+        assert_eq!(run(), (3, 0), "intact records must be warm");
+        executed.store(0, Ordering::SeqCst);
+
+        // Rewrite cell 1's record through the store itself, so length
+        // and checksum are valid and only the snapshot is bad.
+        let seed = Sweep::new(tag, vec![(); 3]).seed(9).cell_seed(1);
+        let key = cell_key(&salt(), &1usize, seed);
+        let mut cell = store.load(key).expect("cell 1 was stored");
+        cell.result.put_str("metrics", "{\"kind\":\"sketch\"}\n");
+        assert!(store.store(key, &cell));
+
+        assert_eq!(run(), (2, 1), "{tag}: the mangled record must miss");
+        assert_eq!(executed.swap(0, Ordering::SeqCst), 1);
+        assert_eq!(run(), (3, 0), "{tag}: the re-run must heal the record");
+        assert_eq!(executed.swap(0, Ordering::SeqCst), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    let hub = MetricsHub::new();
+    hub.with(|r| r.inc("cells_total", Labels::new()));
+    let metrics_jsonl = hub.snapshot().to_jsonl();
+    assert!(!metrics_jsonl.is_empty());
+    check("mangled-edge", || EdgeOutcome {
+        edge: 3,
+        name: "e3".into(),
+        carries_traffic: true,
+        detected: true,
+        detection_s: 0.25,
+        cross_talk: 0,
+        protected: false,
+        reroute_s: -1.0,
+        bound_s: -1.0,
+        recovery_ok: true,
+        flaps: 0,
+        metrics_jsonl: metrics_jsonl.clone(),
+        shard_stats: Vec::new(),
+    });
+    check("mangled-combo", || ComboOutcome {
+        edges: Vec::new(),
+        cross_talk: 0,
+        metrics_jsonl: metrics_jsonl.clone(),
+        shard_stats: Vec::new(),
+    });
 }

@@ -21,22 +21,12 @@ use std::path::Path;
 
 use fancy_apps::{ScenarioError, ScenarioSpec};
 use fancy_bench::runner::{CellCtx, Sweep, SweepReport};
-use fancy_net::Prefix;
+use fancy_net::{fnv1a64, Prefix};
 use fancy_sim::{GrayFailure, SharedRecorder, SimTime, TelemetryCounters};
 use fancy_tcp::{FlowConfig, ScheduledFlow};
 
 const CELLS: usize = 32;
 const BASE_SEED: u64 = 0x601D_2024;
-
-/// FNV-1a 64-bit digest: enough to witness byte-identity of a multi-MB
-/// trace corpus without committing the corpus itself.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 struct CellResult {
     trace_len: usize,
@@ -77,7 +67,7 @@ fn run_cell(ctx: &CellCtx) -> Result<CellResult, ScenarioError> {
     let trace = recorder.to_jsonl();
     Ok(CellResult {
         trace_len: trace.len(),
-        trace_fnv: fnv64(trace.as_bytes()),
+        trace_fnv: fnv1a64(trace.as_bytes()),
         gray_drops: sc.net.kernel.records.total_gray_drops(),
         detections: sc.net.kernel.records.detections.len(),
         first_detection: sc

@@ -47,6 +47,43 @@ pub fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Streaming FNV-1a 64 — the workspace's one byte-stream digest: topology
+/// and route fingerprints, the `.events` frame checksum, the cell-cache
+/// record checksum and lane 1 of its content address. Not a mixer (use
+/// [`mix64`] for avalanche); pinned by the published test vectors below
+/// because every stored fingerprint and checksum depends on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Fold `bytes` into the digest.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The digest of everything written so far (the hasher stays usable).
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One-shot [`Fnv1a`] over `bytes`.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
+}
+
 /// Hash `value` under a seeded hash function, returning a value in `0..modulus`.
 ///
 /// Used for the per-level tree hash functions `H_j` and the Bloom filter
@@ -65,6 +102,17 @@ mod tests {
     fn mix64_is_deterministic() {
         assert_eq!(mix64(42), mix64(42));
         assert_ne!(mix64(42), mix64(43));
+    }
+
+    #[test]
+    fn fnv1a_matches_published_vectors_and_streams() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        let mut h = Fnv1a::default();
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a64(b"foobar"));
     }
 
     #[test]

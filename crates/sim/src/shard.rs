@@ -106,6 +106,12 @@ impl ShardedNet {
         }
     }
 
+    /// Take the shards back out, in shard order (a one-region build
+    /// unwraps its lone network this way).
+    pub fn into_shards(self) -> Vec<Network> {
+        self.shards
+    }
+
     /// Number of logical shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()

@@ -3,6 +3,7 @@
 use core::fmt;
 use std::collections::HashMap;
 
+use fancy_net::Fnv1a;
 use fancy_sim::{LinkConfig, SimDuration};
 
 /// Index of a switch in a [`Topology`] (dense, assigned in creation order).
@@ -290,28 +291,21 @@ impl Topology {
     /// so sweeps over different topologies can never collide, and by the
     /// determinism tests to witness bit-identical route computation.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over a canonical byte rendering; self-contained so the
-        // fingerprint never silently changes with a hasher refactor
-        // elsewhere.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(&(self.switches.len() as u64).to_le_bytes());
+        // FNV-1a over a canonical byte rendering.
+        let mut h = Fnv1a::default();
+        h.write(&(self.switches.len() as u64).to_le_bytes());
         for s in &self.switches {
-            eat(s.name.as_bytes());
-            eat(&[0xFF]);
+            h.write(s.name.as_bytes());
+            h.write(&[0xFF]);
         }
-        eat(&(self.edges.len() as u64).to_le_bytes());
+        h.write(&(self.edges.len() as u64).to_le_bytes());
         for e in &self.edges {
-            eat(&(e.a as u64).to_le_bytes());
-            eat(&(e.b as u64).to_le_bytes());
-            eat(&e.spec.bandwidth_bps.to_le_bytes());
-            eat(&e.spec.delay.as_nanos().to_le_bytes());
+            h.write(&(e.a as u64).to_le_bytes());
+            h.write(&(e.b as u64).to_le_bytes());
+            h.write(&e.spec.bandwidth_bps.to_le_bytes());
+            h.write(&e.spec.delay.as_nanos().to_le_bytes());
         }
-        h
+        h.finish()
     }
 }
 

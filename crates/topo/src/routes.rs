@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use fancy_net::seeded_hash;
+use fancy_net::{seeded_hash, Fnv1a};
 
 use crate::builder::{EdgeIdx, SwitchIdx, TopoError, Topology};
 
@@ -144,12 +144,8 @@ impl Routes {
     /// at any thread count — the determinism witness used by tests and
     /// the sweep cache salt.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat_u64 = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = Fnv1a::default();
+        let mut eat_u64 = |v: u64| h.write(&v.to_le_bytes());
         eat_u64(self.groups.len() as u64);
         for row in &self.groups {
             for g in row {
@@ -160,7 +156,7 @@ impl Routes {
                 }
             }
         }
-        h
+        h.finish()
     }
 }
 

@@ -70,15 +70,9 @@ pub const EVENTS_PREFIX_BYTES: usize = 4;
 /// Byte length of the trailing checksum.
 pub const EVENTS_TRAILER_BYTES: usize = 8;
 
-/// FNV-1a 64 over `bytes` — the frame checksum (and, by construction,
-/// a content fingerprint of the compiled trace).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    bytes
-        .iter()
-        .fold(OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
-}
+/// FNV-1a 64 — the frame checksum (and, by construction, a content
+/// fingerprint of the compiled trace).
+pub use fancy_net::fnv1a64;
 
 /// Typed failure of the compiled-trace pipeline. Every read-side
 /// validation failure maps to exactly one variant; nothing in this
