@@ -60,6 +60,14 @@ echo "== network-wide gate (small ISP backbone, FANcY on every edge) =="
 # determinism test pins 1-thread == 8-thread per-edge outcomes.
 cargo run -q --release --example isp_backbone -- --switches 12 --fail 4
 cargo test -q --release -p fancy-bench --test netwide_determinism
+# Malformed CLI input is a usage error (exit 2), never a panic.
+BAD_ARG_RC=0
+BAD_ARG_ERR="$(cargo run -q --release --example isp_backbone -- --switches x 2>&1 >/dev/null)" \
+    || BAD_ARG_RC=$?
+if [ "$BAD_ARG_RC" -ne 2 ] || grep -q panicked <<<"$BAD_ARG_ERR"; then
+    echo "netwide gate: '--switches x' must exit 2 without panicking (exit $BAD_ARG_RC): $BAD_ARG_ERR"
+    exit 1
+fi
 
 echo "== shard gate (conservative-parallel DES, FANCY_SHARDS byte-identity) =="
 # The same 12-switch netwide runs sharded in every cell; the shard

@@ -3,7 +3,7 @@
 //! The flight-recorder trace of a 32-cell sweep — every packet forward,
 //! drop, FSM transition and detection, in order, with all fields — is
 //! fingerprinted and compared against a fixture generated *before* the
-//! event-core refactor (slab-pooled packets + timing-wheel scheduler).
+//! event-core refactor (slab-pooled packets + two-lane scheduler).
 //! A refactor that perturbs event ordering, RNG draw order, uid
 //! assignment or any trace field by even one byte fails this test.
 //!
@@ -83,7 +83,7 @@ fn run_cell(ctx: &CellCtx) -> Result<CellResult, ScenarioError> {
 }
 
 fn counters_line(label: &str, t: &TelemetryCounters) -> String {
-    // Only the counters that predate the pool/wheel refactor go into the
+    // Only the counters that predate the pool/lane refactor go into the
     // fixture: new counters get their own tests, the golden file pins
     // the paper-relevant observables.
     format!(

@@ -1,41 +1,17 @@
-//! The discrete-event scheduler: a hierarchical timing wheel.
+//! The discrete-event scheduler: two binary heaps keyed on `(time, seq)`.
 //!
 //! Events are totally ordered by `(time, insertion sequence)` — the
 //! sequence tie-break makes event ordering, and therefore whole
-//! experiments, fully deterministic. The original implementation was a
-//! single `BinaryHeap`; this one is a two-level timing wheel that
-//! preserves *exactly* the same total order (proven by the golden-trace
-//! equivalence tests in `fancy-bench` and a differential property test
-//! against a reference heap) while making push/pop cheaper and, in
-//! steady state, allocation-free:
-//!
-//! * **Near wheel** — `WHEEL_SLOTS` buckets of `SLOT_NS` nanoseconds
-//!   each (a ~33 ms horizon). A push lands in its bucket in O(1); the
-//!   bucket `Vec`s are drained in place and keep their capacity.
-//! * **Current heap** — the bucket under the cursor is drained into a
-//!   small binary heap that yields its entries in `(time, seq)` order.
-//!   Pushes at already-drained times (re-entrant sends at `now`) go
-//!   straight here, so non-monotonic pushes are handled exactly.
-//! * **Overflow heap** — entries beyond the wheel horizon (200 ms RTOs,
-//!   flow start timers) wait in a conventional binary heap and migrate
-//!   into the wheel as the cursor approaches them.
+//! experiments, fully deterministic. The heap key *is* that total
+//! order, so there is nothing further to argue.
 //!
 //! Timers and packet arrivals live in separate, identically-ordered
 //! *lanes* sharing one global sequence counter; a pop compares the two
 //! lane heads by `(time, seq)`. This gives telemetry its pending-timer
-//! count for free — it is the timer lane's length — instead of the old
-//! per-push/pop `matches!` bookkeeping.
-//!
-//! Ordering argument (why the wheel cannot reorder): every entry in the
-//! current heap has `slot(at) < cursor`, every entry in a wheel bucket
-//! has `cursor <= slot(at) < cursor + WHEEL_SLOTS`, and every overflow
-//! entry has `slot(at) >= cursor + WHEEL_SLOTS` (migration restores
-//! this invariant each time the cursor moves). Slot numbers are
-//! monotonic in time, so everything in the current heap precedes
-//! everything still in the wheel, which precedes everything in
-//! overflow. The current heap itself is ordered by `(time, seq)`, and
-//! refills only happen when it is empty — so pops see the exact global
-//! `(time, seq)` order the single heap produced.
+//! count for free — it is the timer lane's length — and keeps each
+//! lane's entries as small as its payload allows. A differential
+//! property test (`tests/scheduler_differential.rs`) checks the merged
+//! pop sequence against one heap keyed on the global push index.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -74,26 +50,22 @@ pub enum Event {
     },
 }
 
-/// log2 of the wheel bucket width in nanoseconds: 2^14 ns ≈ 16.4 µs.
-const SLOT_BITS: u32 = 14;
-/// Buckets in the near wheel (power of two): horizon ≈ 33.6 ms. Link
-/// delays and pacing timers land here; 200 ms RTOs go to overflow.
-const WHEEL_SLOTS: usize = 2048;
-
-#[inline]
-fn slot_of(at: SimTime) -> u64 {
-    at.0 >> SLOT_BITS
-}
-
 struct Entry<T> {
     at: SimTime,
     seq: u64,
     item: T,
 }
 
+impl<T> Entry<T> {
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<T> Eq for Entry<T> {}
@@ -105,124 +77,13 @@ impl<T> PartialOrd for Entry<T> {
 impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest entry.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// One typed lane of the scheduler: a full near-wheel/current/overflow
-/// stack for a single event payload type.
-struct Lane<T> {
-    /// Entries at already-passed slots, ordered by `(at, seq)`. Pops
-    /// come exclusively from here; it refills only when empty.
-    current: BinaryHeap<Entry<T>>,
-    /// The near wheel. Bucket `s % WHEEL_SLOTS` holds slot `s` while
-    /// `cursor <= s < cursor + WHEEL_SLOTS`.
-    slots: Vec<Vec<Entry<T>>>,
-    /// Entries beyond the wheel horizon.
-    overflow: BinaryHeap<Entry<T>>,
-    /// First slot not yet drained into `current` (absolute, unwrapped).
-    cursor: u64,
-    /// Entries currently in `slots`.
-    near: usize,
-    /// Total entries in the lane.
-    len: usize,
-}
-
-impl<T> Default for Lane<T> {
-    fn default() -> Self {
-        Lane {
-            current: BinaryHeap::new(),
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            overflow: BinaryHeap::new(),
-            cursor: 0,
-            near: 0,
-            len: 0,
-        }
-    }
-}
-
-impl<T> Lane<T> {
-    #[inline]
-    fn push(&mut self, at: SimTime, seq: u64, item: T) {
-        self.len += 1;
-        let s = slot_of(at);
-        let e = Entry { at, seq, item };
-        if s < self.cursor {
-            // The slot was already drained: this is a push at (or before)
-            // the current time, which must still sort against everything
-            // already in the current heap.
-            self.current.push(e);
-        } else if s < self.cursor + WHEEL_SLOTS as u64 {
-            self.slots[(s as usize) & (WHEEL_SLOTS - 1)].push(e);
-            self.near += 1;
-        } else {
-            self.overflow.push(e);
-        }
-    }
-
-    /// Pull overflow entries that now fit inside the wheel window.
-    #[inline]
-    fn migrate_overflow(&mut self) {
-        let horizon = self.cursor + WHEEL_SLOTS as u64;
-        while let Some(e) = self.overflow.peek() {
-            let s = slot_of(e.at);
-            if s >= horizon {
-                break;
-            }
-            debug_assert!(s >= self.cursor, "overflow entry behind the cursor");
-            let e = self.overflow.pop().expect("peeked entry vanished");
-            self.slots[(s as usize) & (WHEEL_SLOTS - 1)].push(e);
-            self.near += 1;
-        }
-    }
-
-    /// Refill `current` from the wheel/overflow if it ran dry.
-    #[inline]
-    fn advance(&mut self) {
-        while self.current.is_empty() && (self.near > 0 || !self.overflow.is_empty()) {
-            if self.near == 0 {
-                // The wheel is empty; jump the cursor straight to the
-                // earliest overflow entry instead of stepping empty slots.
-                let min_slot = slot_of(self.overflow.peek().expect("checked non-empty").at);
-                if min_slot > self.cursor {
-                    self.cursor = min_slot;
-                }
-                self.migrate_overflow();
-                continue;
-            }
-            let bucket = &mut self.slots[(self.cursor as usize) & (WHEEL_SLOTS - 1)];
-            self.near -= bucket.len();
-            // drain() keeps the bucket's capacity: steady state reuses it.
-            for e in bucket.drain(..) {
-                self.current.push(e);
-            }
-            self.cursor += 1;
-            self.migrate_overflow();
-        }
-    }
-
-    /// `(time, seq)` of the lane head, advancing the wheel as needed.
-    #[inline]
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.advance();
-        self.current.peek().map(|e| (e.at, e.seq))
-    }
-
-    /// Pop the lane head right after a successful [`Lane::peek_key`]:
-    /// `current` is known to be primed, so skip the refill check.
-    #[inline]
-    fn pop_primed(&mut self) -> Entry<T> {
-        self.len -= 1;
-        self.current.pop().expect("peeked lane head vanished")
+        other.key().cmp(&self.key())
     }
 }
 
 /// Node/port indices are stored as `u32` so an arrival entry is 32
-/// bytes: heap sifts and bucket drains move less memory. Four billion
-/// nodes is far beyond any simulated topology (debug-asserted on push).
+/// bytes: heap sifts move less memory. Four billion nodes is far beyond
+/// any simulated topology (debug-asserted on push).
 #[derive(Clone, Copy)]
 struct ArrivalItem {
     node: u32,
@@ -236,19 +97,19 @@ struct TimerItem {
     token: TimerToken,
 }
 
-/// Priority queue of pending events: two typed timing-wheel lanes
-/// (arrivals, timers) merged on pop by a shared `(time, seq)` order.
+/// Priority queue of pending events: two typed heap lanes (arrivals,
+/// timers) merged on pop by a shared `(time, seq)` order.
 #[derive(Default)]
 pub struct EventQueue {
-    arrivals: Lane<ArrivalItem>,
-    timers: Lane<TimerItem>,
+    arrivals: BinaryHeap<Entry<ArrivalItem>>,
+    timers: BinaryHeap<Entry<TimerItem>>,
     /// Global insertion sequence, shared by both lanes so the merged
     /// order is exactly the single-queue insertion order.
     seq: u64,
 }
 
 impl EventQueue {
-    /// An empty queue.
+    /// An empty queue. Allocates nothing until the first push.
     pub fn new() -> Self {
         Self::default()
     }
@@ -261,113 +122,96 @@ impl EventQueue {
         }
     }
 
+    #[inline]
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
     /// Schedule a packet arrival at absolute time `at`.
     #[inline]
     pub fn push_arrival(&mut self, at: SimTime, node: NodeId, port: PortId, pkt: PacketRef) {
         debug_assert!(node <= u32::MAX as usize && port <= u32::MAX as usize);
-        let seq = self.seq;
-        self.seq += 1;
-        self.arrivals.push(
-            at,
-            seq,
-            ArrivalItem {
-                node: node as u32,
-                port: port as u32,
-                pkt,
-            },
-        );
+        let seq = self.next_seq();
+        let item = ArrivalItem {
+            node: node as u32,
+            port: port as u32,
+            pkt,
+        };
+        self.arrivals.push(Entry { at, seq, item });
     }
 
     /// Schedule a timer at absolute time `at`.
     #[inline]
     pub fn push_timer(&mut self, at: SimTime, node: NodeId, token: TimerToken) {
         debug_assert!(node <= u32::MAX as usize);
-        let seq = self.seq;
-        self.seq += 1;
-        self.timers.push(
-            at,
-            seq,
-            TimerItem {
-                node: node as u32,
-                token,
-            },
-        );
+        let seq = self.next_seq();
+        let item = TimerItem {
+            node: node as u32,
+            token,
+        };
+        self.timers.push(Entry { at, seq, item });
     }
 
-    /// Pop the earliest event, if any. Lane heads are compared by
-    /// `(time, seq)`; sequences are globally unique, so there are no ties.
+    /// `(time, is it an arrival)` of the earlier of the two lane heads.
+    /// Sequences are globally unique, so the heads never tie.
+    #[inline]
+    fn head(&self) -> Option<(SimTime, bool)> {
+        let a = self.arrivals.peek().map(Entry::key);
+        let t = self.timers.peek().map(Entry::key);
+        match (a, t) {
+            (None, None) => None,
+            (Some(a), None) => Some((a.0, true)),
+            (None, Some(t)) => Some((t.0, false)),
+            (Some(a), Some(t)) => Some(if a < t { (a.0, true) } else { (t.0, false) }),
+        }
+    }
+
+    /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.pop_until(SimTime::FAR_FUTURE)
     }
 
     /// Pop the earliest event if it is at or before `until`; `None`
     /// otherwise (the event stays queued). This is the dispatch loop's
-    /// single entry point: peeking and popping in one pass advances the
-    /// wheel cursors once per event instead of twice.
+    /// single entry point.
     pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, Event)> {
-        let take_arrival = match (self.arrivals.peek_key(), self.timers.peek_key()) {
-            (None, None) => return None,
-            (Some(a), None) => {
-                if a.0 > until {
-                    return None;
-                }
-                true
+        let (at, is_arrival) = self.head()?;
+        if at > until {
+            return None;
+        }
+        let event = if is_arrival {
+            let item = self.arrivals.pop().expect("peeked lane head vanished").item;
+            Event::Arrival {
+                node: item.node as NodeId,
+                port: item.port as PortId,
+                pkt: item.pkt,
             }
-            (None, Some(t)) => {
-                if t.0 > until {
-                    return None;
-                }
-                false
-            }
-            (Some(a), Some(t)) => {
-                let head = if a < t { a } else { t };
-                if head.0 > until {
-                    return None;
-                }
-                a < t
+        } else {
+            let item = self.timers.pop().expect("peeked lane head vanished").item;
+            Event::Timer {
+                node: item.node as NodeId,
+                token: item.token,
             }
         };
-        if take_arrival {
-            let e = self.arrivals.pop_primed();
-            Some((
-                e.at,
-                Event::Arrival {
-                    node: e.item.node as NodeId,
-                    port: e.item.port as PortId,
-                    pkt: e.item.pkt,
-                },
-            ))
-        } else {
-            let e = self.timers.pop_primed();
-            Some((
-                e.at,
-                Event::Timer {
-                    node: e.item.node as NodeId,
-                    token: e.item.token,
-                },
-            ))
-        }
+        Some((at, event))
     }
 
     /// Number of pending timer events — the timer lane's length; no
     /// per-event bookkeeping needed.
     pub fn pending_timers(&self) -> usize {
-        self.timers.len
+        self.timers.len()
     }
 
-    /// Time of the earliest pending event. Advances the wheel cursors
-    /// (hence `&mut`), which does not observably change the queue.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match (self.arrivals.peek_key(), self.timers.peek_key()) {
-            (None, None) => None,
-            (Some((t, _)), None) | (None, Some((t, _))) => Some(t),
-            (Some((ta, sa)), Some((tt, st))) => Some(if (ta, sa) < (tt, st) { ta } else { tt }),
-        }
+    /// Time of the earliest pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.head().map(|(at, _)| at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.arrivals.len + self.timers.len
+        self.arrivals.len() + self.timers.len()
     }
 
     /// True if no events are pending.
@@ -453,59 +297,33 @@ mod tests {
     }
 
     #[test]
-    fn far_timers_cross_the_overflow_heap() {
+    fn far_timers_sort_behind_near_arrivals_and_tie_by_seq() {
         let mut q = EventQueue::new();
-        // 200 ms RTO: far beyond the ~33 ms wheel horizon.
-        q.push_timer(SimTime(200_000_000), 0, 42);
-        // Near arrivals inside the wheel.
+        // RTO-scale timers pushed before the near arrivals, two of them
+        // at the same instant, one a nanosecond either side.
+        const RTO_NS: u64 = 200_000_000;
+        q.push_timer(SimTime(RTO_NS), 0, 42);
+        q.push_timer(SimTime(RTO_NS - 1), 0, 41);
+        q.push_timer(SimTime(RTO_NS), 0, 43); // same-time tie
+        q.push_timer(SimTime(RTO_NS + 1), 0, 44);
         q.push_arrival(SimTime(10_000), 0, 0, dummy_ref(1));
         q.push_arrival(SimTime(50_000_000), 0, 0, dummy_ref(2));
         assert_eq!(q.peek_time(), Some(SimTime(10_000)));
-        assert_eq!(drain_tokens(&mut q), vec![1, 2, 42]);
+        // The tie pops in insertion order.
+        assert_eq!(drain_tokens(&mut q), vec![1, 2, 41, 42, 43, 44]);
     }
 
     #[test]
-    fn timers_at_the_exact_horizon_land_in_overflow_in_order() {
-        // The near wheel covers slots [cursor, cursor + WHEEL_SLOTS);
-        // a timer at exactly WHEEL_SLOTS << SLOT_BITS (the horizon,
-        // with cursor 0) is the first instant *outside* the window and
-        // must go to the overflow heap — bucketing it would alias onto
-        // slot 0 and fire 33 ms early.
-        const HORIZON_NS: u64 = (WHEEL_SLOTS as u64) << SLOT_BITS;
-        let mut q = EventQueue::new();
-        q.push_timer(SimTime(HORIZON_NS), 0, 2);
-        q.push_timer(SimTime(HORIZON_NS - 1), 0, 1); // last wheel slot
-        q.push_timer(SimTime(HORIZON_NS), 0, 3); // same-time tie
-        q.push_timer(SimTime(HORIZON_NS + 1), 0, 4);
-        assert_eq!(q.timers.near, 1, "horizon-1 must stay in the wheel");
-        assert_eq!(q.timers.overflow.len(), 3, "horizon+ must overflow");
-        // (time, seq) order is preserved across the boundary: the tie
-        // at the horizon pops in insertion order.
-        assert_eq!(drain_tokens(&mut q), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn push_at_drained_time_still_sorts_correctly() {
+    fn push_at_the_popped_time_still_sorts_correctly() {
         let mut q = EventQueue::new();
         q.push_timer(SimTime(1_000_000), 0, 1);
         q.push_timer(SimTime(2_000_000), 0, 3);
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime(1_000_000));
-        // Push at a time the cursor already passed (a node reacting at
-        // `now`): must pop before the 2 ms timer.
+        // Push at the time just popped (a node reacting at `now`): must
+        // pop before the 2 ms timer.
         q.push_timer(SimTime(1_000_000), 0, 2);
         assert_eq!(drain_tokens(&mut q), vec![2, 3]);
-    }
-
-    #[test]
-    fn cursor_jumps_over_idle_gaps() {
-        let mut q = EventQueue::new();
-        // Events separated by multiples of the wheel horizon: each pop
-        // after a gap requires an overflow jump, not slot-by-slot walks.
-        for i in 0..5u64 {
-            q.push_timer(SimTime(i * 300_000_000), 0, i);
-        }
-        assert_eq!(drain_tokens(&mut q), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -636,7 +636,7 @@ impl Kernel {
 
     /// The timestamp of the earliest pending event, if any — the shard's
     /// contribution to the executor's global window bound.
-    pub fn peek_next_time(&mut self) -> Option<SimTime> {
+    pub fn peek_next_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
 

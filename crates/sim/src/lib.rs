@@ -93,7 +93,7 @@ pub mod prelude {
     pub use crate::switch::{Bridge, Fib, PlainSwitch};
     pub use crate::tap::{Capture, TraceTap};
     pub use crate::telemetry::{
-        MemorySink, NullSink, PrintSink, TelemetryCounters, TelemetrySink, TelemetrySnapshot,
+        MemorySink, PrintSink, TelemetryCounters, TelemetrySink, TelemetrySnapshot,
     };
     pub use crate::time::{transmission_time, SimDuration, SimTime};
     pub use fancy_metrics::{Labels, MetricsHub, Snapshot};

@@ -107,7 +107,7 @@ impl Network {
 
     /// The earliest pending event time, if any — after priming, this is
     /// the shard's contribution to the executor's window computation.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
+    pub fn next_event_time(&self) -> Option<SimTime> {
         self.kernel.peek_next_time()
     }
 

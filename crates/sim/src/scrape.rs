@@ -25,10 +25,6 @@ use crate::node::Node;
 use crate::pool::PacketRef;
 use crate::time::SimDuration;
 
-/// Environment knob for the scrape cadence in milliseconds of sim time
-/// (`FANCY_SCRAPE_MS`), read by [`ScrapeNode::from_env`].
-pub const SCRAPE_MS_ENV: &str = "FANCY_SCRAPE_MS";
-
 /// Default scrape cadence: 100 ms of sim time.
 pub const DEFAULT_SCRAPE_INTERVAL: SimDuration = SimDuration::from_millis(100);
 
@@ -53,25 +49,9 @@ impl ScrapeNode {
         }
     }
 
-    /// A scraper with the cadence taken from `FANCY_SCRAPE_MS` (falling
-    /// back to [`DEFAULT_SCRAPE_INTERVAL`]; a zero or unparsable value
-    /// also falls back rather than panicking on user input).
-    pub fn from_env() -> Self {
-        let ms = std::env::var(SCRAPE_MS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms > 0);
-        ScrapeNode::new(ms.map_or(DEFAULT_SCRAPE_INTERVAL, SimDuration::from_millis))
-    }
-
-    /// The configured cadence.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
     fn scrape(&mut self, ctx: &mut Kernel) {
         // Mirror the kernel's flat telemetry into gauges first, so the
-        // snapshot carries event-loop/pool/wheel state alongside the
+        // snapshot carries event-loop/pool/queue state alongside the
         // protocol metrics. Gauges use plain `set`: within one run the
         // counters are monotone, and the cross-cell merge rule (max)
         // keeps high-water semantics.

@@ -278,7 +278,7 @@ impl ShardedNet {
         loop {
             let t_min = self
                 .shards
-                .iter_mut()
+                .iter()
                 .filter_map(|s| s.next_event_time())
                 .map(SimTime::as_nanos)
                 .min()
@@ -318,7 +318,7 @@ impl ShardedNet {
         // Seed the first window from the primed shards.
         let t_min = self
             .shards
-            .iter_mut()
+            .iter()
             .filter_map(|s| s.next_event_time())
             .map(SimTime::as_nanos)
             .min()

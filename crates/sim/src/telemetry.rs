@@ -34,7 +34,7 @@ pub struct TelemetryCounters {
     /// High-water mark of the pending-event queue length.
     pub queue_high_water: u64,
     /// High-water mark of pending *timer* events specifically. Timers
-    /// occupy their own lane of the timing wheel, so this is just that
+    /// occupy their own lane of the event queue, so this is just that
     /// lane's length: a protocol storm shows up here long before it
     /// dominates the overall queue depth.
     pub timer_high_water: u64,
@@ -211,14 +211,6 @@ impl TelemetrySnapshot {
 pub trait TelemetrySink: Send {
     /// Receive a snapshot. Called after every completed `run_until`.
     fn record(&mut self, snapshot: &TelemetrySnapshot);
-}
-
-/// Discards every snapshot.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {
-    fn record(&mut self, _snapshot: &TelemetrySnapshot) {}
 }
 
 /// Prints a labelled one-line summary to stderr per snapshot.
@@ -407,6 +399,5 @@ mod tests {
         sink.record(&snap);
         sink.record(&snap);
         assert_eq!(sink.snapshots.len(), 2);
-        NullSink.record(&snap); // must not blow up
     }
 }

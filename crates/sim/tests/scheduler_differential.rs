@@ -1,15 +1,15 @@
-//! Differential test: timing-wheel scheduler vs a reference BinaryHeap.
+//! Differential test: two-lane scheduler vs one reference BinaryHeap.
 //!
-//! The [`fancy_sim::event::EventQueue`] replaced a single `BinaryHeap`
-//! with a hierarchical timing wheel (near buckets + overflow heap) for
-//! O(1) steady-state pushes. Its one contract is that the *observable*
-//! pop sequence is exactly the old one: ascending `(time, insertion
-//! seq)` over both lanes. This file checks that contract differentially
-//! against the simplest possible model — a binary heap keyed on
-//! `(time, global push index)` — under adversarial schedules: duplicate
-//! timestamps, timer/arrival interleavings, pops interleaved with
-//! pushes (including pushes at already-drained times), and far-future
-//! timers that must cross the overflow heap (e.g. 200 ms RTOs).
+//! The [`fancy_sim::event::EventQueue`] keeps arrivals and timers in
+//! two `(time, seq)` heaps that share one insertion counter and merges
+//! them on pop. Its one contract is that the *observable* pop sequence
+//! is ascending `(time, insertion seq)` over both lanes. This file is
+//! the reference-order gate for that contract: it checks it
+//! differentially against the simplest possible model — one binary heap
+//! keyed on `(time, global push index)` — under adversarial schedules:
+//! duplicate timestamps, timer/arrival interleavings, pops interleaved
+//! with pushes (including pushes at already-popped times), and
+//! far-future timers (e.g. 200 ms RTOs).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -32,21 +32,14 @@ enum Op {
     Pop,
 }
 
-/// The near wheel covers `[now, now + WHEEL_SLOTS << SLOT_BITS)`; a push
-/// at exactly this offset is the first one that must take the overflow
-/// path (2048 slots × 16.384 µs ≈ 33.6 ms).
-const HORIZON_NS: u64 = 2048 << 14;
-
-/// Times deliberately collide (tiny range), span several wheel slots,
-/// land far enough out to cross the overflow heap (200 ms is an
-/// RTO-scale timer), or straddle the near-wheel horizon where the
-/// wheel/overflow routing decision flips.
+/// Times deliberately collide (tiny range), spread over a few
+/// milliseconds (link delays, pacing), or land far out (200 ms is an
+/// RTO-scale timer).
 fn time_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
-        0u64..50,                         // heavy duplicates
-        0u64..5_000_000,                  // within the near wheel
-        190_000_000u64..210_000_000,      // overflow (RTO scale)
-        HORIZON_NS - 40..HORIZON_NS + 40, // horizon boundary
+        0u64..50,                    // heavy duplicates
+        0u64..5_000_000,             // link-delay scale
+        190_000_000u64..210_000_000, // RTO scale
     ]
 }
 
@@ -136,15 +129,15 @@ fn run_script(ops: &[Op]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The wheel pops the exact same (time, identity) sequence as the
+    /// The queue pops the exact same (time, identity) sequence as the
     /// reference heap for arbitrary push/pop interleavings.
     #[test]
-    fn wheel_matches_reference_heap(ops in proptest::collection::vec(op_strategy(), 1..400)) {
+    fn queue_matches_reference_heap(ops in proptest::collection::vec(op_strategy(), 1..400)) {
         run_script(&ops)?;
     }
 
     /// All-duplicate timestamps: ordering degenerates to pure insertion
-    /// order, the worst case for any bucketed scheduler.
+    /// order across the two lanes.
     #[test]
     fn duplicate_timestamps_preserve_insertion_order(
         n in 1usize..200,
@@ -159,28 +152,4 @@ proptest! {
         }
         run_script(&ops)?;
     }
-
-    /// Schedules concentrated within ±2 ns of the near-wheel horizon —
-    /// including exactly `HORIZON_NS`, which must land in the overflow
-    /// heap — preserve (time, insertion seq) order. A classic off-by-one
-    /// here silently reorders same-slot entries rather than crashing, so
-    /// only a differential check catches it.
-    #[test]
-    fn horizon_boundary_preserves_time_seq_order(
-        ops in proptest::collection::vec(
-            prop_oneof![
-                boundary_time().prop_map(Op::Timer),
-                boundary_time().prop_map(Op::Arrival),
-                Just(Op::Pop),
-            ],
-            1..300,
-        )
-    ) {
-        run_script(&ops)?;
-    }
-}
-
-/// Times within ±2 ns of the horizon, with the exact edge over-weighted.
-fn boundary_time() -> impl Strategy<Value = u64> {
-    prop_oneof![HORIZON_NS - 2..HORIZON_NS + 3, Just(HORIZON_NS),]
 }

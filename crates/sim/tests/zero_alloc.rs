@@ -1,15 +1,17 @@
 //! The warm scheduler/pool path performs zero heap allocations per
-//! event: once the timing wheel has swept a full revolution and the
-//! packet slab's free list is populated, pool check-in → push → pop →
-//! check-out touches the allocator not at all. Measured with a counting
-//! `#[global_allocator]`, not asserted from inspection.
+//! event: once the two lane heaps have grown to the standing backlog
+//! and the packet slab's free list is populated, pool check-in → push →
+//! pop → check-out touches the allocator not at all. And an idle queue
+//! costs nothing: construction allocates only on the first push.
+//! Measured with a counting `#[global_allocator]`, not asserted from
+//! inspection.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use fancy_sim::event::{Event, EventQueue};
 use fancy_sim::pool::PacketPool;
-use fancy_sim::{PacketBuilder, PacketKind, SimTime};
+use fancy_sim::{Network, PacketBuilder, PacketKind, SimTime};
 
 thread_local! {
     // Per-thread so the libtest harness's own threads cannot perturb
@@ -40,8 +42,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// One steady-state scheduler cycle: check a packet into the slab,
 /// schedule its arrival plus a timer, pop both, check the packet out.
-/// `t` advances 10 µs per call so the wheel cursor sweeps its buckets
-/// like a real run.
+/// `t` advances 10 µs per call, like a real run's clock.
 fn scheduler_cycle(q: &mut EventQueue, pool: &mut PacketPool, t: &mut u64, i: u64) {
     let mut pkt =
         PacketBuilder::new(1, 0x0A00_0001, 1500, PacketKind::Udp { flow: 0, seq: i }).build();
@@ -62,8 +63,9 @@ fn warm_scheduler_and_pool_path_never_allocates() {
     let mut q = EventQueue::new();
     let mut pool = PacketPool::new();
     let mut t = 0u64;
-    // Warm-up: a full wheel revolution is 2048 slots × 16.4 µs ≈ 33.6 ms
-    // of sim time; 10 µs steps need ≳3400 cycles.
+    // Warm-up: the first cycle sizes both lane heaps and the slab for
+    // this backlog (one arrival + one timer); the rest only show that
+    // nothing grows afterwards.
     for i in 0..8_192 {
         scheduler_cycle(&mut q, &mut pool, &mut t, i);
     }
@@ -76,5 +78,18 @@ fn warm_scheduler_and_pool_path_never_allocates() {
     assert_eq!(
         allocs, 0,
         "the steady-state scheduler path allocated {allocs} time(s) over 2M events"
+    );
+}
+
+#[test]
+fn constructing_a_queue_allocates_nothing_before_the_first_push() {
+    let before = ALLOCS.with(Cell::get);
+    let q = EventQueue::new();
+    let net = Network::new(1);
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert!(q.is_empty() && net.next_event_time().is_none());
+    assert_eq!(
+        allocs, 0,
+        "an empty EventQueue / Network::new allocated {allocs} time(s)"
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! The sharded executor's correctness rests on three structural facts:
 //! every region is connected (a region maps to one `Kernel`, and a
-//! disconnected region would let unrelated traffic share a timing wheel
+//! disconnected region would let unrelated traffic share an event queue
 //! for no reason), the assignment is a function of the topology alone
 //! (thread- and seed-invariant, so `FANCY_SHARDS` can never change
 //! simulation output), and every cut edge's delay is at least the

@@ -40,30 +40,50 @@ use fancy_bench::prelude::{BenchEnv, Scale};
 use fancy_sim::metrics::MetricsHub;
 use fancy_sim::trace::{events_to_jsonl, merge_shard_streams, SharedRecorder};
 
-fn arg(name: &str, default: usize) -> usize {
+const USAGE: &str = "usage: isp_backbone [--switches N] [--fail N] [--multi K] [--combos N] \
+                     [--seed N] [--dump PREFIX]";
+
+/// The value following `name` on the command line, if `name` is given.
+fn arg_str(name: &str) -> Result<Option<String>, String> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == name {
             return args
                 .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} needs a number"));
+                .map(Some)
+                .ok_or_else(|| format!("{name} needs a value"));
         }
     }
-    default
+    Ok(None)
 }
 
-fn arg_str(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return Some(
-                args.next()
-                    .unwrap_or_else(|| panic!("{name} needs a value")),
-            );
-        }
+fn arg(name: &str, default: usize) -> Result<usize, String> {
+    match arg_str(name)? {
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name} needs a number, got '{v}'")),
+        None => Ok(default),
     }
-    None
+}
+
+struct Args {
+    switches: usize,
+    fail_n: usize,
+    multi: usize,
+    combos_n: usize,
+    seed: u64,
+    dump: Option<String>,
+}
+
+fn parse_args() -> Result<Args, String> {
+    Ok(Args {
+        switches: arg("--switches", 100)?,
+        fail_n: arg("--fail", 6)?,
+        multi: arg("--multi", 0)?,
+        combos_n: arg("--combos", 3)?,
+        seed: arg("--seed", 0x15B0)? as u64,
+        dump: arg_str("--dump")?,
+    })
 }
 
 /// One sharded reference run on the backbone — a gray failure on edge 0
@@ -119,12 +139,20 @@ fn dump_reference_run(
 }
 
 fn main() -> ExitCode {
-    let switches = arg("--switches", 100);
-    let fail_n = arg("--fail", 6);
-    let multi = arg("--multi", 0);
-    let combos_n = arg("--combos", 3);
-    let seed = arg("--seed", 0x15B0) as u64;
-    let dump = arg_str("--dump");
+    let Args {
+        switches,
+        fail_n,
+        multi,
+        combos_n,
+        seed,
+        dump,
+    } = match parse_args() {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("isp_backbone: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let workers = BenchEnv::from_env().shards;
 
     let topo = match isp_backbone(switches, seed) {

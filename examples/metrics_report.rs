@@ -2,7 +2,7 @@
 //!
 //! Builds a small generated backbone, monitors every edge with FANcY,
 //! fails one edge, and scrapes the metrics registry at a fixed sim-time
-//! cadence (`FANCY_SCRAPE_MS`, default 100 ms). The run then renders:
+//! cadence (100 ms). The run then renders:
 //!
 //! * the scrape series — one row per in-sim scrape, a deterministic
 //!   "time series" no wall-clock scraper could reproduce;
@@ -27,6 +27,7 @@ use std::process::ExitCode;
 
 use fancy::apps::{IncidentConfig, IncidentTracker};
 use fancy::prelude::*;
+use fancy::sim::scrape::DEFAULT_SCRAPE_INTERVAL;
 use fancy_bench::netwide::directed_victim;
 
 fn flag(name: &str) -> Option<String> {
@@ -73,9 +74,8 @@ fn main() -> ExitCode {
     // The metrics plane: a hub on the kernel plus the in-sim scraper.
     let hub = MetricsHub::new();
     sc.net.kernel.set_metrics(hub.clone());
-    let scraper = ScrapeNode::from_env();
-    let interval = scraper.interval();
-    sc.net.add_node(Box::new(scraper));
+    let interval = DEFAULT_SCRAPE_INTERVAL;
+    sc.net.add_node(Box::new(ScrapeNode::new(interval)));
 
     sc.fail_edge(edge, GrayFailure::single_entry(victim, 0.5, fail_at));
     sc.net.run_until(horizon);
