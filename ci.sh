@@ -25,6 +25,16 @@ echo "== ledger still compiles (benchmark/ against the harness API) =="
 # next benchmark run.
 cargo test -q --manifest-path benchmark/Cargo.toml
 
+echo "== digest gate (speed-only changes keep the simulated bytes) =="
+# Each ledger workload folds what its simulation produced into a
+# `sim_digest`; a change that only makes the simulator faster must leave
+# all five where they are. After a deliberate behaviour change, re-bless:
+# run the command below and write its output over the golden file.
+BENCH_DIGESTS="$(cargo run -q --release --manifest-path benchmark/Cargo.toml -- \
+    --seed 1 --seconds 1 --trace 0 | awk '$2 == "sim_digest" { print $1, $3 }')"
+diff -u tests/golden/bench_digests.txt <(printf '%s\n' "$BENCH_DIGESTS") \
+    || { echo "digest gate: a ledger sim_digest moved (seed 1)"; exit 1; }
+
 echo "== chaos gate (protocol soak + fault-injected determinism) =="
 # Protocol soak: sessions must survive 20% control loss, degrade to
 # port-level counting at 100%, and recover; plus the isolation check

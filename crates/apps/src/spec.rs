@@ -25,8 +25,11 @@
 //! topology edges in edge-index order, then per-switch host links), and
 //! switch hash seeds derive from the spec seed (`seed + switch_index`,
 //! matching the historical `seed`/`seed + 1` of the linear scenario).
-//! Nothing iterates a `HashMap` to make a decision, so two builds of the
-//! same spec produce bit-identical networks at any `FANCY_THREADS`.
+//! Nothing iterates a hash map to make a decision — the prefix-keyed
+//! tables are `fancy_net::FnvMap`s, whose order is repeatable but
+//! arbitrary, and per-port state sits in port-indexed `PortTable`s — so
+//! two builds of the same spec produce bit-identical networks at any
+//! `FANCY_THREADS`.
 
 use core::fmt;
 

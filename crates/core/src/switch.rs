@@ -15,13 +15,12 @@
 //! 5. wire — where gray failures live.
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
 
-use fancy_net::{ControlBody, ControlMessage, FancyTag, Prefix, SessionKind};
+use fancy_net::{ControlBody, ControlMessage, FancyTag, FnvMap, Prefix, SessionKind};
 use fancy_sim::metrics::Labels;
 use fancy_sim::{
     DetectionScope, DetectorKind, DropCause, Kernel, Node, PacketKind, PacketRef, PortId,
-    TimerToken, TraceEvent, UNIT_TREE,
+    PortTable, TimerToken, TraceEvent, UNIT_TREE,
 };
 
 use crate::config::FancyLayout;
@@ -133,18 +132,18 @@ fn trace_fsm(
 #[derive(Debug, Clone, Default)]
 pub struct Reroute {
     /// `primary egress port → backup egress port`.
-    pub backup: HashMap<PortId, PortId>,
+    pub backup: FnvMap<PortId, PortId>,
     /// `(primary egress port, entry) → ranked backup ports` (best first),
     /// consulted before the port-level default.
-    pub entry_backup: HashMap<(PortId, Prefix), Vec<PortId>>,
+    pub entry_backup: FnvMap<(PortId, Prefix), Vec<PortId>>,
 }
 
 impl Reroute {
     /// A port-level-only table (the §6.1 case-study shape).
-    pub fn port_level(backup: HashMap<PortId, PortId>) -> Self {
+    pub fn port_level(backup: FnvMap<PortId, PortId>) -> Self {
         Reroute {
             backup,
-            entry_backup: HashMap::new(),
+            entry_backup: FnvMap::default(),
         }
     }
 
@@ -308,16 +307,16 @@ pub struct FancySwitch {
     /// Forwarding table.
     pub fib: fancy_sim::Fib,
     layout: FancyLayout,
-    dedicated_index: HashMap<Prefix, u16>,
+    dedicated_index: FnvMap<Prefix, u16>,
     seed: u64,
     monitored: Vec<PortId>,
-    upstream: HashMap<PortId, UpstreamPort>,
-    downstream: HashMap<PortId, DownstreamPort>,
+    upstream: PortTable<UpstreamPort>,
+    downstream: PortTable<DownstreamPort>,
     /// Fast-reroute table; `None` disables rerouting.
     pub reroute: Option<Reroute>,
     /// Congestion guards per monitored port (footnote 2; partial
     /// deployments).
-    pub guards: HashMap<PortId, CongestionGuard>,
+    pub guards: PortTable<CongestionGuard>,
     /// This switch's own address, used as the source of control messages
     /// so they can be routed back across legacy hops (partial deployment,
     /// §4.3). 0 works for adjacent deployments.
@@ -326,23 +325,24 @@ pub struct FancySwitch {
     /// adjacent switches the default 0 is consumed at the next hop; for
     /// remote (partial) deployment set it to the peer FANcY switch's
     /// address so legacy switches in between can route it.
-    pub control_dst: HashMap<PortId, u32>,
+    pub control_dst: PortTable<u32>,
     /// Aggregate statistics.
     pub stats: SwitchStats,
     /// `(primary port, entry)` pairs whose reroute has been traced, so
     /// the flight recorder sees one rising-edge event per reroute, not
-    /// one per packet. Only populated while tracing is enabled.
-    traced_reroutes: HashSet<(PortId, Prefix)>,
+    /// one per packet. Only populated while tracing is enabled. (A set:
+    /// the unit value keeps it on the one `FnvMap` alias.)
+    traced_reroutes: FnvMap<(PortId, Prefix), ()>,
     /// `(primary port, entry) → backup port currently in use` — the
     /// active alternate of the failover cascade, tracked so a cascade
     /// step is visible as one explicit Failover event (a state change),
     /// not per-packet noise. Always maintained: `stats.failovers` must
     /// not depend on whether tracing or metrics are on.
-    active_backup: HashMap<(PortId, Prefix), PortId>,
+    active_backup: FnvMap<(PortId, Prefix), PortId>,
     /// `(primary port, entry)` pairs whose exhausted-cascade alarm has
     /// been traced (rising edge). Only populated while tracing or
     /// metrics are enabled.
-    alarmed: HashSet<(PortId, Prefix)>,
+    alarmed: FnvMap<(PortId, Prefix), ()>,
 }
 
 impl FancySwitch {
@@ -368,21 +368,29 @@ impl FancySwitch {
             dedicated_index,
             seed,
             monitored: monitored.clone(),
-            upstream: HashMap::new(),
-            downstream: HashMap::new(),
+            upstream: PortTable::new(),
+            downstream: PortTable::new(),
             reroute: None,
-            guards: HashMap::new(),
+            guards: PortTable::new(),
             addr: 0,
-            control_dst: HashMap::new(),
+            control_dst: PortTable::new(),
             stats: SwitchStats::default(),
-            traced_reroutes: HashSet::new(),
-            active_backup: HashMap::new(),
-            alarmed: HashSet::new(),
+            traced_reroutes: FnvMap::default(),
+            active_backup: FnvMap::default(),
+            alarmed: FnvMap::default(),
         };
         for port in monitored {
             sw.upstream.insert(port, sw.make_upstream(port));
         }
         sw
+    }
+
+    /// The upstream state of a monitored port; asking about any other
+    /// port is a caller bug.
+    fn up(&self, port: PortId) -> &UpstreamPort {
+        self.upstream
+            .get(port)
+            .expect("not a monitored egress port")
     }
 
     fn make_upstream(&self, port: PortId) -> UpstreamPort {
@@ -418,12 +426,12 @@ impl FancySwitch {
     /// The hash functions used on `port`'s tree (experiments resolve
     /// reported hash paths against the entry universe with this).
     pub fn tree_hasher(&self, port: PortId) -> &TreeHasher {
-        self.upstream[&port].zoom.hasher()
+        self.up(port).zoom.hasher()
     }
 
     /// Dedicated entries currently flagged on `port`.
     pub fn flagged_entries(&self, port: PortId) -> Vec<Prefix> {
-        let up = &self.upstream[&port];
+        let up = self.up(port);
         up.flags
             .flagged()
             .into_iter()
@@ -433,13 +441,13 @@ impl FancySwitch {
 
     /// Does `port`'s output Bloom filter flag this entry's hash path?
     pub fn tree_flags_entry(&self, port: PortId, entry: Prefix) -> bool {
-        let up = &self.upstream[&port];
+        let up = self.up(port);
         up.bloom.contains(&up.zoom.hasher().hash_path(entry))
     }
 
     /// Completed counting sessions on `port` (dedicated, tree).
     pub fn sessions_completed(&self, port: PortId) -> (u64, u64) {
-        let up = &self.upstream[&port];
+        let up = self.up(port);
         (
             up.dedicated.iter().map(|d| d.fsm.sessions_completed).sum(),
             up.tree_fsm.sessions_completed,
@@ -449,18 +457,18 @@ impl FancySwitch {
     /// Is the port currently latched link-down (protocol timeouts and no
     /// completed session since)?
     pub fn is_link_down(&self, port: PortId) -> bool {
-        self.upstream.get(&port).is_some_and(|u| u.link_down)
+        self.upstream.get(port).is_some_and(|u| u.link_down)
     }
 
     /// Is the port in degraded port-level counting (protocol retries
     /// exhausted, no completed session since)?
     pub fn is_degraded(&self, port: PortId) -> bool {
-        self.upstream.get(&port).is_some_and(|u| u.degraded)
+        self.upstream.get(port).is_some_and(|u| u.degraded)
     }
 
     /// Egress packets counted at port level while `port` was degraded.
     pub fn port_level_count(&self, port: PortId) -> u64 {
-        self.upstream.get(&port).map_or(0, |u| u.port_level_count)
+        self.upstream.get(port).map_or(0, |u| u.port_level_count)
     }
 
     /// Would this packet be steered to a backup port? (Outcome of the
@@ -472,7 +480,7 @@ impl FancySwitch {
         if rr.backup_for(primary, entry).is_none() {
             return false;
         }
-        let Some(up) = self.upstream.get(&primary) else {
+        let Some(up) = self.upstream.get(primary) else {
             return false;
         };
         if let Some(&id) = self.dedicated_index.get(&entry) {
@@ -487,7 +495,7 @@ impl FancySwitch {
     /// ports are unhealthy while latched link-down, degraded, or while
     /// their own FANcY output structures flag this entry.
     fn port_healthy_for(&self, port: PortId, entry: Prefix) -> bool {
-        let Some(up) = self.upstream.get(&port) else {
+        let Some(up) = self.upstream.get(port) else {
             return true;
         };
         if up.link_down || up.degraded {
@@ -567,7 +575,7 @@ impl FancySwitch {
             match action {
                 SenderAction::Send(body) => {
                     let (sid, skind) = {
-                        let up = self.upstream.get(&port).expect("unknown upstream port");
+                        let up = self.upstream.get(port).expect("unknown upstream port");
                         if kind == KIND_TREE {
                             (up.tree_fsm.session_id, SessionKind::Tree)
                         } else {
@@ -577,11 +585,11 @@ impl FancySwitch {
                             )
                         }
                     };
-                    let dst = self.control_dst.get(&port).copied().unwrap_or(0);
+                    let dst = self.control_dst.get(port).copied().unwrap_or(0);
                     self.send_control(ctx, port, dst, skind, sid, body);
                 }
                 SenderAction::ResetCounters => {
-                    let up = self.upstream.get_mut(&port).unwrap();
+                    let up = self.upstream.get_mut(port).unwrap();
                     if kind == KIND_TREE {
                         up.zoom.begin_session();
                     } else {
@@ -591,7 +599,7 @@ impl FancySwitch {
                 SenderAction::BeginCounting | SenderAction::EndCounting => {}
                 SenderAction::Deliver(counters) => {
                     // A completed session proves the link answers again.
-                    if let Some(up) = self.upstream.get_mut(&port) {
+                    if let Some(up) = self.upstream.get_mut(port) {
                         up.link_down = false;
                         if up.degraded {
                             up.degraded = false;
@@ -607,7 +615,7 @@ impl FancySwitch {
                     self.deliver_report(ctx, port, kind, &counters);
                     // "immediately after, starts a new session" (§3).
                     let (before, after, next) = {
-                        let up = self.upstream.get_mut(&port).unwrap();
+                        let up = self.upstream.get_mut(port).unwrap();
                         let fsm = if kind == KIND_TREE {
                             &mut up.tree_fsm
                         } else {
@@ -621,7 +629,7 @@ impl FancySwitch {
                     queue.extend(next);
                 }
                 SenderAction::LinkFailure => {
-                    let up = self.upstream.get_mut(&port).unwrap();
+                    let up = self.upstream.get_mut(port).unwrap();
                     if !up.link_down {
                         up.link_down = true;
                         ctx.report(
@@ -653,7 +661,7 @@ impl FancySwitch {
 
     /// Should this port's measurements be discarded right now?
     fn congestion_tainted(&self, ctx: &Kernel, port: PortId) -> bool {
-        let (Some(guard), Some(up)) = (self.guards.get(&port), self.upstream.get(&port)) else {
+        let (Some(guard), Some(up)) = (self.guards.get(port), self.upstream.get(port)) else {
             return false;
         };
         up.last_congested.is_some_and(|t| {
@@ -670,7 +678,7 @@ impl FancySwitch {
             if kind == KIND_TREE {
                 // Keep the zooming state consistent: treat as a clean
                 // session so stale paths are abandoned, not advanced.
-                let up = self.upstream.get_mut(&port).unwrap();
+                let up = self.upstream.get_mut(port).unwrap();
                 let local = up.zoom.local_report();
                 let _ = up.zoom.end_session(&local);
             }
@@ -678,7 +686,7 @@ impl FancySwitch {
         }
         if kind == KIND_TREE {
             let outcomes = {
-                let up = self.upstream.get_mut(&port).unwrap();
+                let up = self.upstream.get_mut(port).unwrap();
                 let expected = up.zoom.slot_count() * usize::from(up.zoom.params().width);
                 if counters.len() != expected {
                     return; // malformed report; drop it, session just restarts
@@ -689,12 +697,7 @@ impl FancySwitch {
                 // Drain the zooming steps before emitting detections so a
                 // timeline reader sees first-suspicion before detect at
                 // equal timestamps.
-                let steps = self
-                    .upstream
-                    .get_mut(&port)
-                    .unwrap()
-                    .zoom
-                    .take_session_log();
+                let steps = self.upstream.get_mut(port).unwrap().zoom.take_session_log();
                 let node = ctx.self_id() as u64;
                 for step in steps {
                     let (label, path, lost): (&str, &[u8], u32) = match &step {
@@ -730,7 +733,7 @@ impl FancySwitch {
                         ctx.report(port, DetectionScope::Uniform, DetectorKind::UniformCheck);
                     }
                     ZoomOutcome::LeafFailure { path, .. } => {
-                        let up = self.upstream.get_mut(&port).unwrap();
+                        let up = self.upstream.get_mut(port).unwrap();
                         // Rising edge only: paths already in the output
                         // Bloom filter are already being acted upon.
                         if !up.bloom.contains(&path) {
@@ -746,7 +749,7 @@ impl FancySwitch {
             }
         } else {
             let lossy = {
-                let up = self.upstream.get(&port).unwrap();
+                let up = self.upstream.get(port).unwrap();
                 let d = &up.dedicated[usize::from(kind)];
                 let remote = counters.first().copied().unwrap_or(0);
                 i64::from(d.count) > i64::from(remote)
@@ -767,7 +770,7 @@ impl FancySwitch {
         let timers = self.layout.timers;
         let now = ctx.now();
         let (action, entry) = {
-            let up = self.upstream.get_mut(&port).unwrap();
+            let up = self.upstream.get_mut(port).unwrap();
             let entry = up.dedicated[usize::from(kind)].entry;
             let st = &mut up.damp[usize::from(kind)];
             let action: Option<&'static str> = match st.phase {
@@ -869,7 +872,7 @@ impl FancySwitch {
             match action {
                 ReceiverAction::Send(body) => {
                     let (sid, skind) = {
-                        let down = self.downstream.get(&port).unwrap();
+                        let down = self.downstream.get(port).unwrap();
                         if kind == KIND_TREE {
                             (
                                 down.tree.as_ref().unwrap().fsm.session_id,
@@ -882,11 +885,11 @@ impl FancySwitch {
                             )
                         }
                     };
-                    let dst = self.downstream.get(&port).map_or(0, |d| d.reply_to);
+                    let dst = self.downstream.get(port).map_or(0, |d| d.reply_to);
                     self.send_control(ctx, port, dst, skind, sid, body);
                 }
                 ReceiverAction::ResetCounters => {
-                    let down = self.downstream.get_mut(&port).unwrap();
+                    let down = self.downstream.get_mut(port).unwrap();
                     if kind == KIND_TREE {
                         let t = down.tree.as_mut().unwrap();
                         t.counters.iter_mut().for_each(|c| *c = 0);
@@ -897,11 +900,11 @@ impl FancySwitch {
                 ReceiverAction::EmitReport | ReceiverAction::ResendReport => {
                     let resend = matches!(action, ReceiverAction::ResendReport);
                     let (sid, skind, report) = {
-                        let down = self.downstream.get_mut(&port).unwrap();
+                        let down = self.downstream.get_mut(port).unwrap();
                         if kind == KIND_TREE {
                             let t = down.tree.as_mut().unwrap();
                             if !resend {
-                                t.cached = t.counters.clone();
+                                t.cached.clone_from(&t.counters);
                             }
                             (t.fsm.session_id, SessionKind::Tree, t.cached.clone())
                         } else {
@@ -916,7 +919,7 @@ impl FancySwitch {
                             )
                         }
                     };
-                    let dst = self.downstream.get(&port).map_or(0, |d| d.reply_to);
+                    let dst = self.downstream.get(port).map_or(0, |d| d.reply_to);
                     self.send_control(ctx, port, dst, skind, sid, ControlBody::Report(report));
                 }
                 ReceiverAction::ArmTimer { delay, epoch } => {
@@ -929,7 +932,9 @@ impl FancySwitch {
     fn ensure_downstream(&mut self, port: PortId, kind: u16) {
         let timers = self.layout.timers;
         let tree_len = self.layout.tree.slot_count() * usize::from(self.layout.tree.width);
-        let down = self.downstream.entry(port).or_default();
+        let down = self
+            .downstream
+            .get_or_insert_with(port, DownstreamPort::default);
         if kind == KIND_TREE {
             if down.tree.is_none() {
                 down.tree = Some(TreeDown {
@@ -974,7 +979,7 @@ impl FancySwitch {
             ControlBody::Start | ControlBody::Stop => {
                 self.ensure_downstream(port, kind);
                 let (before, after, actions) = {
-                    let down = self.downstream.get_mut(&port).unwrap();
+                    let down = self.downstream.get_mut(port).unwrap();
                     down.reply_to = src;
                     let fsm = if kind == KIND_TREE {
                         &mut down.tree.as_mut().unwrap().fsm
@@ -989,7 +994,7 @@ impl FancySwitch {
                 self.drive_receiver(ctx, port, kind, actions);
             }
             ControlBody::StartAck | ControlBody::Report(_) => {
-                let Some(up) = self.upstream.get_mut(&port) else {
+                let Some(up) = self.upstream.get_mut(port) else {
                     return; // reply on a port we do not monitor: ignore
                 };
                 let (before, after, actions) = if kind == KIND_TREE {
@@ -1016,7 +1021,7 @@ impl FancySwitch {
         let Some(tag) = ctx.pkt_mut(pkt).tag.take() else {
             return;
         };
-        let Some(down) = self.downstream.get_mut(&port) else {
+        let Some(down) = self.downstream.get_mut(port) else {
             return;
         };
         match tag {
@@ -1051,9 +1056,7 @@ impl FancySwitch {
 
     /// Egress counting/tagging of an admitted packet.
     fn egress_count(&mut self, ctx: &mut Kernel, out: PortId, pkt: PacketRef) {
-        let entry = ctx.pkt(pkt).entry();
-        let dedicated_id = self.dedicated_index.get(&entry).copied();
-        let Some(up) = self.upstream.get_mut(&out) else {
+        let Some(up) = self.upstream.get_mut(out) else {
             return;
         };
         if up.degraded {
@@ -1062,7 +1065,8 @@ impl FancySwitch {
             up.port_level_count = up.port_level_count.wrapping_add(1);
             return;
         }
-        if let Some(id) = dedicated_id {
+        let entry = ctx.pkt(pkt).entry();
+        if let Some(&id) = self.dedicated_index.get(&entry) {
             let d = &mut up.dedicated[usize::from(id)];
             if d.fsm.is_counting() {
                 d.count = d.count.wrapping_add(1);
@@ -1079,16 +1083,16 @@ impl FancySwitch {
 impl Node for FancySwitch {
     fn on_start(&mut self, ctx: &mut Kernel) {
         // Congestion-guard telemetry polls.
-        for (&port, guard) in &self.guards {
+        for (port, guard) in self.guards.iter() {
             ctx.schedule_timer(guard.window, make_token(ROLE_SENDER, port, KIND_GUARD, 0));
         }
         // Open the first counting session on every monitored port, for every
         // dedicated entry and the tree.
         for port in self.monitored.clone() {
-            let n = self.upstream[&port].dedicated.len();
+            let n = self.up(port).dedicated.len();
             for id in 0..n {
                 let (before, after, actions) = {
-                    let fsm = &mut self.upstream.get_mut(&port).unwrap().dedicated[id].fsm;
+                    let fsm = &mut self.upstream.get_mut(port).unwrap().dedicated[id].fsm;
                     let before = fsm.state.name();
                     let actions = fsm.open();
                     (before, fsm.state.name(), actions)
@@ -1097,7 +1101,7 @@ impl Node for FancySwitch {
                 self.drive_sender(ctx, port, id as u16, actions);
             }
             let (before, after, actions) = {
-                let fsm = &mut self.upstream.get_mut(&port).unwrap().tree_fsm;
+                let fsm = &mut self.upstream.get_mut(port).unwrap().tree_fsm;
                 let before = fsm.state.name();
                 let actions = fsm.open();
                 (before, fsm.state.name(), actions)
@@ -1165,7 +1169,7 @@ impl Node for FancySwitch {
             let Some((backup, rank)) = self.pick_backup(out, pkt_entry) else {
                 self.stats.alarm_drops += 1;
                 if (ctx.trace_enabled() || ctx.metrics_enabled())
-                    && self.alarmed.insert((out, pkt_entry))
+                    && self.alarmed.insert((out, pkt_entry), ()).is_none()
                 {
                     let node = ctx.self_id() as u64;
                     let entry = u64::from(pkt_entry.0);
@@ -1238,7 +1242,7 @@ impl Node for FancySwitch {
                 }
             }
             if (ctx.trace_enabled() || ctx.metrics_enabled())
-                && self.traced_reroutes.insert((out, pkt_entry))
+                && self.traced_reroutes.insert((out, pkt_entry), ()).is_none()
             {
                 let node = ctx.self_id() as u64;
                 let entry = u64::from(pkt_entry.0);
@@ -1285,7 +1289,7 @@ impl Node for FancySwitch {
     fn on_timer(&mut self, ctx: &mut Kernel, token: TimerToken) {
         let (role, port, kind, epoch) = split_token(token);
         if role == ROLE_SENDER && kind == KIND_GUARD {
-            let Some(guard) = self.guards.get(&port).cloned() else {
+            let Some(guard) = self.guards.get(port).cloned() else {
                 return;
             };
             let congested = guard
@@ -1293,7 +1297,7 @@ impl Node for FancySwitch {
                 .iter()
                 .any(|&(link, from)| ctx.take_link_max_backlog(link, from) > guard.threshold_bytes);
             if congested {
-                if let Some(up) = self.upstream.get_mut(&port) {
+                if let Some(up) = self.upstream.get_mut(port) {
                     up.last_congested = Some(ctx.now());
                 }
             }
@@ -1301,7 +1305,7 @@ impl Node for FancySwitch {
             return;
         }
         if role == ROLE_SENDER {
-            let Some(up) = self.upstream.get_mut(&port) else {
+            let Some(up) = self.upstream.get_mut(port) else {
                 return;
             };
             let (before, after, actions) = {
@@ -1317,7 +1321,7 @@ impl Node for FancySwitch {
             trace_fsm(ctx, port, kind, "tx", before, after);
             self.drive_sender(ctx, port, kind, actions);
         } else {
-            let Some(down) = self.downstream.get_mut(&port) else {
+            let Some(down) = self.downstream.get_mut(port) else {
                 return;
             };
             let (before, after, actions) = if kind == KIND_TREE {
@@ -1681,7 +1685,7 @@ mod tests {
         // Traffic keeps flowing after the reroute: the receiver saw packets
         // well after the failure time.
         let rxh: &ReceiverHost = net.node(rx);
-        assert!(rxh.entry_bytes[&entry] > 0);
+        assert!(rxh.entries[&entry].bytes > 0);
         let det = net.kernel.records.first_entry_detection(entry).unwrap();
         assert!(
             det.time.duration_since(fail_at) < SimDuration::from_millis(1000),
@@ -1761,7 +1765,7 @@ mod tests {
         assert_eq!(sw.stats.alarm_drops, 0);
         // Traffic survived the double failure end to end.
         let rxh: &ReceiverHost = net.node(rx);
-        assert!(rxh.entry_bytes[&entry] > 0);
+        assert!(rxh.entries[&entry].bytes > 0);
     }
 
     #[test]
@@ -1848,12 +1852,77 @@ mod tests {
         // primary: flag cleared, machine back in Watch.
         assert!(sw.flagged_entries(1).is_empty(), "flag must be cleared");
         assert!(!sw.is_rerouted(1, entry));
-        let up = &sw.upstream[&1];
+        let up = sw.up(1);
         assert!(matches!(up.damp[0].phase, DampPhase::Watch));
         assert!(sw.stats.rerouted_packets > 0);
         // And traffic flowed end to end throughout.
         let rxh: &ReceiverHost = net.node(rx);
-        assert!(rxh.entry_bytes[&entry] > 0);
+        assert!(rxh.entries[&entry].bytes > 0);
+    }
+
+    #[test]
+    fn traffic_on_a_port_beyond_the_tables_is_ignored_not_indexed() {
+        // S1 monitors port 1, so its upstream table ends at port 1 and its
+        // downstream table is empty; port 3 is past both.
+        let layout = FancyInput {
+            high_priority: vec![Prefix::from_addr(0x0A_00_00_05)],
+            memory_bytes_per_port: 1 << 20,
+            tree: TreeParams::paper_default(),
+            timers: TimerConfig::paper_default().for_link_delay(SimDuration::from_millis(1)),
+        }
+        .translate()
+        .unwrap();
+        let mut net = Network::new(24);
+        let mut fib = fancy_sim::Fib::new();
+        fib.default_route(0);
+        let s1 = net.add_node(Box::new(FancySwitch::new(fib, layout, vec![1], 7)));
+        let sinks: Vec<usize> = (0..4)
+            .map(|_| {
+                let sink = net.add_node(Box::new(fancy_sim::SinkNode::default()));
+                let fast = LinkConfig::new(1_000_000_000, SimDuration::from_micros(10));
+                net.connect(s1, sink, fast);
+                sink
+            })
+            .collect();
+
+        let at = SimTime::ZERO + SimDuration::from_millis(1);
+        let control = |kind, body| {
+            let msg = ControlMessage {
+                kind,
+                session_id: 1,
+                body,
+            };
+            fancy_sim::PacketBuilder::new(9, 0, 64, PacketKind::FancyControl(msg)).build()
+        };
+        // A tagged data packet: no downstream state there, so the tag is
+        // stripped uncounted and the packet is forwarded.
+        let mut tagged = fancy_sim::PacketBuilder::new(
+            9,
+            0x0B_00_00_01,
+            500,
+            PacketKind::Udp { flow: 0, seq: 0 },
+        )
+        .build();
+        tagged.tag = Some(FancyTag::Tree { slot: 0, index: 0 });
+        net.kernel.inject(s1, 3, tagged, at);
+        // Replies for sessions this switch never opened there.
+        let dedicated = SessionKind::Dedicated { counter_id: 0 };
+        net.kernel
+            .inject(s1, 3, control(SessionKind::Tree, ControlBody::StartAck), at);
+        net.kernel
+            .inject(s1, 3, control(dedicated, ControlBody::Report(vec![1])), at);
+        // A Start is legitimate on any port: the downstream table grows
+        // to reach it and the switch answers.
+        net.kernel
+            .inject(s1, 3, control(SessionKind::Tree, ControlBody::Start), at);
+        net.run_until(SimTime::ZERO + SimDuration::from_millis(5));
+
+        let sw: &FancySwitch = net.node(s1);
+        assert!(sw.downstream.get(3).is_some_and(|d| d.tree.is_some()));
+        assert!(sw.downstream.get(2).is_none() && sw.upstream.get(3).is_none());
+        assert_eq!(net.node::<fancy_sim::SinkNode>(sinks[0]).packets, 1);
+        // Port 3's sink saw exactly the StartAck the Start earned.
+        assert_eq!(net.node::<fancy_sim::SinkNode>(sinks[3]).packets, 1);
     }
 
     #[test]

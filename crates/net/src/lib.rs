@@ -77,6 +77,29 @@ impl Fnv1a {
     }
 }
 
+/// [`Fnv1a`] as a map hasher: the same byte fold, so the digest and the
+/// hasher cannot drift apart. Keys here are small integers the program
+/// made itself (prefixes, ports, flow ids), never outside input, so the
+/// collision resistance SipHash pays for buys nothing.
+impl std::hash::Hasher for Fnv1a {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv1a::write(self, bytes);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        Fnv1a::finish(self)
+    }
+}
+
+/// The workspace's one hash map for sparse, prefix-keyed tables on a
+/// per-event path (FIB routes, dedicated-entry index, reroute tables,
+/// per-entry receive counters): std's `HashMap` on [`Fnv1a`]. Construct
+/// with `FnvMap::default()` or `collect()`. Iteration order is fixed for a
+/// given insertion history but otherwise arbitrary: sort before deciding.
+pub type FnvMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<Fnv1a>>;
+
 /// One-shot [`Fnv1a`] over `bytes`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::default();
@@ -113,6 +136,22 @@ mod tests {
         h.write(b"foo");
         h.write(b"bar");
         assert_eq!(h.finish(), fnv1a64(b"foobar"));
+    }
+
+    #[test]
+    fn hasher_write_is_the_same_fnv1a() {
+        use std::hash::Hasher;
+        // Through the trait, not the inherent methods: the `.events`
+        // checksum, cache keys and fingerprints share this type.
+        fn via_trait<H: Hasher + Default>(chunks: &[&[u8]]) -> u64 {
+            let mut h = H::default();
+            chunks.iter().for_each(|c| h.write(c));
+            h.finish()
+        }
+        assert_eq!(via_trait::<Fnv1a>(&[]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(via_trait::<Fnv1a>(&[b"a"]), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(via_trait::<Fnv1a>(&[b"foobar"]), 0x8594_4171_f739_67e8);
+        assert_eq!(via_trait::<Fnv1a>(&[b"foo", b"bar"]), fnv1a64(b"foobar"));
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crate::record::{DetectionRecord, DetectionScope, DetectorKind, Records};
     pub use crate::scrape::ScrapeNode;
     pub use crate::shard::{ShardStats, ShardedNet};
-    pub use crate::switch::{Bridge, Fib, PlainSwitch};
+    pub use crate::switch::{Bridge, Fib, PlainSwitch, PortTable};
     pub use crate::tap::{Capture, TraceTap};
     pub use crate::telemetry::{
         MemorySink, PrintSink, TelemetryCounters, TelemetrySink, TelemetrySnapshot,

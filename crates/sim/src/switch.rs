@@ -1,15 +1,16 @@
 //! Plain (non-FANcY) switches.
 //!
 //! [`Fib`] is the destination-based forwarding table shared by all switch
-//! implementations in the workspace (plain, FANcY, baselines). [`PlainSwitch`]
+//! implementations in the workspace (plain, FANcY, baselines), and
+//! [`PortTable`] the port-indexed array their per-port state lives in (the
+//! data plane's register arrays, §4 — addressed, not hashed). [`PlainSwitch`]
 //! forwards by FIB with no monitoring; [`Bridge`] transparently patches two
 //! ports together — it plays the "link switch" role of the paper's Tofino
 //! case study (§6.1), where failures are injected on an intermediate device.
 
 use std::any::Any;
-use std::collections::HashMap;
 
-use fancy_net::Prefix;
+use fancy_net::{FnvMap, Prefix};
 
 use crate::event::PortId;
 use crate::kernel::Kernel;
@@ -19,7 +20,7 @@ use crate::pool::PacketRef;
 /// A destination-prefix forwarding table.
 #[derive(Debug, Clone, Default)]
 pub struct Fib {
-    routes: HashMap<Prefix, PortId>,
+    routes: FnvMap<Prefix, PortId>,
     default_port: Option<PortId>,
 }
 
@@ -60,6 +61,65 @@ impl Fib {
     /// Iterate over explicit routes.
     pub fn iter(&self) -> impl Iterator<Item = (&Prefix, &PortId)> {
         self.routes.iter()
+    }
+}
+
+/// Per-port state addressed by port number: a `Vec` with holes. Ports are
+/// dense small integers (`0..port_count`), so a lookup is an index and a
+/// bounds check; a port past the end, or one never inserted, is `None`.
+#[derive(Debug, Clone)]
+pub struct PortTable<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T> Default for PortTable<T> {
+    fn default() -> Self {
+        PortTable { slots: Vec::new() }
+    }
+}
+
+impl<T> PortTable<T> {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The state of `port`, if any was inserted.
+    #[inline]
+    pub fn get(&self, port: PortId) -> Option<&T> {
+        self.slots.get(port)?.as_ref()
+    }
+
+    /// Mutable access to the state of `port`, if any was inserted.
+    #[inline]
+    pub fn get_mut(&mut self, port: PortId) -> Option<&mut T> {
+        self.slots.get_mut(port)?.as_mut()
+    }
+
+    /// Set the state of `port`, growing the table to reach it; returns the
+    /// state it replaces.
+    pub fn insert(&mut self, port: PortId, value: T) -> Option<T> {
+        self.slot(port).replace(value)
+    }
+
+    /// The state of `port`, created by `make` on first use.
+    pub fn get_or_insert_with(&mut self, port: PortId, make: impl FnOnce() -> T) -> &mut T {
+        self.slot(port).get_or_insert_with(make)
+    }
+
+    fn slot(&mut self, port: PortId) -> &mut Option<T> {
+        if self.slots.len() <= port {
+            self.slots.resize_with(port + 1, || None);
+        }
+        &mut self.slots[port]
+    }
+
+    /// The occupied ports in ascending order, with their state.
+    pub fn iter(&self) -> impl Iterator<Item = (PortId, &T)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(port, s)| Some((port, s.as_ref()?)))
     }
 }
 
@@ -159,9 +219,65 @@ mod tests {
     }
 
     #[test]
+    fn port_table_is_sparse_and_bounds_checked() {
+        let mut t: PortTable<&str> = PortTable::new();
+        assert_eq!(t.get(0), None);
+        assert_eq!(t.get(usize::MAX), None);
+        // Inserting past the end grows the table; the holes stay empty.
+        assert_eq!(t.insert(5, "five"), None);
+        assert_eq!(t.insert(2, "two"), None);
+        assert_eq!(t.get(5), Some(&"five"));
+        assert_eq!(t.get(2), Some(&"two"));
+        assert!([0, 1, 3, 4, 6, 1 << 40].iter().all(|&p| t.get(p).is_none()));
+        assert_eq!(t.get_mut(6), None);
+        assert_eq!(t.insert(5, "FIVE"), Some("five"));
+        *t.get_mut(2).unwrap() = "TWO";
+        assert_eq!(*t.get_or_insert_with(2, || "unused"), "TWO");
+        assert_eq!(*t.get_or_insert_with(9, || "nine"), "nine");
+        let seen: Vec<_> = t.iter().collect();
+        assert_eq!(seen, vec![(2, &"TWO"), (5, &"FIVE"), (9, &"nine")]);
+    }
+
+    #[test]
     fn fib_without_default_returns_none() {
         let fib = Fib::new();
         assert_eq!(fib.lookup(1), None);
+    }
+
+    proptest::proptest! {
+        /// `Fib::lookup` against the plainest model there is: an ordered
+        /// map of the routes, last insert wins, default as fallback.
+        /// Prefixes are drawn from a small universe (clustered low, and
+        /// spread over all 24 bits) so re-routes and misses both occur.
+        #[test]
+        fn fib_lookup_agrees_with_a_btreemap(
+            routes in proptest::collection::vec(0u64..u64::MAX, 0..200),
+            default in 0usize..4,
+        ) {
+            let mut fib = Fib::new();
+            let mut model = std::collections::BTreeMap::new();
+            let default = default.checked_sub(1); // 0 = no default route
+            if let Some(port) = default {
+                fib.default_route(port);
+            }
+            let prefix_of = |r: u64| {
+                let p = (r >> 8) as u32;
+                Prefix(if r & 1 == 0 { p % 64 } else { p & 0x00ff_ffff })
+            };
+            for &r in &routes {
+                let port = (r & 0xff) as PortId;
+                fib.route(prefix_of(r), port);
+                model.insert(prefix_of(r), port);
+            }
+            proptest::prop_assert_eq!(fib.len(), model.len());
+            let installed = routes.iter().map(|&r| prefix_of(r));
+            for prefix in installed.chain((0..128).map(Prefix)) {
+                for host in [0u8, 1, 255] {
+                    let want = model.get(&prefix).copied().or(default);
+                    proptest::prop_assert_eq!(fib.lookup(prefix.host(host)), want);
+                }
+            }
+        }
     }
 
     #[test]

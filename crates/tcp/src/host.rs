@@ -8,9 +8,9 @@
 //! destination prefixes.
 
 use std::any::Any;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use fancy_net::Prefix;
+use fancy_net::{FnvMap, Prefix};
 use fancy_sim::metrics::Labels;
 use fancy_sim::{
     FlowId, Kernel, Node, PacketBuilder, PacketKind, PacketRef, PortId, SimDuration, SimTime,
@@ -65,16 +65,23 @@ pub struct SenderStats {
     pub local_congestion_drops: u64,
 }
 
+/// Everything the host keeps per started flow.
+struct FlowSlot {
+    flow: TcpFlow,
+    dst: u32,
+    /// Is the flow's pace timer armed?
+    pacing: bool,
+}
+
 /// A host that originates TCP flows on port 0.
 pub struct SenderHost {
     /// This host's source address.
     pub addr: u32,
     /// Flows not yet started.
     pub scheduled: Vec<ScheduledFlow>,
-    flows: HashMap<FlowId, TcpFlow>,
-    dsts: HashMap<FlowId, u32>,
-    /// Flows whose pace timer is armed.
-    pacing: HashMap<FlowId, bool>,
+    /// Parallel to `scheduled` (a flow's id is its index there); `None`
+    /// until the flow's start timer fires.
+    flows: Vec<Option<FlowSlot>>,
     ip_id: u16,
     /// Aggregate statistics.
     pub stats: SenderStats,
@@ -85,18 +92,30 @@ impl SenderHost {
     pub fn new(addr: u32, scheduled: Vec<ScheduledFlow>) -> Self {
         SenderHost {
             addr,
+            flows: scheduled.iter().map(|_| None).collect(),
             scheduled,
-            flows: HashMap::new(),
-            dsts: HashMap::new(),
-            pacing: HashMap::new(),
             ip_id: 0,
             stats: SenderStats::default(),
         }
     }
 
-    fn transmit(&mut self, ctx: &mut Kernel, flow: FlowId, seq: u64, retx: bool) {
-        let dst = self.dsts[&flow];
-        let size = self.flows[&flow].cfg.pkt_size;
+    /// The slot of a started flow. Flow ids arrive in ACKs and timer
+    /// tokens: one that was never started, or is past the table
+    /// (`UdpSource` stamps `u64::MAX`), has no slot.
+    fn slot(&mut self, flow: FlowId) -> Option<&mut FlowSlot> {
+        self.flows.get_mut(usize::try_from(flow).ok()?)?.as_mut()
+    }
+
+    /// Put one segment of `flow` on the wire; `(dst, size)` is copied out
+    /// of the flow's slot by the caller, which is done borrowing it.
+    fn transmit(
+        &mut self,
+        ctx: &mut Kernel,
+        (dst, size): (u32, u32),
+        flow: FlowId,
+        seq: u64,
+        retx: bool,
+    ) {
         self.ip_id = self.ip_id.wrapping_add(1);
         let pkt = PacketBuilder::new(
             self.addr,
@@ -115,54 +134,51 @@ impl SenderHost {
         }
     }
 
-    /// Arm the flow's RTO timer at its current deadline, if any.
-    fn arm_rto(&mut self, ctx: &mut Kernel, flow: FlowId) {
-        if let Some(deadline) = self.flows[&flow].rto_deadline {
-            let delay = deadline.saturating_since(ctx.now());
-            ctx.schedule_timer(delay, token(KIND_RTO, flow));
-        }
-    }
-
     /// Send one paced packet if the window allows, and keep pacing armed
     /// while there is new data to send.
     fn pace(&mut self, ctx: &mut Kernel, flow: FlowId) {
-        let Some(f) = self.flows.get_mut(&flow) else {
+        let Some(s) = self.slot(flow) else {
             return;
         };
-        if f.done() {
-            self.pacing.insert(flow, false);
+        // Idle unless a packet goes out with more behind it: a finished
+        // flow stops, a window-limited one resumes from the ACK path.
+        s.pacing = false;
+        if !s.flow.can_send_new() {
             return;
         }
-        if f.can_send_new() {
-            let now = ctx.now();
-            if let FlowAction::Send { seq, retx } = f.send_new(now) {
-                let interval = f.cfg.pace_interval();
-                let more = f.next_seq < f.cfg.total_packets;
-                self.transmit(ctx, flow, seq, retx);
-                self.arm_rto(ctx, flow);
-                if more {
-                    ctx.schedule_timer(interval, token(KIND_PACE, flow));
-                    self.pacing.insert(flow, true);
-                } else {
-                    self.pacing.insert(flow, false);
-                }
-            }
-        } else if self.flows[&flow].next_seq < self.flows[&flow].cfg.total_packets {
-            // Window-limited: pacing resumes from the ACK path.
-            self.pacing.insert(flow, false);
-        } else {
-            self.pacing.insert(flow, false);
+        let FlowAction::Send { seq, retx } = s.flow.send_new(ctx.now()) else {
+            return;
+        };
+        let more = s.flow.next_seq < s.flow.cfg.total_packets;
+        s.pacing = more;
+        let interval = s.flow.cfg.pace_interval();
+        let (wire, deadline) = ((s.dst, s.flow.cfg.pkt_size), s.flow.rto_deadline);
+        self.transmit(ctx, wire, flow, seq, retx);
+        arm_rto(ctx, flow, deadline);
+        if more {
+            ctx.schedule_timer(interval, token(KIND_PACE, flow));
         }
     }
 
     /// Number of flows that have been started.
     pub fn started_flows(&self) -> usize {
-        self.flows.len()
+        self.flows.iter().flatten().count()
     }
 
-    /// Iterate over flow states (post-run inspection).
-    pub fn flows(&self) -> impl Iterator<Item = (&FlowId, &TcpFlow)> {
-        self.flows.iter()
+    /// Iterate over the started flows' states (post-run inspection).
+    pub fn flows(&self) -> impl Iterator<Item = (FlowId, &TcpFlow)> {
+        self.flows
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| Some((i as FlowId, &s.as_ref()?.flow)))
+    }
+}
+
+/// Arm a flow's RTO timer at its current deadline, if any.
+fn arm_rto(ctx: &mut Kernel, flow: FlowId, deadline: Option<SimTime>) {
+    if let Some(deadline) = deadline {
+        let delay = deadline.saturating_since(ctx.now());
+        ctx.schedule_timer(delay, token(KIND_RTO, flow));
     }
 }
 
@@ -179,13 +195,16 @@ impl Node for SenderHost {
             PacketKind::TcpAck { flow, ack } => (*flow, *ack),
             _ => return, // hosts ignore anything that is not an ACK
         };
-        let Some(f) = self.flows.get_mut(&flow) else {
+        let Some(s) = self.slot(flow) else {
             return;
         };
-        let was_done = f.done();
-        let cwnd_before = f.cwnd;
-        let action = f.on_ack(ack, ctx.now());
-        let cwnd_after = f.cwnd;
+        let was_done = s.flow.done();
+        let cwnd_before = s.flow.cwnd;
+        let action = s.flow.on_ack(ack, ctx.now());
+        let cwnd_after = s.flow.cwnd;
+        // Everything the rest of the ACK path needs, in one slot borrow.
+        let (wire, deadline) = ((s.dst, s.flow.cfg.pkt_size), s.flow.rto_deadline);
+        let (done, resume) = (s.flow.done(), s.flow.can_send_new() && !s.pacing);
         if let FlowAction::Send { seq, retx } = action {
             if retx {
                 ctx.metrics(|r| r.inc("fancy_tcp_fast_retx_total", Labels::new()));
@@ -203,21 +222,17 @@ impl Node for SenderHost {
                     });
                 }
             }
-            self.transmit(ctx, flow, seq, retx);
+            self.transmit(ctx, wire, flow, seq, retx);
         }
-        let (done, can_send) = {
-            let f = &self.flows[&flow];
-            (f.done(), f.can_send_new())
-        };
         if done {
             if !was_done {
                 self.stats.completed_flows += 1;
             }
             return;
         }
-        self.arm_rto(ctx, flow);
+        arm_rto(ctx, flow, deadline);
         // Window opened: resume pacing if it went idle.
-        if can_send && !self.pacing.get(&flow).copied().unwrap_or(false) {
+        if resume {
             self.pace(ctx, flow);
         }
     }
@@ -226,19 +241,30 @@ impl Node for SenderHost {
         let (kind, flow) = split_token(t);
         match kind {
             KIND_START => {
-                let s = self.scheduled[flow as usize].clone();
-                self.flows.insert(flow, TcpFlow::new(s.cfg));
-                self.dsts.insert(flow, s.dst);
+                let Ok(i) = usize::try_from(flow) else { return };
+                let Some(s) = self.scheduled.get(i) else {
+                    return;
+                };
+                // `scheduled` is public: it may have grown since `new()`.
+                if self.flows.len() <= i {
+                    self.flows.resize_with(i + 1, || None);
+                }
+                self.flows[i] = Some(FlowSlot {
+                    flow: TcpFlow::new(s.cfg),
+                    dst: s.dst,
+                    pacing: false,
+                });
                 self.pace(ctx, flow);
             }
             KIND_PACE => self.pace(ctx, flow),
             KIND_RTO => {
-                let Some(f) = self.flows.get_mut(&flow) else {
+                let Some(s) = self.slot(flow) else {
                     return;
                 };
-                let cwnd_before = f.cwnd;
-                let action = f.on_rto(ctx.now());
-                let (cwnd_after, rto_ns) = (f.cwnd, f.rto.as_nanos());
+                let cwnd_before = s.flow.cwnd;
+                let action = s.flow.on_rto(ctx.now());
+                let (cwnd_after, rto_ns) = (s.flow.cwnd, s.flow.rto.as_nanos());
+                let (wire, deadline) = ((s.dst, s.flow.cfg.pkt_size), s.flow.rto_deadline);
                 if let FlowAction::Send { seq, retx } = action {
                     ctx.metrics(|r| r.inc("fancy_tcp_rto_total", Labels::new()));
                     if ctx.trace_enabled() {
@@ -261,8 +287,8 @@ impl Node for SenderHost {
                             });
                         }
                     }
-                    self.transmit(ctx, flow, seq, retx);
-                    self.arm_rto(ctx, flow);
+                    self.transmit(ctx, wire, flow, seq, retx);
+                    arm_rto(ctx, flow, deadline);
                 }
             }
             _ => {}
@@ -338,6 +364,15 @@ impl ThroughputProbe {
     }
 }
 
+/// What a receiver has seen of one entry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EntryCount {
+    /// Bytes received.
+    pub bytes: u64,
+    /// Packets received.
+    pub packets: u64,
+}
+
 /// The universal receiver: accepts data for any destination address, sends
 /// cumulative ACKs back toward the packet's source, and tracks per-entry
 /// byte counts.
@@ -345,11 +380,9 @@ impl ThroughputProbe {
 pub struct ReceiverHost {
     /// Keyed by `(source address, flow id)`: flow ids are only unique per
     /// sender, and a receiver can serve many senders at once.
-    recv: HashMap<(u32, FlowId), RecvFlow>,
-    /// Bytes received per entry.
-    pub entry_bytes: HashMap<Prefix, u64>,
-    /// Packets received per entry.
-    pub entry_packets: HashMap<Prefix, u64>,
+    recv: FnvMap<(u32, FlowId), RecvFlow>,
+    /// Bytes and packets received per entry.
+    pub entries: FnvMap<Prefix, EntryCount>,
     /// Optional throughput probes.
     pub probes: Vec<ThroughputProbe>,
     /// Total data packets received.
@@ -369,8 +402,9 @@ impl ReceiverHost {
     }
 
     fn note(&mut self, now: SimTime, entry: Prefix, bytes: u64) {
-        *self.entry_bytes.entry(entry).or_insert(0) += bytes;
-        *self.entry_packets.entry(entry).or_insert(0) += 1;
+        let seen = self.entries.entry(entry).or_default();
+        seen.bytes += bytes;
+        seen.packets += 1;
         self.data_packets += 1;
         for p in &mut self.probes {
             p.observe(now, entry, bytes);
@@ -380,11 +414,9 @@ impl ReceiverHost {
 
 impl Node for ReceiverHost {
     fn on_packet(&mut self, ctx: &mut Kernel, port: PortId, pkt: PacketRef) {
-        let (entry, size, src, dst, kind) = {
-            let p = ctx.pkt(pkt);
-            (p.entry(), u64::from(p.size), p.src, p.dst, p.kind.clone())
-        };
-        match kind {
+        let p = ctx.pkt(pkt);
+        let (entry, size, src, dst) = (p.entry(), u64::from(p.size), p.src, p.dst);
+        match p.kind {
             PacketKind::TcpData { flow, seq, .. } => {
                 self.note(ctx.now(), entry, size);
                 let st = self.recv.entry((src, flow)).or_default();
@@ -542,7 +574,7 @@ mod tests {
         assert_eq!(tx.stats.completed_flows, 1);
         assert_eq!(tx.stats.retransmissions, 0);
         let rx: &ReceiverHost = net.node(b);
-        assert_eq!(rx.entry_packets[&Prefix::from_addr(0x0A000005)], 50);
+        assert_eq!(rx.entries[&Prefix::from_addr(0x0A000005)].packets, 50);
     }
 
     #[test]
@@ -601,6 +633,85 @@ mod tests {
         net.run_until(SimTime::ZERO + SimDuration::from_millis(100));
         let sent = net.node::<SenderHost>(a).stats.data_packets;
         assert!((80..=110).contains(&sent), "sent = {sent}");
+    }
+
+    /// Two scheduled flows, only the first of which starts inside the
+    /// 100 ms the tests run for.
+    fn one_started_one_pending() -> Vec<ScheduledFlow> {
+        [SimTime::ZERO, SimTime::ZERO + SimDuration::from_secs(5)]
+            .into_iter()
+            .map(|start| ScheduledFlow {
+                start,
+                dst: 0x0A000001,
+                cfg: flow_cfg(12_000_000, 1000),
+            })
+            .collect()
+    }
+
+    /// Run `one_started_one_pending` for 100 ms after `disturb` had its
+    /// way with the network; returns the sender's stats and flow states.
+    fn run_disturbed(disturb: impl FnOnce(&mut Network, usize)) -> (SenderStats, Vec<TcpFlow>) {
+        let (mut net, a, _b) = setup(one_started_one_pending(), None);
+        disturb(&mut net, a);
+        net.run_until(SimTime::ZERO + SimDuration::from_millis(100));
+        let tx: &SenderHost = net.node(a);
+        assert_eq!(tx.started_flows(), 1);
+        assert_eq!(tx.flows().map(|(id, _)| id).collect::<Vec<_>>(), vec![0]);
+        (tx.stats, tx.flows().map(|(_, f)| f.clone()).collect())
+    }
+
+    fn assert_undisturbed(disturbed: (SenderStats, Vec<TcpFlow>)) {
+        let clean = run_disturbed(|_, _| {});
+        assert!(
+            clean.0.data_packets > 50,
+            "the started flow must be sending"
+        );
+        assert_eq!(format!("{disturbed:?}"), format!("{clean:?}"));
+    }
+
+    #[test]
+    fn ack_for_unknown_or_out_of_range_flow_is_ignored() {
+        // Flow 1 is scheduled but not started; 2 = len, 3 = len + 1;
+        // `u64::MAX` is what `UdpSource` stamps.
+        assert_undisturbed(run_disturbed(|net, a| {
+            for (i, flow) in [1, 2, 3, u64::MAX].into_iter().enumerate() {
+                let ack = PacketBuilder::new(9, 1, ACK_SIZE, PacketKind::TcpAck { flow, ack: 5 });
+                let at = SimTime::ZERO + SimDuration::from_millis(10 + i as u64);
+                net.kernel.inject(a, 0, ack.build(), at);
+            }
+        }));
+    }
+
+    #[test]
+    fn stale_rto_timer_for_unstarted_flow_is_ignored() {
+        assert_undisturbed(run_disturbed(|net, a| {
+            let at = SimTime::ZERO + SimDuration::from_millis(10);
+            for flow in [1, 2, 3, u64::MAX >> 2] {
+                net.kernel.schedule_timer_for(a, at, token(KIND_RTO, flow));
+                net.kernel.schedule_timer_for(a, at, token(KIND_PACE, flow));
+            }
+            // A start for a flow nobody scheduled starts nothing.
+            net.kernel.schedule_timer_for(a, at, token(KIND_START, 2));
+            net.kernel
+                .schedule_timer_for(a, at, token(KIND_START, u64::MAX >> 2));
+        }));
+    }
+
+    #[test]
+    fn flow_scheduled_after_construction_still_starts() {
+        let (mut net, a, _b) = setup(one_started_one_pending(), None);
+        let late = ScheduledFlow {
+            start: SimTime::ZERO,
+            dst: 0x0A000001,
+            cfg: flow_cfg(12_000_000, 10),
+        };
+        // `scheduled` grows behind the flow table's back, before on_start.
+        net.node_mut::<SenderHost>(a).scheduled.push(late);
+        net.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+        let tx: &SenderHost = net.node(a);
+        assert_eq!(tx.started_flows(), 2);
+        let started: Vec<_> = tx.flows().map(|(id, f)| (id, f.done())).collect();
+        assert_eq!(started, vec![(0, false), (2, true)]);
     }
 
     #[test]

@@ -15,5 +15,6 @@ pub mod host;
 
 pub use flow::{FlowAction, FlowConfig, TcpFlow, DEFAULT_RTO, MAX_RTO};
 pub use host::{
-    ReceiverHost, ScheduledFlow, SenderHost, SenderStats, ThroughputProbe, UdpSource, ACK_SIZE,
+    EntryCount, ReceiverHost, ScheduledFlow, SenderHost, SenderStats, ThroughputProbe, UdpSource,
+    ACK_SIZE,
 };
