@@ -97,6 +97,14 @@ for f in trace.jsonl metrics.jsonl telemetry.txt outcomes.jsonl; do
     cmp "$SHARD_DUMP_DIR/s1.$f" "$SHARD_DUMP_DIR/s4.$f" \
         || { echo "shard gate: $f differs between FANCY_SHARDS=1 and 4"; exit 1; }
 done
+# The dump is also what the flight recorder and the metrics hubs wrote,
+# byte for byte: a change that only makes the hooks cheaper must leave
+# these checksums where they are (`sim_digest` does not see the hooks).
+# After a deliberate change to the trace or metrics bytes, re-bless: run
+# the cksum below on the s1 dump and write its output over the golden.
+DUMP_SUMS="$(cd "$SHARD_DUMP_DIR" && cksum s1.trace.jsonl s1.metrics.jsonl s1.outcomes.jsonl)"
+diff -u tests/golden/isp_backbone_dump.sums <(printf '%s\n' "$DUMP_SUMS") \
+    || { echo "shard gate: the isp_backbone dump's bytes moved"; exit 1; }
 cargo test -q --release -p fancy-bench --test shard_determinism
 
 echo "== multi-failure gate (overlapping gray failures + recovery verifier) =="

@@ -143,7 +143,7 @@ impl IncidentTracker {
                     t: rec.time.as_nanos(),
                     node: rec.node as u64,
                     port: rec.port as u64,
-                    severity: Self::severity_of(rec).name().to_owned(),
+                    severity: Self::severity_of(rec).name().into(),
                 });
             }
         }

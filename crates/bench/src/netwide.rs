@@ -676,7 +676,7 @@ fn run_edge_cell(
         hubs[0].with(|r| {
             r.observe(
                 EDGE_DETECTION_METRIC,
-                Labels::new().with("edge", name.as_str()),
+                Labels::new().with("edge", name.clone()),
                 d.time.duration_since(fail_at).as_nanos(),
             );
         });
@@ -1132,7 +1132,7 @@ fn run_combo_cell(
             hubs[0].with(|r| {
                 r.observe(
                     EDGE_DETECTION_METRIC,
-                    Labels::new().with("edge", name.as_str()),
+                    Labels::new().with("edge", name.clone()),
                     d.time.duration_since(fail_at).as_nanos(),
                 );
             });

@@ -96,8 +96,8 @@ fn trace_fsm(
             r.inc(
                 "fancy_fsm_transitions_total",
                 Labels::new()
-                    .with("subsystem", "fsm")
                     .with("role", role)
+                    .with("subsystem", "fsm")
                     .with("to", to),
             );
         });
@@ -108,10 +108,10 @@ fn trace_fsm(
             t,
             node,
             port: port as u64,
-            role: role.to_owned(),
+            role: role.into(),
             unit: unit_of(kind),
-            from: from.to_owned(),
-            to: to.to_owned(),
+            from: from.into(),
+            to: to.into(),
         });
     }
 }
@@ -551,8 +551,8 @@ impl FancySwitch {
                 port: port as u64,
                 unit: unit_of_session(kind),
                 session: u64::from(session_id),
-                body: body.to_owned(),
-                dir: "tx".to_owned(),
+                body: body.into(),
+                dir: "tx".into(),
                 len: u64::from(size),
             });
         }
@@ -700,7 +700,7 @@ impl FancySwitch {
                 let steps = self.upstream.get_mut(port).unwrap().zoom.take_session_log();
                 let node = ctx.self_id() as u64;
                 for step in steps {
-                    let (label, path, lost): (&str, &[u8], u32) = match &step {
+                    let (label, path, lost): (&'static str, &[u8], u32) = match &step {
                         ZoomStep::Adopt { path } => ("adopt", path, 0),
                         ZoomStep::Descend { path } => ("descend", path, 0),
                         ZoomStep::Abandon { path } => ("abandon", path, 0),
@@ -715,12 +715,11 @@ impl FancySwitch {
                     }
                     if ctx.trace_enabled() {
                         let path: Vec<u64> = path.iter().map(|&b| u64::from(b)).collect();
-                        let step = label.to_owned();
                         ctx.trace(|t| TraceEvent::ZoomStep {
                             t,
                             node,
                             port: port as u64,
-                            step,
+                            step: label.into(),
                             path,
                             lost: u64::from(lost),
                         });
@@ -852,7 +851,7 @@ impl FancySwitch {
                 node,
                 entry,
                 primary: port as u64,
-                action: action.to_owned(),
+                action: action.into(),
             });
         }
     }
@@ -970,8 +969,8 @@ impl FancySwitch {
                 port: port as u64,
                 unit: unit_of(kind),
                 session,
-                body: body.to_owned(),
-                dir: "rx".to_owned(),
+                body: body.into(),
+                dir: "rx".into(),
                 len,
             });
         }

@@ -10,13 +10,14 @@
 //!
 //! * [`Snapshot::to_jsonl`] / [`Snapshot::parse_jsonl`] — one hand-rolled
 //!   JSON object per line, byte-exact round trip, same style as
-//!   `fancy-trace` (this crate is zero-dep, so it carries its own ~100
-//!   line writer/parser instead of depending on `fancy-trace`'s).
+//!   `fancy-trace` (this crate carries its own ~100 line writer/parser
+//!   instead of depending on `fancy-trace`'s).
 //! * [`Snapshot::to_prometheus`] — Prometheus text exposition: counters
 //!   and gauges as single samples, histograms as cumulative
 //!   `_bucket{le="…"}` series with integer bounds (`2^i − 1`) plus
 //!   `_sum`/`_count`.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use crate::histogram::{bucket_le, Histogram};
@@ -36,6 +37,20 @@ pub enum Value {
 }
 
 impl Value {
+    /// Fold the same metric's value from another snapshot into this one.
+    fn fold_in(&mut self, other: &Value, name: &str, labels: &Labels) {
+        match (self, other) {
+            (Value::Counter(c), Value::Counter(o)) => *c += o,
+            (Value::Gauge(g), Value::Gauge(o)) => *g = (*g).max(*o),
+            (Value::Histogram(h), Value::Histogram(o)) => h.merge(o),
+            (mine, theirs) => panic!(
+                "metric {name}{labels} is a {} on one side and a {} on the other",
+                mine.kind(),
+                theirs.kind()
+            ),
+        }
+    }
+
     /// The kind tag used in JSONL and error messages.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -170,39 +185,43 @@ impl Snapshot {
     /// sides — that is a programming error at an instrumentation site,
     /// not a data condition.
     pub fn merge(&mut self, other: &Snapshot) {
-        let mut merged = Vec::with_capacity(self.samples.len() + other.samples.len());
-        let mut a = std::mem::take(&mut self.samples).into_iter().peekable();
-        let mut b = other.samples.iter().peekable();
-        loop {
-            let ord = match (a.peek(), b.peek()) {
-                (None, None) => break,
-                (Some(_), None) => std::cmp::Ordering::Less,
-                (None, Some(_)) => std::cmp::Ordering::Greater,
-                (Some(x), Some(y)) => (&x.name, &x.labels).cmp(&(&y.name, &y.labels)),
-            };
-            match ord {
-                std::cmp::Ordering::Less => merged.push(a.next().expect("peeked")),
-                std::cmp::Ordering::Greater => merged.push(b.next().expect("peeked").clone()),
-                std::cmp::Ordering::Equal => {
-                    let mut x = a.next().expect("peeked");
-                    let y = b.next().expect("peeked");
-                    match (&mut x.value, &y.value) {
-                        (Value::Counter(c), Value::Counter(o)) => *c += o,
-                        (Value::Gauge(g), Value::Gauge(o)) => *g = (*g).max(*o),
-                        (Value::Histogram(h), Value::Histogram(o)) => h.merge(o),
-                        (mine, theirs) => panic!(
-                            "metric {}{} is a {} on one side and a {} on the other",
-                            x.name,
-                            x.labels,
-                            mine.kind(),
-                            theirs.kind()
-                        ),
-                    }
-                    merged.push(x);
+        fn key(s: &Sample) -> (&str, &Labels) {
+            (&s.name, &s.labels)
+        }
+        // Metrics both sides have are folded where they sit: merging
+        // cells of one sweep, which share their keys, moves no sample (a
+        // sample is wide, its labels are inline) and allocates nothing.
+        let mut absent: Vec<&Sample> = Vec::new();
+        let mut i = 0;
+        for y in &other.samples {
+            let found = loop {
+                match self.samples.get(i).map(|x| key(x).cmp(&key(y))) {
+                    Some(Ordering::Less) => i += 1,
+                    ord => break ord == Some(Ordering::Equal),
                 }
+            };
+            if found {
+                let x = &mut self.samples[i];
+                x.value.fold_in(&y.value, &y.name, &y.labels);
+                i += 1; // keys are unique: `x` matches no later `y`
+            } else {
+                absent.push(y);
             }
         }
-        self.samples = merged;
+        if absent.is_empty() {
+            return;
+        }
+        // The ones only `other` has are interleaved (both lists sorted).
+        let mine = std::mem::take(&mut self.samples);
+        self.samples.reserve_exact(mine.len() + absent.len());
+        let mut absent = absent.into_iter().peekable();
+        for x in mine {
+            while let Some(y) = absent.next_if(|y| key(y) < key(&x)) {
+                self.samples.push(y.clone());
+            }
+            self.samples.push(x);
+        }
+        self.samples.extend(absent.cloned());
     }
 
     /// Serialize: one JSON object per line, `(name, labels)` order.
@@ -548,7 +567,7 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
                         let k = c.string()?;
                         c.eat(b':')?;
                         let v = c.string()?;
-                        labels = labels.with(&k, v);
+                        labels = labels.with(k, v);
                         if c.peek() == Some(b',') {
                             c.eat(b',')?;
                         } else {
@@ -696,6 +715,42 @@ mod tests {
         assert_eq!(left.counter("c", &Labels::new()), Some(6));
         assert_eq!(left.gauge("g", &Labels::new()), Some(20));
         assert_eq!(left.histogram("h", &Labels::new()).unwrap().count(), 3);
+    }
+
+    proptest::proptest! {
+        /// Merging two snapshots is feeding one registry both update
+        /// streams (counters add, high-water gauges take the max,
+        /// histograms pool): keys only the left has, only the right
+        /// has, and shared ones, interleaved in every order.
+        #[test]
+        fn merge_equals_one_registry_fed_both_streams(
+            left in proptest::collection::vec(0u64..u64::MAX, 0..60),
+            right in proptest::collection::vec(0u64..u64::MAX, 0..60),
+        ) {
+            fn feed(r: &mut Registry, draws: &[u64]) {
+                for &d in draws {
+                    let labels = match (d >> 8) % 4 {
+                        0 => Labels::new(),
+                        1 => Labels::new().with("dir", "rx").with("unit", "tree"),
+                        _ => Labels::new().with("port", ((d >> 16) % 6).to_string()),
+                    };
+                    let v = (d >> 24) % 10_000;
+                    match d % 3 {
+                        0 => r.add("a_total", labels, v),
+                        1 => r.gauge_max("b_high_water", labels, v),
+                        _ => r.observe("c_ns", labels, v),
+                    }
+                }
+            }
+            let (mut l, mut r, mut both) = (Registry::new(), Registry::new(), Registry::new());
+            feed(&mut l, &left);
+            feed(&mut r, &right);
+            feed(&mut both, &left);
+            feed(&mut both, &right);
+            let mut merged = l.snapshot();
+            merged.merge(&r.snapshot());
+            proptest::prop_assert_eq!(merged.to_jsonl(), both.snapshot().to_jsonl());
+        }
     }
 
     #[test]

@@ -475,7 +475,7 @@ impl Kernel {
                     t: when.as_nanos(),
                     link: adm.link as u64,
                     dir: adm.dir as u64,
-                    action: "drop".to_owned(),
+                    action: "drop".into(),
                     uid,
                     control: u64::from(is_control),
                 });
@@ -559,7 +559,7 @@ impl Kernel {
                     t: when.as_nanos(),
                     link: adm.link as u64,
                     dir: adm.dir as u64,
-                    action: "dup".to_owned(),
+                    action: "dup".into(),
                     uid,
                     control: u64::from(is_control),
                 });
@@ -577,7 +577,7 @@ impl Kernel {
                         t: when.as_nanos(),
                         link: adm.link as u64,
                         dir: adm.dir as u64,
-                        action: "reorder".to_owned(),
+                        action: "reorder".into(),
                         uid,
                         control: u64::from(is_control),
                     });
@@ -715,18 +715,15 @@ impl Kernel {
                 DetectionScope::LinkDown => ("link_down", None, Vec::new()),
             };
             let detector_name = match detector {
-                DetectorKind::DedicatedCounter => "dedicated".to_owned(),
-                DetectorKind::HashTree => "tree".to_owned(),
-                DetectorKind::UniformCheck => "uniform".to_owned(),
-                DetectorKind::ProtocolTimeout => "timeout".to_owned(),
-                DetectorKind::Baseline(name) => format!("baseline:{name}"),
+                DetectorKind::Baseline(name) => format!("baseline:{name}").into(),
+                fancy => fancy.metric_name().into(),
             };
             self.trace(|t| TraceEvent::Detection {
                 t,
                 node,
                 port: port as u64,
                 detector: detector_name,
-                scope: scope_name.to_owned(),
+                scope: scope_name.into(),
                 entry,
                 path,
             });

@@ -23,6 +23,7 @@ use crate::event::{PortId, TimerToken};
 use crate::kernel::Kernel;
 use crate::node::Node;
 use crate::pool::PacketRef;
+use crate::telemetry::KERNEL_GAUGE_NAMES;
 use crate::time::SimDuration;
 
 /// Default scrape cadence: 100 ms of sim time.
@@ -57,8 +58,8 @@ impl ScrapeNode {
         // keeps high-water semantics.
         let pairs = ctx.telemetry.to_pairs();
         ctx.metrics(|r| {
-            for (name, v) in pairs {
-                r.gauge_set(&format!("fancy_kernel_{name}"), Default::default(), v);
+            for (gauge, (_, v)) in KERNEL_GAUGE_NAMES.iter().zip(pairs) {
+                r.gauge_set(gauge, Default::default(), v);
             }
         });
         let samples = match ctx.metrics_hub() {

@@ -409,15 +409,19 @@ impl ShardedNet {
             }
             let st = self.stats[i];
             let stall_pct = (st.stall_ratio() * 100.0).round() as u64;
-            let labels = || Labels::new().with("shard", format!("{i}"));
+            let labels = Labels::new().with("shard", i.to_string());
             shard.kernel.metrics(|r| {
-                r.gauge_set("fancy_shard_events", labels(), st.events);
-                r.gauge_set("fancy_shard_sim_ns", labels(), st.sim_nanos);
-                r.gauge_set("fancy_shard_windows", labels(), st.windows);
-                r.gauge_set("fancy_shard_null_windows", labels(), st.null_windows);
-                r.gauge_set("fancy_shard_msgs_sent", labels(), st.msgs_sent);
-                r.gauge_set("fancy_shard_msgs_received", labels(), st.msgs_received);
-                r.gauge_set("fancy_shard_stall_pct", labels(), stall_pct);
+                for (gauge, v) in [
+                    ("fancy_shard_events", st.events),
+                    ("fancy_shard_sim_ns", st.sim_nanos),
+                    ("fancy_shard_windows", st.windows),
+                    ("fancy_shard_null_windows", st.null_windows),
+                    ("fancy_shard_msgs_sent", st.msgs_sent),
+                    ("fancy_shard_msgs_received", st.msgs_received),
+                    ("fancy_shard_stall_pct", stall_pct),
+                ] {
+                    r.gauge_set(gauge, labels.clone(), v);
+                }
             });
         }
     }

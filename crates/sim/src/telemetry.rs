@@ -143,6 +143,28 @@ impl TelemetryCounters {
     }
 }
 
+/// The gauge each [`TelemetryCounters::to_pairs`] entry is scraped into,
+/// in the same order: the pair's name behind `fancy_kernel_`, spelled out
+/// so a scrape formats nothing.
+pub const KERNEL_GAUGE_NAMES: [&str; 16] = [
+    "fancy_kernel_events_dispatched",
+    "fancy_kernel_packet_arrivals",
+    "fancy_kernel_timers_fired",
+    "fancy_kernel_queue_high_water",
+    "fancy_kernel_timer_high_water",
+    "fancy_kernel_packets_forwarded",
+    "fancy_kernel_packets_gray_dropped",
+    "fancy_kernel_control_drops",
+    "fancy_kernel_congestion_drops",
+    "fancy_kernel_pool_high_water",
+    "fancy_kernel_pool_recycled",
+    "fancy_kernel_chaos_drops",
+    "fancy_kernel_chaos_dups",
+    "fancy_kernel_chaos_reorders",
+    "fancy_kernel_chaos_control_faults",
+    "fancy_kernel_degraded_entries",
+];
+
 /// A point-in-time view of a kernel's telemetry, as delivered to sinks.
 #[derive(Debug, Clone)]
 pub struct TelemetrySnapshot {
@@ -252,6 +274,14 @@ impl TelemetrySink for MemorySink {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+
+    #[test]
+    fn kernel_gauge_names_follow_to_pairs() {
+        let pairs = TelemetryCounters::default().to_pairs();
+        for (gauge, (name, _)) in KERNEL_GAUGE_NAMES.iter().zip(pairs) {
+            assert_eq!(*gauge, format!("fancy_kernel_{name}"));
+        }
+    }
 
     #[test]
     fn absorb_sums_and_maxes() {

@@ -13,10 +13,19 @@
 //! * **control plane** — incident open/clear from the operator-facing
 //!   aggregation layer.
 //!
+//! String fields drawn from a closed vocabulary (FSM roles and states,
+//! message bodies, zoom steps, detector and scope names, damping actions,
+//! severities) are `Cow<'static, str>`: an emission site passes its
+//! literal (`role.into()`) and touches no allocator, the parser yields
+//! `Owned`, and the two compare and encode alike. Only a value made at
+//! run time (`baseline:<name>`) is owned at the source.
+//!
 //! The JSONL form is one object per line; [`TraceEvent::to_jsonl`] and
 //! [`TraceEvent::parse_line`] are exact inverses (asserted in tests and
 //! by the `trace-report` CI smoke step), which is what makes "fails on
 //! schema drift" enforceable.
+
+use std::borrow::Cow;
 
 use crate::json::{parse_object, JsonError, JsonValue, ObjectWriter};
 
@@ -112,13 +121,13 @@ pub enum TraceEvent {
         /// Port whose FSM moved.
         port: u64,
         /// `"tx"` (sender FSM) or `"rx"` (receiver FSM).
-        role: String,
+        role: Cow<'static, str>,
         /// Counting unit: dedicated counter id, or [`UNIT_TREE`].
         unit: u64,
         /// State before.
-        from: String,
+        from: Cow<'static, str>,
         /// State after.
-        to: String,
+        to: Cow<'static, str>,
     },
     /// A counting-protocol message was sent or received.
     CounterExchange {
@@ -133,9 +142,9 @@ pub enum TraceEvent {
         /// Session id the message belongs to.
         session: u64,
         /// `"start"`, `"start_ack"`, `"stop"`, or `"report"`.
-        body: String,
+        body: Cow<'static, str>,
         /// `"tx"` or `"rx"` from this node's perspective.
-        dir: String,
+        dir: Cow<'static, str>,
         /// Message payload length in bytes.
         len: u64,
     },
@@ -148,7 +157,7 @@ pub enum TraceEvent {
         /// Port being zoomed.
         port: u64,
         /// `"adopt"`, `"descend"`, `"abandon"`, `"leaf"`, or `"uniform"`.
-        step: String,
+        step: Cow<'static, str>,
         /// Hash path the step concerns (empty for `uniform`).
         path: Vec<u64>,
         /// Lost-packet count that justified the step, when one did.
@@ -164,9 +173,9 @@ pub enum TraceEvent {
         port: u64,
         /// Detector name (`"dedicated"`, `"tree"`, `"uniform"`,
         /// `"timeout"`, or `"baseline:<name>"`).
-        detector: String,
+        detector: Cow<'static, str>,
         /// Scope name (`"entry"`, `"path"`, `"uniform"`, `"link_down"`).
-        scope: String,
+        scope: Cow<'static, str>,
         /// Implicated entry, for entry-scoped detections.
         entry: Option<u64>,
         /// Implicated hash path, for path-scoped detections.
@@ -219,7 +228,7 @@ pub enum TraceEvent {
         /// Protected primary egress port.
         primary: u64,
         /// Transition name (see above).
-        action: String,
+        action: Cow<'static, str>,
     },
     /// Every ranked backup alternate for a rerouted entry is unhealthy:
     /// the switch degraded to drop-and-alarm (rising edge per entry).
@@ -281,7 +290,7 @@ pub enum TraceEvent {
         /// Suffering port.
         port: u64,
         /// Initial severity (`"entry_loss"`, `"uniform_loss"`, `"link_down"`).
-        severity: String,
+        severity: Cow<'static, str>,
     },
     /// The incident tracker cleared an incident after silence.
     IncidentClear {
@@ -305,7 +314,7 @@ pub enum TraceEvent {
         /// Direction on the link.
         dir: u64,
         /// `"drop"`, `"dup"`, or `"reorder"`.
-        action: String,
+        action: Cow<'static, str>,
         /// Kernel-unique packet id.
         uid: u64,
         /// 1 when the packet is control traffic (FANcY/NetSeer), else 0.
@@ -409,10 +418,10 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn str(&self, key: &'static str) -> Result<String, ParseError> {
+    fn str(&self, key: &'static str) -> Result<Cow<'static, str>, ParseError> {
         self.get(key)
             .and_then(JsonValue::as_str)
-            .map(str::to_owned)
+            .map(|s| Cow::Owned(s.to_owned()))
             .ok_or(ParseError::Field(self.kind, key))
     }
 
@@ -478,7 +487,15 @@ impl TraceEvent {
     /// Encode as one JSONL line (no trailing newline). Optional fields
     /// are omitted when absent, never written as `null`.
     pub fn to_jsonl(&self) -> String {
-        let mut w = ObjectWriter::new();
+        let mut line = String::new();
+        self.write_jsonl(&mut line);
+        line
+    }
+
+    /// Append the [`TraceEvent::to_jsonl`] line to `out` (a sink that
+    /// encodes every event keeps one buffer).
+    pub fn write_jsonl(&self, out: &mut String) {
+        let mut w = ObjectWriter::appending_to(std::mem::take(out));
         w.str("ev", self.kind()).u64("t", self.time_ns());
         match self {
             TraceEvent::PacketForward {
@@ -690,7 +707,7 @@ impl TraceEvent {
                 w.u64("seq", *seq).u64("samples", *samples);
             }
         }
-        w.finish()
+        *out = w.finish();
     }
 
     /// Decode one JSONL line.
@@ -1099,6 +1116,29 @@ mod tests {
             assert_eq!(back, ev, "value round trip for {line}");
             assert_eq!(back.to_jsonl(), line, "byte round trip for {line}");
         }
+    }
+
+    #[test]
+    fn borrowed_and_parsed_vocabulary_are_one_value() {
+        // An emission site borrows its literals, the parser owns what it
+        // read: the two must compare and encode as the same event.
+        let built = TraceEvent::CounterExchange {
+            t: 6,
+            node: 1,
+            port: 2,
+            unit: 4,
+            session: 12,
+            body: Cow::Borrowed("start_ack"),
+            dir: Cow::Borrowed("rx"),
+            len: 13,
+        };
+        let parsed = TraceEvent::parse_line(&built.to_jsonl()).unwrap();
+        let TraceEvent::CounterExchange { body, dir, .. } = &parsed else {
+            panic!("parsed as {parsed:?}");
+        };
+        assert!(matches!((body, dir), (Cow::Owned(_), Cow::Owned(_))));
+        assert_eq!(parsed, built);
+        assert_eq!(parsed.to_jsonl(), built.to_jsonl());
     }
 
     #[test]

@@ -82,10 +82,14 @@ pub struct ObjectWriter {
 impl ObjectWriter {
     /// Start an object.
     pub fn new() -> Self {
-        ObjectWriter {
-            out: String::from("{"),
-            any: false,
-        }
+        ObjectWriter::appending_to(String::new())
+    }
+
+    /// Start an object after whatever `out` already holds, keeping its
+    /// capacity: [`ObjectWriter::finish`] hands the buffer back.
+    pub fn appending_to(mut out: String) -> Self {
+        out.push('{');
+        ObjectWriter { out, any: false }
     }
 
     fn key(&mut self, key: &str) {

@@ -78,7 +78,7 @@ impl RingRecorder {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in &self.buf {
-            out.push_str(&ev.to_jsonl());
+            ev.write_jsonl(&mut out);
             out.push('\n');
         }
         out
@@ -165,7 +165,7 @@ pub fn merge_shard_streams(streams: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
 pub fn events_to_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::new();
     for ev in events {
-        out.push_str(&ev.to_jsonl());
+        ev.write_jsonl(&mut out);
         out.push('\n');
     }
     out
@@ -175,6 +175,8 @@ pub fn events_to_jsonl(events: &[TraceEvent]) -> String {
 #[derive(Debug)]
 pub struct JsonlWriter<W: Write + Send> {
     w: Option<W>,
+    /// The line being written, kept for its capacity.
+    line: String,
     written: u64,
 }
 
@@ -183,11 +185,12 @@ impl<W: Write + Send> JsonlWriter<W> {
     pub fn new(w: W) -> Self {
         JsonlWriter {
             w: Some(w),
+            line: String::new(),
             written: 0,
         }
     }
 
-    /// Events written so far.
+    /// Events the underlying writer accepted so far.
     pub fn written(&self) -> u64 {
         self.written
     }
@@ -210,10 +213,14 @@ impl JsonlWriter<BufWriter<File>> {
 impl<W: Write + Send> TraceSink for JsonlWriter<W> {
     fn record(&mut self, event: &TraceEvent) {
         // An experiment trace is best-effort on I/O errors: a full disk
-        // should not abort the simulation itself.
+        // should not abort the simulation itself, only stop the count.
         if let Some(w) = self.w.as_mut() {
-            let _ = writeln!(w, "{}", event.to_jsonl());
-            self.written += 1;
+            self.line.clear();
+            event.write_jsonl(&mut self.line);
+            self.line.push('\n');
+            if w.write_all(self.line.as_bytes()).is_ok() {
+                self.written += 1;
+            }
         }
     }
 }
@@ -280,6 +287,43 @@ mod tests {
         );
         let jsonl = events_to_jsonl(&merged);
         assert_eq!(parse_jsonl(&jsonl).unwrap(), merged);
+    }
+
+    /// Accepts `room` bytes, then fails like a full disk.
+    struct FullAfter {
+        room: usize,
+        taken: Vec<u8>,
+    }
+
+    impl Write for FullAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if buf.len() > self.room {
+                return Err(io::Error::other("disk full"));
+            }
+            self.room -= buf.len();
+            self.taken.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_writer_counts_only_lines_the_writer_took() {
+        let line_len = ev(1).to_jsonl().len() + 1;
+        let mut w = JsonlWriter::new(FullAfter {
+            room: 2 * line_len + line_len / 2,
+            taken: Vec::new(),
+        });
+        for t in 1..=5 {
+            w.record(&ev(t));
+        }
+        assert_eq!(w.written(), 2, "three of five writes failed");
+        let taken = w.into_inner().unwrap().taken;
+        let back = parse_jsonl(std::str::from_utf8(&taken).unwrap()).unwrap();
+        assert_eq!(back, vec![ev(1), ev(2)]);
     }
 
     #[test]

@@ -192,7 +192,7 @@ fn selftest() -> ExitCode {
             node: 3,
             entry: 655_361,
             primary: 1,
-            action: "retrip".to_owned(),
+            action: "retrip".into(),
         },
         TraceEvent::BackupAlarm {
             t: 220_000_000,
