@@ -28,8 +28,15 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 echo "== digest gate (speed-only changes keep the simulated bytes) =="
 # Each ledger workload folds what its simulation produced into a
 # `sim_digest`; a change that only makes the simulator faster must leave
-# all five where they are. After a deliberate behaviour change, re-bless:
-# run the command below and write its output over the golden file.
+# all five where they are. Which of them fold an event count matters
+# when a change alters what the scheduler is *fed* (fewer timers for the
+# same packets) and nothing else: `caida_sweep` folds Table 3 rows only
+# and stays; the three `backbone_*` digests fold the kernel's
+# `events_dispatched` next to packets forwarded, drops and detections,
+# so they move (`backbone_plain` must still equal `backbone_sharded`);
+# `fwd_udp` folds it too, but runs no TCP host and is the control. After
+# a deliberate change of either kind, re-bless: run the command below
+# and write its output over the golden file.
 BENCH_DIGESTS="$(cargo run -q --release --manifest-path benchmark/Cargo.toml -- \
     --seed 1 --seconds 1 --trace 0 | awk '$2 == "sim_digest" { print $1, $3 }')"
 diff -u tests/golden/bench_digests.txt <(printf '%s\n' "$BENCH_DIGESTS") \
@@ -100,11 +107,18 @@ done
 # The dump is also what the flight recorder and the metrics hubs wrote,
 # byte for byte: a change that only makes the hooks cheaper must leave
 # these checksums where they are (`sim_digest` does not see the hooks).
-# After a deliberate change to the trace or metrics bytes, re-bless: run
-# the cksum below on the s1 dump and write its output over the golden.
+# The trace is checked on its own first: every packet, drop, FSM step
+# and detection is in it, so its bytes are the simulated behaviour. The
+# metrics and outcome files also carry scheduler bookkeeping (kernel
+# event/timer gauges, per-shard events/windows), which a change to what
+# the scheduler is fed moves with the trace standing still. After a
+# deliberate change, re-bless: run the cksum below on the s1 dump and
+# write its output over the golden.
 DUMP_SUMS="$(cd "$SHARD_DUMP_DIR" && cksum s1.trace.jsonl s1.metrics.jsonl s1.outcomes.jsonl)"
+diff -u <(head -n 1 tests/golden/isp_backbone_dump.sums) <(head -n 1 <<<"$DUMP_SUMS") \
+    || { echo "shard gate: flight-recorder bytes moved — behaviour change"; exit 1; }
 diff -u tests/golden/isp_backbone_dump.sums <(printf '%s\n' "$DUMP_SUMS") \
-    || { echo "shard gate: the isp_backbone dump's bytes moved"; exit 1; }
+    || { echo "shard gate: bookkeeping bytes moved — re-bless if intended"; exit 1; }
 cargo test -q --release -p fancy-bench --test shard_determinism
 
 echo "== multi-failure gate (overlapping gray failures + recovery verifier) =="

@@ -42,7 +42,10 @@ use crate::env::Scale;
 /// v3: netwide cells run the sharded executor (per-shard RNG streams
 /// change every packet-level outcome) and records grew per-shard
 /// statistics fields.
-pub const CACHE_SCHEMA_VERSION: u64 = 3;
+/// v4: TCP senders keep one RTO timer per flow and one start timer per
+/// host, so a cell's event/timer counts and queue high-water marks are
+/// lower than a v3 record of the same cell carries.
+pub const CACHE_SCHEMA_VERSION: u64 = 4;
 
 /// Second-lane seed and multiplier (golden-ratio constants in the
 /// xxHash/splitmix tradition), so the two lanes never agree by

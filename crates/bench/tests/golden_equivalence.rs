@@ -13,7 +13,14 @@
 //! telemetry at 1 and 8 threads, which must be identical to each other
 //! and to the fixture.
 //!
-//! Regenerate (only when an *intentional* behavior change lands) with:
+//! A mismatch is classified in the panic message. *Bookkeeping only*:
+//! the lines differ in nothing but their `events=`/`timers=`/`qhw=`/
+//! `thw=` tokens — how many events the kernel dispatched and how deep its
+//! queue stood, i.e. how the scheduler was fed, not what was simulated.
+//! *Behaviour*: anything else moved (trace bytes, drops, detections).
+//!
+//! Regenerate (only when an *intentional* change lands — and for a
+//! speed-only change, only a bookkeeping-only mismatch) with:
 //! `FANCY_BLESS=1 cargo test -p fancy-bench --test golden_equivalence`
 
 use std::fmt::Write as _;
@@ -100,6 +107,55 @@ fn counters_line(label: &str, t: &TelemetryCounters) -> String {
     )
 }
 
+/// Tokens that count scheduler work rather than simulated behaviour.
+const BOOKKEEPING: [&str; 4] = ["events=", "timers=", "qhw=", "thw="];
+
+/// `line` with the value of every bookkeeping token replaced by `*`.
+fn mask_bookkeeping(line: &str) -> String {
+    let mask = |tok: &str| match BOOKKEEPING.iter().find(|k| tok.starts_with(**k)) {
+        Some(k) => format!("{k}*"),
+        None => tok.to_owned(),
+    };
+    line.split(' ').map(mask).collect::<Vec<_>>().join(" ")
+}
+
+/// Panic with the mismatch classified, if `rendered` is not `golden`.
+fn assert_matches_golden(rendered: &str, golden: &str) {
+    if rendered == golden {
+        return;
+    }
+    let (got, want): (Vec<&str>, Vec<&str>) =
+        (rendered.lines().collect(), golden.lines().collect());
+    assert_eq!(
+        got.len(),
+        want.len(),
+        "golden mismatch — BEHAVIOUR: fixture line count differs"
+    );
+    let differing = || {
+        got.iter()
+            .zip(&want)
+            .enumerate()
+            .filter(|(_, (g, w))| g != w)
+    };
+    if let Some((n, (g, w))) =
+        differing().find(|(_, (g, w))| mask_bookkeeping(g) != mask_bookkeeping(w))
+    {
+        panic!(
+            "golden mismatch — BEHAVIOUR: line {} differs outside the {BOOKKEEPING:?} tokens \
+             (trace bytes, drops or detections moved); do not bless\n  got: {g}\n want: {w}",
+            n + 1
+        );
+    }
+    let (n, (g, w)) = differing().next().expect("unequal texts differ in a line");
+    panic!(
+        "golden mismatch — bookkeeping only: {} line(s) differ, each only in its {BOOKKEEPING:?} \
+         tokens (the masked diff is empty); re-bless with FANCY_BLESS=1 if the scheduler's feed \
+         was meant to change\n first, line {}:\n  got: {g}\n want: {w}",
+        differing().count(),
+        n + 1
+    );
+}
+
 fn render(cells: &[CellResult], report1: &SweepReport, report8: &SweepReport) -> String {
     let mut out = String::new();
     for (i, c) in cells.iter().enumerate() {
@@ -162,15 +218,7 @@ fn traces_match_pre_refactor_golden_run() -> Result<(), ScenarioError> {
             path.display()
         )
     });
-    // Line-by-line diff for a readable failure message.
-    for (n, (got, want)) in rendered.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "golden mismatch at line {}", n + 1);
-    }
-    assert_eq!(
-        rendered.lines().count(),
-        golden.lines().count(),
-        "golden fixture line count differs"
-    );
+    assert_matches_golden(&rendered, &golden);
 
     // The corpus is non-trivial: failures, detections and control traffic
     // all happened, so byte-identity of the traces is meaningful.
@@ -178,4 +226,23 @@ fn traces_match_pre_refactor_golden_run() -> Result<(), ScenarioError> {
     assert!(cells1.iter().any(|c| c.detections > 0));
     assert!(cells1.iter().all(|c| c.trace_len > 0));
     Ok(())
+}
+
+#[test]
+fn golden_mismatch_is_classified() {
+    let verdict = |got: &str, want: &str| {
+        let (got, want) = (got.to_owned(), want.to_owned());
+        let panic = std::panic::catch_unwind(move || assert_matches_golden(&got, &want))
+            .expect_err("unequal texts must panic");
+        *panic.downcast::<String>().expect("formatted panic message")
+    };
+    let golden = "cell 0000 len=10 fnv=ab gray=1 events=9 fwd=2\nreport events=9 timers=4 qhw=3 thw=2 fwd=2\n";
+    assert_matches_golden(golden, golden);
+    let fewer_timers = "cell 0000 len=10 fnv=ab gray=1 events=7 fwd=2\nreport events=7 timers=2 qhw=2 thw=1 fwd=2\n";
+    assert!(verdict(fewer_timers, golden).contains("bookkeeping only: 2 line(s)"));
+    let other_bytes = fewer_timers.replace("fnv=ab", "fnv=cd");
+    assert!(verdict(&other_bytes, golden).contains("BEHAVIOUR: line 1"));
+    let other_fwd = golden.replace("thw=2 fwd=2", "thw=2 fwd=3");
+    assert!(verdict(&other_fwd, golden).contains("BEHAVIOUR: line 2"));
+    assert!(verdict("cell 0000\n", golden).contains("BEHAVIOUR: fixture line count"));
 }

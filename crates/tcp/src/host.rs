@@ -6,8 +6,34 @@
 //! per-entry byte counts and optional throughput time series). This keeps
 //! node counts small even when experiments span hundreds of thousands of
 //! destination prefixes.
+//!
+//! # What the sender feeds the scheduler
+//!
+//! A [`SenderHost`] keeps at most **one RTO timer per flow and one start
+//! timer per host** in the kernel's queue. A flow's RTO deadline moves
+//! *later* on almost every ACK; instead of pushing a fresh 200 ms timer
+//! each time (and leaving the old one to fire as a no-op), the flow's
+//! slot remembers when its one pending timer fires, and the timer
+//! re-arms itself at the flow's current deadline when it does. A new
+//! timer is pushed only when none is pending or the deadline moved
+//! *earlier* than the pending one (the RTO reset by an ACK after a
+//! backoff); the superseded timer is left to fire as a no-op. The
+//! invariant — whenever `rto_deadline == Some(d)`, a timer firing at or
+//! before `d` is pending — means an expiry still happens at exactly `d`,
+//! so [`TcpFlow`] sees the same calls at the same times.
+//!
+//! Flow starts are one chained timer walking the flows in `(start, id)`
+//! order: when it fires the host starts every flow that is due and arms
+//! the timer for the next. The host checks for due starts ahead of
+//! *every* event it handles, so a flow due at `t` starts before anything
+//! else the host does at `t` — the order the flows had when each owned a
+//! timer pushed at `on_start`, ahead of everything else in the queue. The
+//! start timer therefore only wakes the host; its token carries nothing a
+//! replayed or forged copy could use. See DESIGN.md, "What the scheduler
+//! is fed".
 
 use std::any::Any;
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
 use fancy_net::{FnvMap, Prefix};
@@ -71,6 +97,10 @@ struct FlowSlot {
     dst: u32,
     /// Is the flow's pace timer armed?
     pacing: bool,
+    /// `flow.cfg.pace_interval()`, computed once.
+    pace_interval: SimDuration,
+    /// Fire time of the flow's one tracked RTO timer, if it has not fired.
+    rto_timer: Option<SimTime>,
 }
 
 /// A host that originates TCP flows on port 0.
@@ -80,8 +110,14 @@ pub struct SenderHost {
     /// Flows not yet started.
     pub scheduled: Vec<ScheduledFlow>,
     /// Parallel to `scheduled` (a flow's id is its index there); `None`
-    /// until the flow's start timer fires.
+    /// until the flow starts.
     flows: Vec<Option<FlowSlot>>,
+    /// Flows not yet started, latest `(start, id)` first: the next one to
+    /// start is on top. Filled at `on_start`.
+    pending_starts: Vec<FlowId>,
+    /// When the flow on top of `pending_starts` starts, and the host's one
+    /// start timer fires (`FAR_FUTURE` once every flow has started).
+    next_start_at: SimTime,
     ip_id: u16,
     /// Aggregate statistics.
     pub stats: SenderStats,
@@ -94,6 +130,8 @@ impl SenderHost {
             addr,
             flows: scheduled.iter().map(|_| None).collect(),
             scheduled,
+            pending_starts: Vec::new(),
+            next_start_at: SimTime::FAR_FUTURE,
             ip_id: 0,
             stats: SenderStats::default(),
         }
@@ -151,13 +189,66 @@ impl SenderHost {
         };
         let more = s.flow.next_seq < s.flow.cfg.total_packets;
         s.pacing = more;
-        let interval = s.flow.cfg.pace_interval();
-        let (wire, deadline) = ((s.dst, s.flow.cfg.pkt_size), s.flow.rto_deadline);
+        let (wire, interval) = ((s.dst, s.flow.cfg.pkt_size), s.pace_interval);
         self.transmit(ctx, wire, flow, seq, retx);
-        arm_rto(ctx, flow, deadline);
+        self.arm_rto(ctx, flow);
         if more {
             ctx.schedule_timer(interval, token(KIND_PACE, flow));
         }
+    }
+
+    /// Keep a timer pending that fires no later than `flow`'s RTO
+    /// deadline. A pending timer that fires earlier re-arms when it does.
+    fn arm_rto(&mut self, ctx: &mut Kernel, flow: FlowId) {
+        let Some(s) = self.slot(flow) else {
+            return;
+        };
+        let Some(deadline) = s.flow.rto_deadline else {
+            return;
+        };
+        if s.rto_timer.is_some_and(|at| at <= deadline) {
+            return;
+        }
+        let delay = deadline.saturating_since(ctx.now());
+        s.rto_timer = Some(ctx.now() + delay);
+        ctx.schedule_timer(delay, token(KIND_RTO, flow));
+    }
+
+    /// Start every flow whose time has come, in `(start, id)` order, then
+    /// arm the host's one start timer for the next. Runs ahead of every
+    /// event the host handles: a flow due at `t` starts before anything
+    /// else the host does at `t`, whatever the timer's place in the queue.
+    fn start_due(&mut self, ctx: &mut Kernel) {
+        if self.next_start_at > ctx.now() {
+            return;
+        }
+        while let Some(&flow) = self.pending_starts.last() {
+            let s = &self.scheduled[flow as usize];
+            if s.start > ctx.now() {
+                break;
+            }
+            self.pending_starts.pop();
+            self.flows[flow as usize] = Some(FlowSlot {
+                flow: TcpFlow::new(s.cfg),
+                dst: s.dst,
+                pacing: false,
+                pace_interval: s.cfg.pace_interval(),
+                rto_timer: None,
+            });
+            self.pace(ctx, flow);
+        }
+        self.arm_start(ctx);
+    }
+
+    /// Arm the start timer for the next flow to start, if any is left.
+    fn arm_start(&mut self, ctx: &mut Kernel) {
+        let Some(&flow) = self.pending_starts.last() else {
+            self.next_start_at = SimTime::FAR_FUTURE;
+            return;
+        };
+        self.next_start_at = self.scheduled[flow as usize].start;
+        let delay = self.next_start_at.saturating_since(ctx.now());
+        ctx.schedule_timer(delay, token(KIND_START, 0));
     }
 
     /// Number of flows that have been started.
@@ -174,23 +265,19 @@ impl SenderHost {
     }
 }
 
-/// Arm a flow's RTO timer at its current deadline, if any.
-fn arm_rto(ctx: &mut Kernel, flow: FlowId, deadline: Option<SimTime>) {
-    if let Some(deadline) = deadline {
-        let delay = deadline.saturating_since(ctx.now());
-        ctx.schedule_timer(delay, token(KIND_RTO, flow));
-    }
-}
-
 impl Node for SenderHost {
     fn on_start(&mut self, ctx: &mut Kernel) {
-        for (i, s) in self.scheduled.iter().enumerate() {
-            let delay = s.start.saturating_since(ctx.now());
-            ctx.schedule_timer(delay, token(KIND_START, i as u64));
-        }
+        // `scheduled` is public: it may have grown since `new()`.
+        self.flows.resize_with(self.scheduled.len(), || None);
+        self.pending_starts = (0..self.scheduled.len() as FlowId).collect();
+        // Flows with equal start times start in id order.
+        self.pending_starts
+            .sort_unstable_by_key(|&i| Reverse((self.scheduled[i as usize].start, i)));
+        self.arm_start(ctx);
     }
 
     fn on_packet(&mut self, ctx: &mut Kernel, _port: PortId, pkt: PacketRef) {
+        self.start_due(ctx);
         let (flow, ack) = match &ctx.pkt(pkt).kind {
             PacketKind::TcpAck { flow, ack } => (*flow, *ack),
             _ => return, // hosts ignore anything that is not an ACK
@@ -203,7 +290,7 @@ impl Node for SenderHost {
         let action = s.flow.on_ack(ack, ctx.now());
         let cwnd_after = s.flow.cwnd;
         // Everything the rest of the ACK path needs, in one slot borrow.
-        let (wire, deadline) = ((s.dst, s.flow.cfg.pkt_size), s.flow.rto_deadline);
+        let wire = (s.dst, s.flow.cfg.pkt_size);
         let (done, resume) = (s.flow.done(), s.flow.can_send_new() && !s.pacing);
         if let FlowAction::Send { seq, retx } = action {
             if retx {
@@ -230,7 +317,7 @@ impl Node for SenderHost {
             }
             return;
         }
-        arm_rto(ctx, flow, deadline);
+        self.arm_rto(ctx, flow);
         // Window opened: resume pacing if it went idle.
         if resume {
             self.pace(ctx, flow);
@@ -238,33 +325,23 @@ impl Node for SenderHost {
     }
 
     fn on_timer(&mut self, ctx: &mut Kernel, t: TimerToken) {
+        self.start_due(ctx);
         let (kind, flow) = split_token(t);
         match kind {
-            KIND_START => {
-                let Ok(i) = usize::try_from(flow) else { return };
-                let Some(s) = self.scheduled.get(i) else {
-                    return;
-                };
-                // `scheduled` is public: it may have grown since `new()`.
-                if self.flows.len() <= i {
-                    self.flows.resize_with(i + 1, || None);
-                }
-                self.flows[i] = Some(FlowSlot {
-                    flow: TcpFlow::new(s.cfg),
-                    dst: s.dst,
-                    pacing: false,
-                });
-                self.pace(ctx, flow);
-            }
+            // A start timer only wakes the host; `start_due` did the work.
+            KIND_START => {}
             KIND_PACE => self.pace(ctx, flow),
             KIND_RTO => {
                 let Some(s) = self.slot(flow) else {
                     return;
                 };
+                if s.rto_timer.is_some_and(|at| at <= ctx.now()) {
+                    s.rto_timer = None;
+                }
                 let cwnd_before = s.flow.cwnd;
                 let action = s.flow.on_rto(ctx.now());
                 let (cwnd_after, rto_ns) = (s.flow.cwnd, s.flow.rto.as_nanos());
-                let (wire, deadline) = ((s.dst, s.flow.cfg.pkt_size), s.flow.rto_deadline);
+                let wire = (s.dst, s.flow.cfg.pkt_size);
                 if let FlowAction::Send { seq, retx } = action {
                     ctx.metrics(|r| r.inc("fancy_tcp_rto_total", Labels::new()));
                     if ctx.trace_enabled() {
@@ -288,8 +365,8 @@ impl Node for SenderHost {
                         }
                     }
                     self.transmit(ctx, wire, flow, seq, retx);
-                    arm_rto(ctx, flow, deadline);
                 }
+                self.arm_rto(ctx, flow);
             }
             _ => {}
         }
@@ -695,6 +772,96 @@ mod tests {
             net.kernel
                 .schedule_timer_for(a, at, token(KIND_START, u64::MAX >> 2));
         }));
+    }
+
+    #[test]
+    fn replayed_start_token_does_not_restart_a_running_flow() {
+        // Flow 0 has been sending for 10 ms; flow 1 is not due for 5 s. A
+        // start token — replayed, early, or made up — only wakes the
+        // host: flow 0 must not restart from seq 0, flow 1 must not start.
+        assert_undisturbed(run_disturbed(|net, a| {
+            let at = SimTime::ZERO + SimDuration::from_millis(10);
+            for cursor in [0, 1, 2, u64::MAX >> 2] {
+                net.kernel
+                    .schedule_timer_for(a, at, token(KIND_START, cursor));
+            }
+        }));
+    }
+
+    /// `n` lossless 12 Mbps flows of `pkts` packets, all started at 0;
+    /// returns the kernel's timer high-water mark once all completed.
+    fn lossless_timer_high_water(n: u64, pkts: u64) -> u64 {
+        let flows = (0..n)
+            .map(|i| ScheduledFlow {
+                start: SimTime::ZERO,
+                dst: 0x0A000001 + i as u32,
+                cfg: flow_cfg(12_000_000, pkts),
+            })
+            .collect();
+        let (mut net, a, _b) = setup(flows, None);
+        net.run_until(SimTime::ZERO + SimDuration::from_secs(5));
+        let tx: &SenderHost = net.node(a);
+        assert_eq!(tx.stats.completed_flows, n);
+        assert_eq!(tx.stats.retransmissions, 0);
+        net.kernel.telemetry.timer_high_water
+    }
+
+    #[test]
+    fn lossless_flow_keeps_at_most_three_timers_pending() {
+        // One pace timer, one RTO timer, and the start timer before them
+        // — not one RTO timer per packet sent and ACK received.
+        let hw = lossless_timer_high_water(1, 1000);
+        assert!(hw <= 3, "timer high water = {hw}");
+    }
+
+    #[test]
+    fn concurrent_flows_keep_two_timers_each_pending() {
+        for n in [2, 7, 25] {
+            let hw = lossless_timer_high_water(n, 200);
+            assert!(hw <= 2 * n + 1, "{n} flows: timer high water = {hw}");
+        }
+    }
+
+    #[test]
+    fn rto_after_backoff_then_ack_fires_at_ack_time_plus_initial_rto() {
+        // The sender talks into a sink, so the only ACK is the injected
+        // one. First expiry at 200 ms backs the RTO off to 400 ms (timer
+        // pending for 600 ms); the ACK at 300 ms resets it to 200 ms, so
+        // the deadline moves *earlier* than the pending timer, to 500 ms.
+        let flows = vec![ScheduledFlow {
+            start: SimTime::ZERO,
+            dst: 0x0A000001,
+            cfg: flow_cfg(12_000_000, 100),
+        }];
+        let mut net = Network::new(3);
+        let a = net.add_node(Box::new(SenderHost::new(0x01000001, flows)));
+        let sink = net.add_node(Box::new(fancy_sim::SinkNode::default()));
+        net.connect(
+            a,
+            sink,
+            LinkConfig::new(1_000_000_000, SimDuration::from_millis(5)),
+        );
+        let recorder = fancy_sim::SharedRecorder::new(1 << 10);
+        net.kernel.set_tracer(Box::new(recorder.clone()));
+        let ack_at = SimTime::ZERO + SimDuration::from_millis(300);
+        let ack = PacketBuilder::new(9, 1, ACK_SIZE, PacketKind::TcpAck { flow: 0, ack: 1 });
+        net.kernel.inject(a, 0, ack.build(), ack_at);
+        net.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+        let expiries: Vec<(u64, u64)> = recorder
+            .snapshot()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::TcpRto { t, seq, .. } => Some((*t, *seq)),
+                _ => None,
+            })
+            .collect();
+        // To the nanosecond: ack time + initial RTO, then backoff again
+        // from there. The superseded 600 ms timer fires as a no-op.
+        let after_ack = (ack_at + crate::flow::DEFAULT_RTO).as_nanos();
+        assert_eq!(
+            expiries,
+            vec![(200_000_000, 0), (after_ack, 1), (900_000_000, 1)]
+        );
     }
 
     #[test]
