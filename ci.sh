@@ -128,13 +128,19 @@ echo "== multi-failure gate (overlapping gray failures + recovery verifier) =="
 # exits non-zero unless every combo is fully detected, every protected
 # member's recovery contract (latency bound, loss cessation, damping)
 # verifies, and at least one member measured a reroute. The combo
-# outcome records must also be byte-identical at FANCY_SHARDS=1 and 4.
+# outcome records must also be byte-identical at FANCY_SHARDS=1 and 4,
+# and equal to the golden cksum (every per-member verdict, reroute and
+# shard count is in them). After a deliberate change, re-bless: run the
+# cksum below on the m1 dump and write its output over the golden.
 FANCY_SHARDS=1 cargo run -q --release --example isp_backbone -- \
     --switches 12 --fail 2 --multi 2 --combos 2 --dump "$SHARD_DUMP_DIR/m1" >/dev/null
 FANCY_SHARDS=4 cargo run -q --release --example isp_backbone -- \
     --switches 12 --fail 2 --multi 2 --combos 2 --dump "$SHARD_DUMP_DIR/m4" >/dev/null
 cmp "$SHARD_DUMP_DIR/m1.combos.jsonl" "$SHARD_DUMP_DIR/m4.combos.jsonl" \
     || { echo "multi gate: combos.jsonl differs between FANCY_SHARDS=1 and 4"; exit 1; }
+diff -u tests/golden/isp_backbone_combos.sums \
+    <(cd "$SHARD_DUMP_DIR" && cksum m1.combos.jsonl) \
+    || { echo "multi gate: combo outcome bytes moved — re-bless if intended"; exit 1; }
 
 echo "== trace gate (compiled .events replay, byte-identical to in-process) =="
 # Compile one small Table-5 trace, prove the file self-verifies

@@ -24,7 +24,15 @@
 //! side — giving every failed edge its own victim entry so detection,
 //! reroute and recovery verdicts stay attributable per edge.
 //!
-//! [`reroute_latency_bound`]: fancy_apps::reroute_latency_bound
+//! There is one cell runner, and a single failure is a combo of one:
+//! [`run_netwide`] runs each failed edge as `[MultiFault { edge, chaos:
+//! false }]` and reshapes the outcome into an [`EdgeOutcome`]. A
+//! single-failure cell simulates 4 s, a combo cell 5 s. Flight recorders
+//! are installed only when some member is SPIDER-protected, so an
+//! unprotected cell runs with no tracer. Every member is judged alike: it
+//! is `protected` when SPIDER covers its victim entry, and its reroute is
+//! that entry's first `Reroute`.
+//!
 //! Cells are content-addressed: the cache salt folds in the topology and
 //! route fingerprints, so editing the graph (or the route computation)
 //! invalidates exactly the affected sweeps.
@@ -36,9 +44,10 @@
 //! worker-thread count only — the shard layout is fixed by the topology,
 //! so outcomes are byte-identical at every setting and the knob is
 //! folded *out* of the cache key.
+//!
+//! [`reroute_latency_bound`]: fancy_apps::reroute_latency_bound
 
 use fancy_analysis::recovery::{self, RecoveryContract};
-use fancy_analysis::timeline::TimelineReport;
 use fancy_apps::{service_prefix, uniform_pair_flows};
 use fancy_apps::{PairFlow, ScenarioError, ScenarioSpec};
 use fancy_net::mix64;
@@ -148,10 +157,10 @@ pub struct EdgeOutcome {
     pub detection_s: f64,
     /// Detections at any *other* (switch, port) after onset.
     pub cross_talk: u64,
-    /// SPIDER protection was installed for this edge.
+    /// SPIDER protection covers this edge's victim entry.
     pub protected: bool,
-    /// Flight-recorder onset → first rerouted packet, seconds
-    /// (`-1` when not protected or no reroute fired).
+    /// Flight-recorder onset → first reroute of the victim entry,
+    /// seconds (`-1` when not protected or no reroute fired).
     pub reroute_s: f64,
     /// Analytic detect+switch bound, seconds (`-1` when not protected).
     pub bound_s: f64,
@@ -188,20 +197,21 @@ fn encode_shard_stats(rec: &mut Record, stats: &[ShardStats]) {
     }
 }
 
+/// Nothing is pre-allocated from the stored count: a checksum-valid
+/// record claiming 2^40 shards must be a miss, not an allocation abort.
 fn decode_shard_stats(rec: &Record) -> Option<Vec<ShardStats>> {
-    let shards = rec.u64("shards")? as usize;
-    let mut out = Vec::with_capacity(shards);
-    for i in 0..shards {
-        out.push(ShardStats {
-            events: rec.u64(&format!("s{i}_events"))?,
-            sim_nanos: rec.u64(&format!("s{i}_sim_ns"))?,
-            windows: rec.u64(&format!("s{i}_windows"))?,
-            null_windows: rec.u64(&format!("s{i}_null"))?,
-            msgs_sent: rec.u64(&format!("s{i}_tx"))?,
-            msgs_received: rec.u64(&format!("s{i}_rx"))?,
-        });
-    }
-    Some(out)
+    (0..rec.u64("shards")?)
+        .map(|i| {
+            Some(ShardStats {
+                events: rec.u64(&format!("s{i}_events"))?,
+                sim_nanos: rec.u64(&format!("s{i}_sim_ns"))?,
+                windows: rec.u64(&format!("s{i}_windows"))?,
+                null_windows: rec.u64(&format!("s{i}_null"))?,
+                msgs_sent: rec.u64(&format!("s{i}_tx"))?,
+                msgs_received: rec.u64(&format!("s{i}_rx"))?,
+            })
+        })
+        .collect()
 }
 
 /// Read a cell's stored metrics snapshot, refusing one that no longer
@@ -439,6 +449,72 @@ fn crosses_directed(topo: &Topology, routes: &Routes, src: usize, dst: usize, ed
     false
 }
 
+/// Simulated horizon of a single-failure cell ([`run_netwide`]).
+const SINGLE_HORIZON: SimDuration = SimDuration::from_secs(4);
+
+/// Simulated horizon of a multi-failure cell ([`run_netwide_multi`]).
+const COMBO_HORIZON: SimDuration = SimDuration::from_secs(5);
+
+/// What every cell of one sweep shares.
+struct Shared<'a> {
+    topo: &'a Topology,
+    routes: Routes,
+    cfg: &'a NetwideConfig,
+    /// Shard workers for the in-cell executor. Deliberately *not* part
+    /// of the cache salt: the shard layout is a pure function of the
+    /// topology, so every worker count produces byte-identical outcomes
+    /// and can share cache records.
+    workers: usize,
+}
+
+/// The set-up both sweeps share: compute the routes, pick the shard
+/// workers, and run `cell` once per entry of `cells`, cached under a
+/// salt that starts with `tag` (the sweep kind). `unit` names a cell in
+/// the sweep label.
+fn sweep<C, R>(
+    topo: &Topology,
+    cfg: &NetwideConfig,
+    scale: &Scale,
+    seed: u64,
+    (tag, unit): (&str, &str),
+    cells: Vec<C>,
+    cell: impl Fn(&Shared, &C, &CellCtx) -> Result<R, ScenarioError> + Sync,
+) -> Result<Vec<R>, ScenarioError>
+where
+    C: CacheKeyed + Sync,
+    R: Send + CacheCodec,
+{
+    let shared = Shared {
+        topo,
+        routes: Routes::compute(topo)?,
+        cfg,
+        workers: match cfg.shards {
+            0 => BenchEnv::from_env().shards,
+            n => n,
+        },
+    };
+    // Cache invalidation: the graph and its routes are part of the cell
+    // identity — change either and every cell re-runs.
+    let salt = Fingerprint::new()
+        .with(tag)
+        .with(scale)
+        .with(&topo.fingerprint())
+        .with(&shared.routes.fingerprint())
+        .with(&(cfg.per_switch_flows, cfg.rate_bps))
+        .with(&cfg.loss)
+        .with(&cfg.protect);
+
+    let label = format!("{tag} {}sw {}{unit}", topo.len(), cells.len());
+    let mut sweep = Sweep::new(label, cells).seed(seed);
+    if cfg.threads > 0 {
+        sweep = sweep.threads(cfg.threads);
+    }
+    let (outcomes, _report) = sweep
+        .cache_from_env(salt)
+        .try_run_cached(|c, ctx| cell(&shared, c, ctx))?;
+    Ok(outcomes)
+}
+
 /// Run the network-wide sweep over `topo`: one cell per failed edge,
 /// every cell monitoring every edge. Thread-count invariant; cells are
 /// cached under a salt including the topology and route fingerprints.
@@ -448,40 +524,40 @@ pub fn run_netwide(
     scale: &Scale,
     seed: u64,
 ) -> Result<NetwideReport, ScenarioError> {
-    let routes = Routes::compute(topo)?;
     let cells: Vec<usize> = match &cfg.edges {
         Some(list) => list.clone(),
         None => (0..topo.edges.len()).collect(),
     };
-    let n = topo.len();
-    // Shard workers for the in-cell executor. Deliberately *not* part of
-    // the cache salt: the shard layout is a pure function of the
-    // topology, so every worker count produces byte-identical outcomes
-    // and can share cache records.
-    let workers = if cfg.shards == 0 {
-        BenchEnv::from_env().shards
-    } else {
-        cfg.shards
-    };
-    // Cache invalidation: the graph and its routes are part of the cell
-    // identity — change either and every cell re-runs.
-    let salt = Fingerprint::new()
-        .with("netwide")
-        .with(scale)
-        .with(&topo.fingerprint())
-        .with(&routes.fingerprint())
-        .with(&(cfg.per_switch_flows, cfg.rate_bps))
-        .with(&cfg.loss)
-        .with(&cfg.protect);
-
-    let label = format!("netwide {n}sw {}edges", cells.len());
-    let mut sweep = Sweep::new(label, cells).seed(seed);
-    if cfg.threads > 0 {
-        sweep = sweep.threads(cfg.threads);
-    }
-    let (outcomes, _report) = sweep.cache_from_env(salt).try_run_cached(
-        |&edge, ctx| -> Result<EdgeOutcome, ScenarioError> {
-            run_edge_cell(topo, &routes, cfg, edge, ctx, workers)
+    let outcomes = sweep(
+        topo,
+        cfg,
+        scale,
+        seed,
+        ("netwide", "edges"),
+        cells,
+        |shared, &edge, ctx| {
+            let mut o = run_cell(
+                shared,
+                &[MultiFault { edge, chaos: false }],
+                SINGLE_HORIZON,
+                ctx,
+            )?;
+            let e = o.edges.swap_remove(0);
+            Ok(EdgeOutcome {
+                edge,
+                name: e.name,
+                carries_traffic: e.carries_traffic,
+                detected: e.detected,
+                detection_s: e.detection_s,
+                cross_talk: o.cross_talk,
+                protected: e.protected,
+                reroute_s: e.reroute_s,
+                bound_s: e.bound_s,
+                recovery_ok: e.recovery_ok,
+                flaps: e.flaps,
+                metrics_jsonl: o.metrics_jsonl,
+                shard_stats: o.shard_stats,
+            })
         },
     )?;
 
@@ -525,188 +601,6 @@ pub fn run_netwide(
     })
 }
 
-/// One failed-edge cell: build the whole network as a sharded scenario
-/// over the topology's deterministic partition, fail `edge`, observe.
-/// `workers` only chooses how many OS threads drive the shards — every
-/// value yields byte-identical outcomes.
-fn run_edge_cell(
-    topo: &Topology,
-    routes: &Routes,
-    cfg: &NetwideConfig,
-    edge: usize,
-    ctx: &CellCtx,
-    workers: usize,
-) -> Result<EdgeOutcome, ScenarioError> {
-    let seed = ctx.seed;
-    let n = topo.len();
-    let name = topo.edges[edge].name.clone();
-    let Some((src, dst)) = directed_victim(topo, routes, edge) else {
-        return Ok(EdgeOutcome {
-            edge,
-            name,
-            carries_traffic: false,
-            detected: false,
-            detection_s: -1.0,
-            cross_talk: 0,
-            protected: false,
-            reroute_s: -1.0,
-            bound_s: -1.0,
-            recovery_ok: true,
-            flaps: 0,
-            metrics_jsonl: String::new(),
-            shard_stats: Vec::new(),
-        });
-    };
-    let victim = service_prefix(dst);
-    let duration = SimDuration::from_secs(4);
-    let fail_at = SimTime::ZERO + SimDuration::from_secs_f64(1.5);
-
-    // Background mesh plus victim flows that keep the failed edge busy
-    // across the onset (1 s flows, back to back).
-    let mut flows = uniform_pair_flows(n, cfg.per_switch_flows, cfg.rate_bps, 1.0, seed);
-    for k in 0..4u64 {
-        for rep in 0..4u64 {
-            flows.push(PairFlow {
-                src,
-                dst,
-                start: SimTime(
-                    rep * 1_000_000_000 + k * 130_000_000 + (mix64(seed ^ k) % 50_000_000),
-                ),
-                cfg: FlowConfig::for_rate(cfg.rate_bps, 1.0),
-            });
-        }
-    }
-
-    let spec = || {
-        ScenarioSpec::topology(topo.clone())
-            .seed(seed)
-            .high_priority(vec![victim])
-            .pair_flows(flows.clone())
-    };
-    // Protect the failed edge when it has a loop-free alternate; sparse
-    // spots of the graph fall back to detection-only (like real IP-FRR).
-    let (mut sc, protected) = if cfg.protect {
-        match spec().protect(&name).build_sharded() {
-            Ok(sc) => (sc, true),
-            Err(ScenarioError::PathGroup { .. }) => (spec().build_sharded()?, false),
-            Err(e) => return Err(e),
-        }
-    } else {
-        (spec().build_sharded()?, false)
-    };
-
-    // Flight recorders for the reroute chain: one per shard (a shared
-    // sink would interleave nondeterministically under threaded runs);
-    // the streams merge in canonical order after the run.
-    let recorders = protected.then(|| {
-        (0..sc.shard_count())
-            .map(|s| {
-                let r = FlightFilter::default();
-                sc.net.shard_mut(s).kernel.set_tracer(Box::new(r.clone()));
-                r
-            })
-            .collect::<Vec<_>>()
-    });
-    // Metrics plane: one hub per shard for the same reason; the merged
-    // snapshot (counters sum, gauges max, histograms merge, in shard
-    // order) is identical at every worker count. The executor's
-    // `fancy_shard_*` gauges land in these hubs too.
-    let hubs: Vec<MetricsHub> = (0..sc.shard_count())
-        .map(|s| {
-            let hub = MetricsHub::new();
-            sc.net.shard_mut(s).kernel.set_metrics(hub.clone());
-            hub
-        })
-        .collect();
-
-    sc.fail_edge(edge, GrayFailure::single_entry(victim, cfg.loss, fail_at));
-    sc.run_until(SimTime::ZERO + duration, workers);
-
-    let (up_node, up_port) = (topo.edges[edge].a, sc.edges[edge].port_a);
-    let detections = sc.detections();
-    let upstream = detections
-        .iter()
-        .filter(|d| d.time >= fail_at)
-        .find(|d| d.node == up_node && d.port == up_port);
-    let detection_s = upstream
-        .map(|d| d.time.duration_since(fail_at).as_secs_f64())
-        .unwrap_or(-1.0);
-    let cross_talk = detections
-        .iter()
-        .filter(|d| d.time >= fail_at && !(d.node == up_node && d.port == up_port))
-        .count() as u64;
-
-    // Ground-truth onset, the flight recorders' first reroute, and the
-    // recovery verifier's verdict over the merged stream.
-    let onset = sc.first_drop(victim).unwrap_or(fail_at);
-    let (reroute_s, bound_s, recovery_ok, flaps) = match (&recorders, sc.protected.first()) {
-        (Some(rs), Some(p)) => {
-            let events = merge_shard_streams(rs.iter().map(|r| r.snapshot()).collect());
-            let timeline = TimelineReport::from_events(&events);
-            let reroute_s = timeline
-                .first_reroute_ns
-                .map(|t| (t.saturating_sub(onset.0)) as f64 / 1e9)
-                .unwrap_or(-1.0);
-            // The recovery contract only binds when SPIDER actually
-            // covers the victim's prefix — an uncovered destination
-            // (no loop-free alternate, like real IP-FRR on sparse
-            // spots) degrades to detection-only and passes vacuously.
-            let covered = p.backups.iter().any(|(pre, _)| *pre == victim);
-            let (recovery_ok, flaps) = if covered {
-                let mut contract = RecoveryContract::new(
-                    u64::from(victim.0),
-                    p.bound.as_nanos(),
-                    RECOVERY_LOSS_BUDGET_NS,
-                );
-                contract.onset_ns = Some(onset.0);
-                let verdict = recovery::verify(&events, &contract);
-                (verdict.pass(), verdict.flaps)
-            } else {
-                (true, 0)
-            };
-            (reroute_s, p.bound.as_secs_f64(), recovery_ok, flaps)
-        }
-        _ => (-1.0, -1.0, true, 0),
-    };
-
-    // The per-edge series the netwide report aggregates: onset →
-    // upstream detection, keyed by edge name. Shard 0's hub hosts it;
-    // the merged snapshot carries it either way.
-    if let Some(d) = upstream {
-        hubs[0].with(|r| {
-            r.observe(
-                EDGE_DETECTION_METRIC,
-                Labels::new().with("edge", name.clone()),
-                d.time.duration_since(fail_at).as_nanos(),
-            );
-        });
-    }
-
-    // Absorb every shard into the sweep aggregate: telemetry, sim time
-    // and the per-shard metrics hubs (including the `fancy_shard_*`
-    // gauges) surface in the sweep summary, warm or cold — the cache
-    // stores the absorbed stats alongside the result.
-    for s in 0..sc.shard_count() {
-        ctx.absorb(sc.net.shard(s));
-    }
-
-    Ok(EdgeOutcome {
-        edge,
-        name,
-        carries_traffic: true,
-        detected: upstream.is_some(),
-        detection_s,
-        cross_talk,
-        protected,
-        reroute_s,
-        bound_s,
-        recovery_ok,
-        flaps,
-        metrics_jsonl: sc.merged_metrics().to_jsonl(),
-        shard_stats: sc.net.stats().to_vec(),
-    })
-}
-
 /// One member of a multi-failure combination: which edge fails and how.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiFault {
@@ -722,19 +616,6 @@ impl CacheKeyed for MultiFault {
     fn cache_fields(&self, fp: &mut Fingerprint) {
         fp.push_u64(self.edge as u64);
         fp.push_u64(self.chaos as u64);
-    }
-}
-
-/// A set of simultaneous faults — the cell type of [`run_netwide_multi`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Combo(pub Vec<MultiFault>);
-
-impl CacheKeyed for Combo {
-    fn cache_fields(&self, fp: &mut Fingerprint) {
-        fp.push_u64(self.0.len() as u64);
-        for f in &self.0 {
-            f.cache_fields(fp);
-        }
     }
 }
 
@@ -835,25 +716,27 @@ impl CacheCodec for ComboOutcome {
     }
 
     fn decode(rec: &Record) -> Option<Self> {
-        let count = rec.u64("edges")? as usize;
-        let mut edges = Vec::with_capacity(count);
-        for i in 0..count {
-            edges.push(ComboEdge {
-                edge: rec.u64(&format!("e{i}_edge"))? as usize,
-                name: rec.str(&format!("e{i}_name"))?.to_owned(),
-                chaos: rec.u64(&format!("e{i}_chaos"))? != 0,
-                victim_entry: rec.u64(&format!("e{i}_victim"))? as u32,
-                carries_traffic: rec.u64(&format!("e{i}_traffic"))? != 0,
-                detected: rec.u64(&format!("e{i}_detected"))? != 0,
-                detection_s: rec.f64(&format!("e{i}_det_s"))?,
-                protected: rec.u64(&format!("e{i}_protected"))? != 0,
-                reroute_s: rec.f64(&format!("e{i}_reroute_s"))?,
-                bound_s: rec.f64(&format!("e{i}_bound_s"))?,
-                recovery_ok: rec.u64(&format!("e{i}_recovery"))? != 0,
-                flaps: rec.u64(&format!("e{i}_flaps"))?,
-                alarms: rec.u64(&format!("e{i}_alarms"))?,
-            });
-        }
+        // Nothing is pre-allocated from the stored count (see
+        // `decode_shard_stats`).
+        let edges = (0..rec.u64("edges")?)
+            .map(|i| {
+                Some(ComboEdge {
+                    edge: rec.u64(&format!("e{i}_edge"))? as usize,
+                    name: rec.str(&format!("e{i}_name"))?.to_owned(),
+                    chaos: rec.u64(&format!("e{i}_chaos"))? != 0,
+                    victim_entry: rec.u64(&format!("e{i}_victim"))? as u32,
+                    carries_traffic: rec.u64(&format!("e{i}_traffic"))? != 0,
+                    detected: rec.u64(&format!("e{i}_detected"))? != 0,
+                    detection_s: rec.f64(&format!("e{i}_det_s"))?,
+                    protected: rec.u64(&format!("e{i}_protected"))? != 0,
+                    reroute_s: rec.f64(&format!("e{i}_reroute_s"))?,
+                    bound_s: rec.f64(&format!("e{i}_bound_s"))?,
+                    recovery_ok: rec.u64(&format!("e{i}_recovery"))? != 0,
+                    flaps: rec.u64(&format!("e{i}_flaps"))?,
+                    alarms: rec.u64(&format!("e{i}_alarms"))?,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
         Some(ComboOutcome {
             edges,
             cross_talk: rec.u64("cross_talk")?,
@@ -892,31 +775,14 @@ pub fn run_netwide_multi(
     scale: &Scale,
     seed: u64,
 ) -> Result<MultiReport, ScenarioError> {
-    let routes = Routes::compute(topo)?;
-    let workers = if cfg.shards == 0 {
-        BenchEnv::from_env().shards
-    } else {
-        cfg.shards
-    };
-    let cells: Vec<Combo> = combos.iter().cloned().map(Combo).collect();
-    let salt = Fingerprint::new()
-        .with("netwide-multi")
-        .with(scale)
-        .with(&topo.fingerprint())
-        .with(&routes.fingerprint())
-        .with(&(cfg.per_switch_flows, cfg.rate_bps))
-        .with(&cfg.loss)
-        .with(&cfg.protect);
-
-    let label = format!("netwide-multi {}sw {}combos", topo.len(), cells.len());
-    let mut sweep = Sweep::new(label, cells).seed(seed);
-    if cfg.threads > 0 {
-        sweep = sweep.threads(cfg.threads);
-    }
-    let (outcomes, _report) = sweep.cache_from_env(salt).try_run_cached(
-        |combo, ctx| -> Result<ComboOutcome, ScenarioError> {
-            run_combo_cell(topo, &routes, cfg, combo, ctx, workers)
-        },
+    let outcomes = sweep(
+        topo,
+        cfg,
+        scale,
+        seed,
+        ("netwide-multi", "combos"),
+        combos.to_vec(),
+        |shared, combo, ctx| run_cell(shared, combo, COMBO_HORIZON, ctx),
     )?;
 
     let combos_fully_detected = outcomes.iter().filter(|o| o.all_detected()).count();
@@ -956,30 +822,29 @@ fn dark_combo_edge(topo: &Topology, f: &MultiFault) -> ComboEdge {
     }
 }
 
-/// One combo cell: fail every member at the same onset, observe each
-/// member's detection, reroute and recovery verdict on one shared
-/// network. `workers` only chooses the executor thread count.
-fn run_combo_cell(
-    topo: &Topology,
-    routes: &Routes,
-    cfg: &NetwideConfig,
-    combo: &Combo,
+/// The one cell runner: build the whole network as a sharded scenario
+/// over the topology's deterministic partition, fail every member of
+/// `faults` at the same onset, run to `horizon`, and observe each
+/// member's detection, reroute and recovery verdict. A single failure is
+/// the one-member combo. `shared.workers` only chooses how many OS
+/// threads drive the shards — every value yields byte-identical outcomes.
+fn run_cell(
+    shared: &Shared,
+    faults: &[MultiFault],
+    horizon: SimDuration,
     ctx: &CellCtx,
-    workers: usize,
 ) -> Result<ComboOutcome, ScenarioError> {
+    let Shared { topo, cfg, .. } = *shared;
     let seed = ctx.seed;
-    let n = topo.len();
-    let duration = SimDuration::from_secs(5);
     let fail_at = SimTime::ZERO + SimDuration::from_secs_f64(1.5);
 
     // Give every member its own victim pair (and entry), so gray drops,
     // reroutes and verdicts attribute unambiguously per edge.
     let mut taken: HashSet<usize> = HashSet::new();
-    let victims: Vec<Option<(usize, usize)>> = combo
-        .0
+    let victims: Vec<Option<(usize, usize)>> = faults
         .iter()
         .map(|f| {
-            let v = directed_victim_excluding(topo, routes, f.edge, &taken);
+            let v = directed_victim_excluding(topo, &shared.routes, f.edge, &taken);
             if let Some((_, dst)) = v {
                 taken.insert(dst);
             }
@@ -987,7 +852,9 @@ fn run_combo_cell(
         })
         .collect();
 
-    let mut flows = uniform_pair_flows(n, cfg.per_switch_flows, cfg.rate_bps, 1.0, seed);
+    // Background mesh plus, per carrying member, victim flows that keep
+    // the failed edge busy across the onset (1 s flows, back to back).
+    let mut flows = uniform_pair_flows(topo.len(), cfg.per_switch_flows, cfg.rate_bps, 1.0, seed);
     let mut prios = Vec::new();
     for (i, v) in victims.iter().enumerate() {
         let Some((src, dst)) = *v else { continue };
@@ -1010,7 +877,7 @@ fn run_combo_cell(
     if prios.is_empty() {
         // Every member is dark: nothing can be observed.
         return Ok(ComboOutcome {
-            edges: combo.0.iter().map(|f| dark_combo_edge(topo, f)).collect(),
+            edges: faults.iter().map(|f| dark_combo_edge(topo, f)).collect(),
             cross_talk: 0,
             metrics_jsonl: String::new(),
             shard_stats: Vec::new(),
@@ -1022,8 +889,7 @@ fn run_combo_cell(
     // member and the rest keep their protection (like real IP-FRR on a
     // partially protectable graph).
     let mut protect_names: Vec<String> = if cfg.protect {
-        combo
-            .0
+        faults
             .iter()
             .zip(&victims)
             .filter(|(_, v)| v.is_some())
@@ -1045,38 +911,36 @@ fn run_combo_cell(
     let mut sc = loop {
         match spec(&protect_names).build_sharded() {
             Ok(sc) => break sc,
-            Err(ScenarioError::PathGroup {
-                edge,
-                from,
-                to,
-                reason,
-            }) => {
-                let name = &topo.edges[edge].name;
-                let before = protect_names.len();
-                protect_names.retain(|p| p != name);
-                if protect_names.len() == before {
-                    // Not one of ours — surface the real spec error.
-                    return Err(ScenarioError::PathGroup {
-                        edge,
-                        from,
-                        to,
-                        reason,
-                    });
-                }
+            Err(ScenarioError::PathGroup { edge, .. })
+                if protect_names.contains(&topo.edges[edge].name) =>
+            {
+                protect_names.retain(|p| *p != topo.edges[edge].name);
             }
+            // Any other error (a path group not ours included) is real.
             Err(e) => return Err(e),
         }
     };
 
-    // Flight recorders and metrics hubs, one per shard (a shared sink
-    // would interleave nondeterministically under threaded runs).
-    let recorders: Vec<FlightFilter> = (0..sc.shard_count())
+    // Flight recorders for the reroute chain: one per shard (a shared
+    // sink would interleave nondeterministically under threaded runs);
+    // the streams merge in canonical order after the run. Only protected
+    // members read them, so a cell with none runs with no tracer.
+    let traced = if sc.protected.is_empty() {
+        0
+    } else {
+        sc.shard_count()
+    };
+    let recorders: Vec<FlightFilter> = (0..traced)
         .map(|s| {
             let r = FlightFilter::default();
             sc.net.shard_mut(s).kernel.set_tracer(Box::new(r.clone()));
             r
         })
         .collect();
+    // Metrics plane: one hub per shard for the same reason; the merged
+    // snapshot (counters sum, gauges max, histograms merge, in shard
+    // order) is identical at every worker count. The executor's
+    // `fancy_shard_*` gauges land in these hubs too.
     let hubs: Vec<MetricsHub> = (0..sc.shard_count())
         .map(|s| {
             let hub = MetricsHub::new();
@@ -1088,7 +952,7 @@ fn run_combo_cell(
     // Inject every member at the same onset: chaos members get bursty
     // Gilbert–Elliott loss over all data on the edge, gray members a
     // hard per-entry drop on their victim.
-    for (f, v) in combo.0.iter().zip(&victims) {
+    for (f, v) in faults.iter().zip(&victims) {
         let Some((_, dst)) = *v else { continue };
         if f.chaos {
             sc.add_fault_plan(
@@ -1107,104 +971,81 @@ fn run_combo_cell(
         }
     }
 
-    sc.run_until(SimTime::ZERO + duration, workers);
+    sc.run_until(SimTime::ZERO + horizon, shared.workers);
 
     let detections = sc.detections();
     let events = merge_shard_streams(recorders.iter().map(|r| r.snapshot()).collect());
 
-    let mut edges_out = Vec::with_capacity(combo.0.len());
-    for (f, v) in combo.0.iter().zip(&victims) {
+    let mut edges_out = Vec::with_capacity(faults.len());
+    let mut up_set = Vec::with_capacity(faults.len());
+    for (f, v) in faults.iter().zip(&victims) {
+        let mut out = dark_combo_edge(topo, f);
         let Some((_, dst)) = *v else {
-            edges_out.push(dark_combo_edge(topo, f));
+            edges_out.push(out);
             continue;
         };
-        let name = topo.edges[f.edge].name.clone();
         let victim = service_prefix(dst);
-        let (up_node, up_port) = (topo.edges[f.edge].a, sc.edges[f.edge].port_a);
+        out.victim_entry = victim.0;
+        out.carries_traffic = true;
+        let up = (topo.edges[f.edge].a, sc.edges[f.edge].port_a);
+        up_set.push(up);
         let upstream = detections
             .iter()
             .filter(|d| d.time >= fail_at)
-            .find(|d| d.node == up_node && d.port == up_port);
-        let detection_s = upstream
-            .map(|d| d.time.duration_since(fail_at).as_secs_f64())
-            .unwrap_or(-1.0);
+            .find(|d| (d.node, d.port) == up);
         if let Some(d) = upstream {
-            hubs[0].with(|r| {
-                r.observe(
-                    EDGE_DETECTION_METRIC,
-                    Labels::new().with("edge", name.clone()),
-                    d.time.duration_since(fail_at).as_nanos(),
-                );
-            });
+            let latency = d.time.duration_since(fail_at);
+            out.detected = true;
+            out.detection_s = latency.as_secs_f64();
+            // The per-edge series the netwide report aggregates, keyed by
+            // edge name. Shard 0's hub hosts it; the merged snapshot
+            // carries it either way.
+            let labels = Labels::new().with("edge", out.name.clone());
+            hubs[0].with(|r| r.observe(EDGE_DETECTION_METRIC, labels, latency.as_nanos()));
         }
         // Protected means SPIDER actually covers this member's victim:
         // the path group exists *and* installed a backup for its prefix.
-        let prot = sc.protected.iter().find(|p| p.edge == f.edge);
-        let covered = prot
-            .map(|p| p.backups.iter().any(|(pre, _)| *pre == victim))
-            .unwrap_or(false);
-        let (reroute_s, bound_s, recovery_ok, flaps, alarms) = match prot {
-            Some(p) if covered => {
-                let onset = sc.first_drop(victim).unwrap_or(fail_at);
-                let reroute_ns = events
-                    .iter()
-                    .filter_map(|e| match e {
-                        TraceEvent::Reroute { t, entry, .. } if *entry == u64::from(victim.0) => {
-                            Some(*t)
-                        }
-                        _ => None,
-                    })
-                    .min();
-                let reroute_s = reroute_ns
-                    .map(|t| t.saturating_sub(onset.0) as f64 / 1e9)
-                    .unwrap_or(-1.0);
-                let mut contract = RecoveryContract::new(
-                    u64::from(victim.0),
-                    p.bound.as_nanos(),
-                    RECOVERY_LOSS_BUDGET_NS,
-                );
-                contract.onset_ns = Some(onset.0);
-                let verdict = recovery::verify(&events, &contract);
-                (
-                    reroute_s,
-                    p.bound.as_secs_f64(),
-                    verdict.pass(),
-                    verdict.flaps,
-                    verdict.alarms,
-                )
-            }
-            _ => (-1.0, -1.0, true, 0, 0),
-        };
-        edges_out.push(ComboEdge {
-            edge: f.edge,
-            name,
-            chaos: f.chaos,
-            victim_entry: victim.0,
-            carries_traffic: true,
-            detected: upstream.is_some(),
-            detection_s,
-            protected: covered,
-            reroute_s,
-            bound_s,
-            recovery_ok,
-            flaps,
-            alarms,
-        });
+        // An uncovered destination (no loop-free alternate, like real
+        // IP-FRR on sparse spots) degrades to detection-only and passes
+        // the recovery contract vacuously.
+        let covering = sc
+            .protected
+            .iter()
+            .find(|p| p.edge == f.edge)
+            .filter(|p| p.backups.iter().any(|(pre, _)| *pre == victim));
+        if let Some(p) = covering {
+            let entry = u64::from(victim.0);
+            let onset = sc.first_drop(victim).unwrap_or(fail_at);
+            let reroute_ns = events
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Reroute { t, entry: en, .. } if *en == entry => Some(*t),
+                    _ => None,
+                })
+                .min();
+            let mut contract =
+                RecoveryContract::new(entry, p.bound.as_nanos(), RECOVERY_LOSS_BUDGET_NS);
+            contract.onset_ns = Some(onset.0);
+            let verdict = recovery::verify(&events, &contract);
+            out.protected = true;
+            out.reroute_s = reroute_ns.map_or(-1.0, |t| t.saturating_sub(onset.0) as f64 / 1e9);
+            out.bound_s = p.bound.as_secs_f64();
+            out.recovery_ok = verdict.pass();
+            out.flaps = verdict.flaps;
+            out.alarms = verdict.alarms;
+        }
+        edges_out.push(out);
     }
 
     // Cross-talk: detections after onset at no failed edge's upstream.
-    let up_set: Vec<_> = combo
-        .0
-        .iter()
-        .zip(&victims)
-        .filter(|(_, v)| v.is_some())
-        .map(|(f, _)| (topo.edges[f.edge].a, sc.edges[f.edge].port_a))
-        .collect();
     let cross_talk = detections
         .iter()
         .filter(|d| d.time >= fail_at && !up_set.contains(&(d.node, d.port)))
         .count() as u64;
 
+    // Absorb every shard into the sweep aggregate: telemetry, sim time
+    // and the per-shard metrics hubs surface in the sweep summary, warm
+    // or cold — the cache stores the absorbed stats with the result.
     for s in 0..sc.shard_count() {
         ctx.absorb(sc.net.shard(s));
     }
@@ -1441,5 +1282,85 @@ mod tests {
         // Both victim entries are distinct, so verdicts attribute.
         assert_ne!(o.edges[0].victim_entry, o.edges[1].victim_entry);
         assert!(!o.shard_stats.is_empty(), "combo cells run sharded");
+    }
+
+    /// A triangle x–y–z whose x↔z edge (index 2) is slower than the
+    /// two-hop detour through y, so no shortest path uses it: a dark edge.
+    fn triangle_with_dark_edge() -> Topology {
+        let mut b = fancy_topo::TopologyBuilder::new();
+        let [x, y, z] = ["x", "y", "z"].map(|n| b.switch(n).unwrap());
+        let ms = |n| fancy_topo::LinkSpec::new(10_000_000_000, SimDuration::from_millis(n));
+        b.link(x, y, ms(1)).unwrap();
+        b.link(y, z, ms(1)).unwrap();
+        b.link(x, z, ms(5)).unwrap();
+        b.build().unwrap()
+    }
+
+    const DARK: usize = 2;
+
+    #[test]
+    fn dark_edges_report_nothing_and_stay_out_of_coverage() {
+        let topo = triangle_with_dark_edge();
+        let routes = Routes::compute(&topo).unwrap();
+        assert_eq!(directed_victim(&topo, &routes, DARK), None);
+        assert!(directed_victim(&topo, &routes, 0).is_some());
+
+        let cfg = NetwideConfig {
+            edges: Some(vec![DARK]),
+            ..NetwideConfig::default()
+        };
+        let report = run_netwide(&topo, &cfg, &Scale::from_env(), 0xDA4C).unwrap();
+        let o = &report.outcomes[0];
+        assert_eq!((o.edge, o.name.as_str()), (DARK, "x↔z"));
+        assert!(!o.carries_traffic && !o.detected && !o.protected);
+        assert_eq!((o.detection_s, o.reroute_s, o.bound_s), (-1.0, -1.0, -1.0));
+        assert!(o.recovery_ok);
+        assert_eq!((o.cross_talk, o.flaps), (0, 0));
+        assert!(o.metrics_jsonl.is_empty() && o.shard_stats.is_empty());
+        assert_eq!(report.coverage, 1.0);
+        assert_eq!(report.shard_summary(), None);
+
+        // Next to a carrying member, the dark one claims no victim entry
+        // and the carrying one is still detected at its upstream port.
+        let combos = vec![vec![
+            MultiFault {
+                edge: DARK,
+                chaos: false,
+            },
+            MultiFault {
+                edge: 0,
+                chaos: false,
+            },
+        ]];
+        let mr = run_netwide_multi(&topo, &cfg, &combos, &Scale::from_env(), 0xDA4C).unwrap();
+        let [dark, carrying] = &mr.outcomes[0].edges[..] else {
+            panic!("two members: {:?}", mr.outcomes[0].edges);
+        };
+        assert_eq!(dark.victim_entry, 0);
+        assert!(!dark.carries_traffic && !dark.detected);
+        assert!(
+            carrying.carries_traffic && carrying.detected,
+            "{carrying:?}"
+        );
+        assert!(carrying.victim_entry != 0);
+        assert_eq!(mr.combos_fully_detected, 1);
+    }
+
+    #[test]
+    fn unprotected_cells_measure_no_reroute() {
+        let topo = triangle_with_dark_edge();
+        let cfg = NetwideConfig {
+            edges: Some(vec![0]),
+            protect: false,
+            ..NetwideConfig::default()
+        };
+        let report = run_netwide(&topo, &cfg, &Scale::from_env(), 0x4E7).unwrap();
+        let o = &report.outcomes[0];
+        assert!(o.carries_traffic);
+        assert!(!o.protected);
+        assert_eq!((o.reroute_s, o.bound_s), (-1.0, -1.0));
+        assert!(o.recovery_ok);
+        assert_eq!(report.reroutes_measured, 0);
+        assert_eq!(report.recovery_violations, 0);
     }
 }

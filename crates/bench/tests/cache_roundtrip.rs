@@ -11,11 +11,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
-use fancy_bench::cache::{cell_key, CacheCodec, CellCache, Fingerprint};
-use fancy_bench::netwide::{ComboOutcome, EdgeOutcome};
+use fancy_bench::cache::{cell_key, CacheCodec, CellCache, Fingerprint, Record};
+use fancy_bench::netwide::{ComboEdge, ComboOutcome, EdgeOutcome};
 use fancy_bench::runner::{CellCtx, Sweep};
 use fancy_sim::metrics::{Labels, MetricsHub};
-use fancy_sim::{LinkConfig, Network, PacketBuilder, PacketKind, SimDuration, SimTime, SinkNode};
+use fancy_sim::{
+    LinkConfig, Network, PacketBuilder, PacketKind, ShardStats, SimDuration, SimTime, SinkNode,
+};
 
 /// A private scratch directory, wiped at the start of each test so a
 /// previous run's records can't leak in.
@@ -270,53 +272,56 @@ fn corrupt_records_degrade_to_silent_misses() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A checksum-valid record whose stored metrics snapshot no longer
-/// parses (written before a `fancy-metrics` JSONL change, say) must
-/// degrade to a miss that re-executes and heals — never reach the
-/// netwide aggregation and crash it. One shared decode helper guards
-/// both netwide outcome kinds.
-#[test]
-fn mangled_outcome_metrics_degrade_to_a_miss_and_heal() {
-    fn check<R: CacheCodec + Send>(tag: &str, make: impl Fn() -> R + Sync) {
-        let dir = fresh_dir(tag);
-        let store = CellCache::new(&dir);
-        let salt = || Fingerprint::new().with(tag);
-        let executed = AtomicU32::new(0);
-        let run = || {
-            let sweep = Sweep::new(tag, vec![0usize, 1, 2]).seed(9).threads(1);
-            let (_, report) = sweep
-                .cache(store.clone(), salt())
-                .try_run_cached(|_, _| {
-                    executed.fetch_add(1, Ordering::SeqCst);
-                    Ok::<_, Infallible>(make())
-                })
-                .unwrap();
-            (report.cache_hits, report.cache_misses)
-        };
-        assert_eq!(run(), (0, 3));
-        assert_eq!(run(), (3, 0), "intact records must be warm");
-        executed.store(0, Ordering::SeqCst);
+/// Store three cells of `make()`, rewrite cell 1's record with `mangle`
+/// through the store itself (so length and checksum stay valid and only
+/// the payload is bad), and require that record to miss, re-execute and
+/// heal while the other two stay warm.
+fn check_mangled_record_heals<R: CacheCodec + Send>(
+    tag: &str,
+    make: impl Fn() -> R + Sync,
+    mangle: impl Fn(&mut Record),
+) {
+    let dir = fresh_dir(tag);
+    let store = CellCache::new(&dir);
+    let salt = || Fingerprint::new().with(tag);
+    let executed = AtomicU32::new(0);
+    let run = || {
+        let sweep = Sweep::new(tag, vec![0usize, 1, 2]).seed(9).threads(1);
+        let (_, report) = sweep
+            .cache(store.clone(), salt())
+            .try_run_cached(|_, _| {
+                executed.fetch_add(1, Ordering::SeqCst);
+                Ok::<_, Infallible>(make())
+            })
+            .unwrap();
+        (report.cache_hits, report.cache_misses)
+    };
+    assert_eq!(run(), (0, 3));
+    assert_eq!(run(), (3, 0), "intact records must be warm");
+    executed.store(0, Ordering::SeqCst);
 
-        // Rewrite cell 1's record through the store itself, so length
-        // and checksum are valid and only the snapshot is bad.
-        let seed = Sweep::new(tag, vec![(); 3]).seed(9).cell_seed(1);
-        let key = cell_key(&salt(), &1usize, seed);
-        let mut cell = store.load(key).expect("cell 1 was stored");
-        cell.result.put_str("metrics", "{\"kind\":\"sketch\"}\n");
-        assert!(store.store(key, &cell));
+    let seed = Sweep::new(tag, vec![(); 3]).seed(9).cell_seed(1);
+    let key = cell_key(&salt(), &1usize, seed);
+    let mut cell = store.load(key).expect("cell 1 was stored");
+    mangle(&mut cell.result);
+    assert!(store.store(key, &cell));
 
-        assert_eq!(run(), (2, 1), "{tag}: the mangled record must miss");
-        assert_eq!(executed.swap(0, Ordering::SeqCst), 1);
-        assert_eq!(run(), (3, 0), "{tag}: the re-run must heal the record");
-        assert_eq!(executed.swap(0, Ordering::SeqCst), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    assert_eq!(run(), (2, 1), "{tag}: the mangled record must miss");
+    assert_eq!(executed.swap(0, Ordering::SeqCst), 1);
+    assert_eq!(run(), (3, 0), "{tag}: the re-run must heal the record");
+    assert_eq!(executed.swap(0, Ordering::SeqCst), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
+/// A one-member edge outcome and a two-member combo outcome, both with
+/// a parseable metrics snapshot and two shards' statistics.
+fn netwide_outcomes() -> (EdgeOutcome, ComboOutcome) {
     let hub = MetricsHub::new();
     hub.with(|r| r.inc("cells_total", Labels::new()));
     let metrics_jsonl = hub.snapshot().to_jsonl();
     assert!(!metrics_jsonl.is_empty());
-    check("mangled-edge", || EdgeOutcome {
+    let shard_stats = vec![ShardStats::default(); 2];
+    let edge = EdgeOutcome {
         edge: 3,
         name: "e3".into(),
         carries_traffic: true,
@@ -329,12 +334,69 @@ fn mangled_outcome_metrics_degrade_to_a_miss_and_heal() {
         recovery_ok: true,
         flaps: 0,
         metrics_jsonl: metrics_jsonl.clone(),
-        shard_stats: Vec::new(),
-    });
-    check("mangled-combo", || ComboOutcome {
-        edges: Vec::new(),
+        shard_stats: shard_stats.clone(),
+    };
+    let member = |edge: usize| ComboEdge {
+        edge,
+        name: format!("e{edge}"),
+        chaos: edge == 0,
+        victim_entry: 7 + edge as u32,
+        carries_traffic: true,
+        detected: true,
+        detection_s: 0.25,
+        protected: false,
+        reroute_s: -1.0,
+        bound_s: -1.0,
+        recovery_ok: true,
+        flaps: 0,
+        alarms: 0,
+    };
+    let combo = ComboOutcome {
+        edges: vec![member(0), member(4)],
         cross_talk: 0,
-        metrics_jsonl: metrics_jsonl.clone(),
-        shard_stats: Vec::new(),
-    });
+        metrics_jsonl,
+        shard_stats,
+    };
+    (edge, combo)
+}
+
+/// A checksum-valid record whose stored metrics snapshot no longer
+/// parses (written before a `fancy-metrics` JSONL change, say) must
+/// degrade to a miss that re-executes and heals — never reach the
+/// netwide aggregation and crash it. One shared decode helper guards
+/// both netwide outcome kinds.
+#[test]
+fn mangled_outcome_metrics_degrade_to_a_miss_and_heal() {
+    let (edge, combo) = netwide_outcomes();
+    let bad_metrics = |rec: &mut Record| rec.put_str("metrics", "{\"kind\":\"sketch\"}\n");
+    check_mangled_record_heals("mangled-edge", || edge.clone(), bad_metrics);
+    check_mangled_record_heals("mangled-combo", || combo.clone(), bad_metrics);
+}
+
+/// A checksum-valid record whose stored member or shard count is huge
+/// must be a miss that re-runs and heals. Decoding allocates nothing
+/// from the count: a `Vec::with_capacity(2^40)` would abort the
+/// process, which no sweep isolation can catch.
+#[test]
+fn huge_outcome_counts_degrade_to_a_miss_and_heal() {
+    let (edge, combo) = netwide_outcomes();
+    for count in [1u64 << 40, u64::MAX] {
+        let shards = |rec: &mut Record| rec.put_u64("shards", count);
+        let edges = |rec: &mut Record| rec.put_u64("edges", count);
+        check_mangled_record_heals(
+            &format!("huge-edge-shards-{count}"),
+            || edge.clone(),
+            shards,
+        );
+        check_mangled_record_heals(
+            &format!("huge-combo-shards-{count}"),
+            || combo.clone(),
+            shards,
+        );
+        check_mangled_record_heals(
+            &format!("huge-combo-edges-{count}"),
+            || combo.clone(),
+            edges,
+        );
+    }
 }

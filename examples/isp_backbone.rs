@@ -36,7 +36,7 @@ use fancy::prelude::*;
 use fancy_bench::netwide::{
     directed_victim, run_netwide, run_netwide_multi, MultiFault, NetwideConfig,
 };
-use fancy_bench::prelude::{BenchEnv, Scale};
+use fancy_bench::prelude::{BenchEnv, CacheCodec, Record, Scale};
 use fancy_sim::metrics::MetricsHub;
 use fancy_sim::trace::{events_to_jsonl, merge_shard_streams, SharedRecorder};
 
@@ -136,6 +136,19 @@ fn dump_reference_run(
         sc.merged_metrics().to_jsonl(),
     )?;
     Ok(())
+}
+
+/// Outcomes as cache records, one JSONL line each — the bytes the cell
+/// cache stores, dumped for the byte-identity gate.
+fn records<T: CacheCodec>(outcomes: &[T]) -> String {
+    let mut out = String::new();
+    for o in outcomes {
+        let mut rec = Record::default();
+        o.encode(&mut rec);
+        out.push_str(&rec.to_jsonl());
+        out.push('\n');
+    }
+    out
 }
 
 fn main() -> ExitCode {
@@ -362,36 +375,16 @@ fn main() -> ExitCode {
             eprintln!("isp_backbone: dump: {e}");
             return ExitCode::FAILURE;
         }
-        let outcomes: String = report
-            .outcomes
-            .iter()
-            .map(|o| {
-                use fancy_bench::prelude::{CacheCodec, Record};
-                let mut rec = Record::default();
-                o.encode(&mut rec);
-                let mut line = rec.to_jsonl();
-                line.push('\n');
-                line
-            })
-            .collect();
-        if let Err(e) = std::fs::write(format!("{prefix}.outcomes.jsonl"), outcomes) {
+        if let Err(e) = std::fs::write(
+            format!("{prefix}.outcomes.jsonl"),
+            records(&report.outcomes),
+        ) {
             eprintln!("isp_backbone: dump: {e}");
             return ExitCode::FAILURE;
         }
         if let Some(mr) = &multi_report {
-            let combos: String = mr
-                .outcomes
-                .iter()
-                .map(|o| {
-                    use fancy_bench::prelude::{CacheCodec, Record};
-                    let mut rec = Record::default();
-                    o.encode(&mut rec);
-                    let mut line = rec.to_jsonl();
-                    line.push('\n');
-                    line
-                })
-                .collect();
-            if let Err(e) = std::fs::write(format!("{prefix}.combos.jsonl"), combos) {
+            if let Err(e) = std::fs::write(format!("{prefix}.combos.jsonl"), records(&mr.outcomes))
+            {
                 eprintln!("isp_backbone: dump: {e}");
                 return ExitCode::FAILURE;
             }
