@@ -47,7 +47,10 @@ echo "== chaos gate (protocol soak + fault-injected determinism) =="
 # port-level counting at 100%, and recover; plus the isolation check
 # that a panicking + hung cell cannot take down a sweep, and the check
 # that a fault-injected 32-cell sweep is bit-identical across 1 and 8
-# threads (chaos RNG is plan-owned, never scheduling-dependent).
+# threads (chaos RNG is plan-owned, never scheduling-dependent) and to
+# crates/bench/tests/golden/chaos32.golden (duplicated and reordered
+# packets are the arrivals the event queue sorts outside their link's
+# channel; the fixture predates the channels).
 cargo test -q --release -p fancy-core --test chaos_soak --test fsm_chaos
 cargo test -q --release -p fancy-bench --test chaos_determinism --test sweep_isolation
 
@@ -77,14 +80,22 @@ echo "== network-wide gate (small ISP backbone, FANcY on every edge) =="
 # determinism test pins 1-thread == 8-thread per-edge outcomes.
 cargo run -q --release --example isp_backbone -- --switches 12 --fail 4
 cargo test -q --release -p fancy-bench --test netwide_determinism
-# Malformed CLI input is a usage error (exit 2), never a panic.
-BAD_ARG_RC=0
-BAD_ARG_ERR="$(cargo run -q --release --example isp_backbone -- --switches x 2>&1 >/dev/null)" \
-    || BAD_ARG_RC=$?
-if [ "$BAD_ARG_RC" -ne 2 ] || grep -q panicked <<<"$BAD_ARG_ERR"; then
-    echo "netwide gate: '--switches x' must exit 2 without panicking (exit $BAD_ARG_RC): $BAD_ARG_ERR"
-    exit 1
-fi
+# Malformed CLI input is a usage error (exit 2), never a panic; so is a
+# flag missing its path. An input file that cannot be read is a plain
+# failure (exit 1) with the I/O error, never a panic.
+expect_exit() { # expect_exit CODE EXAMPLE ARGS...
+    local want=$1 rc=0 err
+    shift
+    err="$(cargo run -q --release --example "$@" 2>&1 >/dev/null)" || rc=$?
+    if [ "$rc" -ne "$want" ] || grep -q panicked <<<"$err"; then
+        echo "negative smoke: '$*' must exit $want without panicking (exit $rc): $err"
+        exit 1
+    fi
+}
+expect_exit 2 isp_backbone -- --switches x
+expect_exit 2 metrics_report -- --golden
+expect_exit 2 metrics_report -- --write-golden
+expect_exit 1 trace_compile -- verify --file /nonexistent/missing.events
 
 echo "== shard gate (conservative-parallel DES, FANCY_SHARDS byte-identity) =="
 # The same 12-switch netwide runs sharded in every cell; the shard

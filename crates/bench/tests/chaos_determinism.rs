@@ -5,10 +5,21 @@
 //! telemetry across a hand-rolled serial loop, a 1-thread sweep and an
 //! 8-thread sweep. The chaos RNG lives inside the plan, seeded from the
 //! cell seed — never from scheduling.
+//!
+//! Duplicated and reordered packets are exactly the arrivals the event
+//! queue cannot file in their link's channel, so the same sweep is also
+//! pinned to `tests/golden/chaos32.golden`: per cell, the trace's length
+//! and FNV-1a-64 plus the chaos and detection counters, generated before
+//! the per-link arrival channels existed. Regenerate (only for an
+//! intentional behaviour change) with
+//! `FANCY_BLESS=1 cargo test -p fancy-bench --test chaos_determinism`.
+
+use std::fmt::Write as _;
+use std::path::Path;
 
 use fancy_apps::{ScenarioError, ScenarioSpec};
 use fancy_bench::runner::{CellCtx, Sweep};
-use fancy_net::Prefix;
+use fancy_net::{fnv1a64, Prefix};
 use fancy_sim::{
     FaultPlan, FaultStage, FaultTarget, GrayFailure, SharedRecorder, SimDuration, SimTime,
 };
@@ -94,6 +105,26 @@ fn run_cell(ctx: &CellCtx) -> Result<Signature, ScenarioError> {
     })
 }
 
+/// One line per cell: everything the golden pins.
+fn render(cells: &[Signature]) -> String {
+    let mut out = String::new();
+    for (i, s) in cells.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "cell {i:04} len={} fnv={:016x} drops={} dups={} reorders={} ctl={} gray={} det={}",
+            s.trace.len(),
+            fnv1a64(s.trace.as_bytes()),
+            s.chaos_drops,
+            s.chaos_dups,
+            s.chaos_reorders,
+            s.chaos_control_faults,
+            s.gray_drops,
+            s.detections,
+        );
+    }
+    out
+}
+
 #[test]
 fn fault_injected_sweep_is_bit_identical_across_thread_counts() -> Result<(), ScenarioError> {
     let sweep = Sweep::new("chaos-determinism", (0..CELLS).collect::<Vec<usize>>()).seed(BASE_SEED);
@@ -146,5 +177,29 @@ fn fault_injected_sweep_is_bit_identical_across_thread_counts() -> Result<(), Sc
     assert_eq!(report1.telemetry, report8.telemetry);
     assert!(report1.telemetry.chaos_drops > 0);
     assert!(report1.summary().contains("chaos"));
+
+    // And it is the parent's: the reorder and duplicate schedules are
+    // checked against a fixed fixture, not only against themselves.
+    let rendered = render(&reference);
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/chaos32.golden");
+    if std::env::var("FANCY_BLESS").is_ok() {
+        std::fs::write(&path, &rendered).expect("write golden fixture");
+        eprintln!("blessed {} ({} bytes)", path.display(), rendered.len());
+        return Ok(());
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); generate with FANCY_BLESS=1",
+            path.display()
+        )
+    });
+    for (n, (got, want)) in rendered.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "chaos golden: line {} moved", n + 1);
+    }
+    assert_eq!(
+        rendered.lines().count(),
+        golden.lines().count(),
+        "chaos golden: cell count differs"
+    );
     Ok(())
 }

@@ -411,7 +411,10 @@ impl Kernel {
 
     /// Put a pooled, admitted packet on the wire. Applies gray failures
     /// and, if the packet survives, schedules its arrival at the peer
-    /// after the propagation delay — by ref; the packet never moves.
+    /// after the propagation delay — by ref; the packet never moves. The
+    /// arrival goes on the direction's queue channel: departures never
+    /// run backwards and the delay is constant, so only a chaos-delayed
+    /// packet's successors ever miss the channel's order.
     fn wire_pooled(&mut self, r: PacketRef, adm: Admission) {
         // Gray failures act on the wire, at the packet's departure time.
         let when = adm.departure_end;
@@ -426,7 +429,7 @@ impl Kernel {
             pkt.kind,
             PacketKind::FancyControl(_) | PacketKind::NetSeerNack { .. }
         );
-        let (peer, peer_port, delay, remote);
+        let (delay, remote);
         {
             let link = &mut self.links[adm.link];
             remote = link.remote;
@@ -459,7 +462,6 @@ impl Kernel {
                     dir.tx_bytes += size;
                 }
             }
-            (peer, peer_port) = link.peer(adm.dir);
             delay = link.cfg.delay;
         }
         self.records.wire_packets += 1;
@@ -534,6 +536,7 @@ impl Kernel {
             });
         }
         let arrive = when + delay;
+        let chan = 2 * adm.link + adm.dir;
         if verdict.duplicate {
             // A wire duplicate: the copy keeps the original's uid (it is
             // the same packet twice, as a downstream dedup would see it)
@@ -546,7 +549,7 @@ impl Kernel {
                 Some(re) => self.outbox_push(arrive, re, copy),
                 None => {
                     let r2 = self.pool.insert(copy);
-                    self.queue.push_arrival(arrive, peer, peer_port, r2);
+                    self.queue.push_arrival_on(arrive, chan, r2);
                 }
             }
             self.telemetry.packets_forwarded += 1;
@@ -593,7 +596,7 @@ impl Kernel {
                 let pkt = self.pool.remove(r);
                 self.outbox_push(arrive, re, pkt);
             }
-            None => self.queue.push_arrival(arrive, peer, peer_port, r),
+            None => self.queue.push_arrival_on(arrive, chan, r),
         }
     }
 
@@ -810,10 +813,22 @@ impl Kernel {
         }
         let pa = self.ports[a].len();
         let pb = self.ports[b].len();
-        let id = self.links.len();
-        self.links.push(Link::new(cfg, (a, pa), (b, pb)));
+        let id = self.add_link(Link::new(cfg, (a, pa), (b, pb)));
         self.ports[a].push((id, 0));
         self.ports[b].push((id, 1));
+        id
+    }
+
+    /// Install `link` and open the arrival channels of its two
+    /// directions, `2·id` and `2·id + 1` (see [`Kernel::wire_pooled`]).
+    fn add_link(&mut self, link: Link) -> LinkId {
+        let id = self.links.len();
+        for dir in 0..2 {
+            let (node, port) = link.peer(dir);
+            let chan = self.queue.open_channel(node, port);
+            debug_assert_eq!(chan, 2 * id + dir);
+        }
+        self.links.push(link);
         id
     }
 
@@ -832,8 +847,7 @@ impl Kernel {
             self.ports.push(Vec::new());
         }
         let pa = self.ports[a].len();
-        let id = self.links.len();
-        self.links.push(Link::new_remote(cfg, (a, pa), remote));
+        let id = self.add_link(Link::new_remote(cfg, (a, pa), remote));
         self.ports[a].push((id, 0));
         id
     }

@@ -161,6 +161,8 @@ impl Network {
             self.kernel.telemetry.pool_high_water = pool_hw;
         }
         self.kernel.telemetry.pool_recycled = self.kernel.pool.recycled();
+        #[cfg(debug_assertions)]
+        self.kernel.queue.audit();
         self.kernel.wall_elapsed += wall_start.elapsed();
         if let Some(mut sink) = self.kernel.sink.take() {
             sink.record(&self.kernel.telemetry_snapshot());

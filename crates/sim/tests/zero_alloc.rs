@@ -1,7 +1,8 @@
 //! The warm scheduler/pool path performs zero heap allocations per
-//! event: once the two lane heaps have grown to the standing backlog
-//! and the packet slab's free list is populated, pool check-in → push →
-//! pop → check-out touches the allocator not at all. And an idle queue
+//! event: once the two lane heaps and the channel arena have grown to
+//! the standing backlog and the packet slab's free list is populated,
+//! pool check-in → push → pop → check-out touches the allocator not at
+//! all. And an idle queue
 //! costs nothing: construction allocates only on the first push.
 //! Measured with a counting `#[global_allocator]`, not asserted from
 //! inspection.
@@ -9,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fancy_sim::event::{Event, EventQueue};
+use fancy_sim::event::{ChannelId, Event, EventQueue};
 use fancy_sim::pool::PacketPool;
 use fancy_sim::{Network, PacketBuilder, PacketKind, SimTime};
 
@@ -40,15 +41,28 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// One steady-state scheduler cycle: check a packet into the slab,
-/// schedule its arrival plus a timer, pop both, check the packet out.
-/// `t` advances 10 µs per call, like a real run's clock.
-fn scheduler_cycle(q: &mut EventQueue, pool: &mut PacketPool, t: &mut u64, i: u64) {
-    let mut pkt =
-        PacketBuilder::new(1, 0x0A00_0001, 1500, PacketKind::Udp { flow: 0, seq: i }).build();
-    pkt.uid = i + 1;
-    let r = pool.insert(pkt);
-    q.push_arrival(SimTime(*t), 0, 0, r);
+/// One steady-state scheduler cycle: check three packets into the slab,
+/// schedule one plain arrival, two on `chan` (the second waits behind
+/// the first, in the arena) and a timer, pop all four, check the
+/// packets out. `t` advances 10 µs per call, like a real run's clock.
+fn scheduler_cycle(
+    q: &mut EventQueue,
+    chan: ChannelId,
+    pool: &mut PacketPool,
+    t: &mut u64,
+    i: u64,
+) {
+    let mut packet = |n: u64| {
+        let seq = 3 * i + n;
+        let mut pkt =
+            PacketBuilder::new(1, 0x0A00_0001, 1500, PacketKind::Udp { flow: 0, seq }).build();
+        pkt.uid = seq + 1;
+        pool.insert(pkt)
+    };
+    let (r0, r1, r2) = (packet(0), packet(1), packet(2));
+    q.push_arrival(SimTime(*t), 0, 0, r0);
+    q.push_arrival_on(SimTime(*t), chan, r1);
+    q.push_arrival_on(SimTime(*t + 1_000), chan, r2);
     q.push_timer(SimTime(*t), 0, i);
     while let Some((_, ev)) = q.pop() {
         if let Event::Arrival { pkt, .. } = ev {
@@ -61,18 +75,19 @@ fn scheduler_cycle(q: &mut EventQueue, pool: &mut PacketPool, t: &mut u64, i: u6
 #[test]
 fn warm_scheduler_and_pool_path_never_allocates() {
     let mut q = EventQueue::new();
+    let chan = q.open_channel(1, 0);
     let mut pool = PacketPool::new();
     let mut t = 0u64;
-    // Warm-up: the first cycle sizes both lane heaps and the slab for
-    // this backlog (one arrival + one timer); the rest only show that
-    // nothing grows afterwards.
+    // Warm-up: the first cycle sizes both lane heaps, the arena and the
+    // slab for this backlog (two heap arrivals, one queued behind, one
+    // timer); the rest only show that nothing grows afterwards.
     for i in 0..8_192 {
-        scheduler_cycle(&mut q, &mut pool, &mut t, i);
+        scheduler_cycle(&mut q, chan, &mut pool, &mut t, i);
     }
     let before = ALLOCS.with(Cell::get);
     assert!(before > 0, "counter is dead: warm-up must have allocated");
-    for i in 0..1_000_000 {
-        scheduler_cycle(&mut q, &mut pool, &mut t, i);
+    for i in 8_192..508_192 {
+        scheduler_cycle(&mut q, chan, &mut pool, &mut t, i);
     }
     let allocs = ALLOCS.with(Cell::get) - before;
     assert_eq!(

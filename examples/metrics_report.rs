@@ -21,7 +21,8 @@
 //!
 //! `--golden` diffs the Prometheus text against the committed file and
 //! exits non-zero on any drift (schema-drift guard, same spirit as the
-//! `trace_report` self-test).
+//! `trace_report` self-test). A flag without its path is a usage error
+//! (exit 2), caught before the scenario runs.
 
 use std::process::ExitCode;
 
@@ -30,17 +31,30 @@ use fancy::prelude::*;
 use fancy::sim::scrape::DEFAULT_SCRAPE_INTERVAL;
 use fancy_bench::netwide::directed_victim;
 
-fn flag(name: &str) -> Option<String> {
+const USAGE: &str = "usage: metrics_report [--golden PATH | --write-golden PATH]";
+
+/// The path following `name` on the command line, if `name` is given.
+fn flag(name: &str) -> Result<Option<String>, String> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == name {
-            return Some(args.next().unwrap_or_else(|| panic!("{name} needs a path")));
+            return args
+                .next()
+                .map(Some)
+                .ok_or_else(|| format!("{name} needs a path"));
         }
     }
-    None
+    Ok(None)
 }
 
 fn main() -> ExitCode {
+    let (golden, write_golden) = match (flag("--golden"), flag("--write-golden")) {
+        (Ok(golden), Ok(write)) => (golden, write),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("metrics_report: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let seed = 0x5EED_u64;
     let topo = isp_backbone(6, seed).expect("backbone generation");
     let routes = Routes::compute(&topo).expect("route computation");
@@ -121,7 +135,7 @@ fn main() -> ExitCode {
     let snap = hub.snapshot();
     let prom = snap.to_prometheus();
 
-    match (flag("--golden"), flag("--write-golden")) {
+    match (golden, write_golden) {
         (Some(path), _) => {
             let want = match std::fs::read_to_string(&path) {
                 Ok(s) => s,

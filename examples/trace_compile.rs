@@ -111,14 +111,19 @@ fn cmd_compile() -> ExitCode {
     }
 }
 
-fn open_file_flag() -> Result<(PathBuf, EventsReader), ExitCode> {
+/// The `--file` path, its bytes (read once) and the frame they hold.
+fn open_file_flag() -> Result<(PathBuf, Vec<u8>, EventsReader), ExitCode> {
     let Some(path) = flag("--file") else {
         eprintln!("trace_compile: --file <path.events> is required");
         return Err(ExitCode::FAILURE);
     };
     let path = PathBuf::from(path);
-    match EventsReader::open(&path) {
-        Ok(r) => Ok((path, r)),
+    let bytes = std::fs::read(&path).map_err(|e| {
+        eprintln!("trace_compile: cannot read {}: {e}", path.display());
+        ExitCode::FAILURE
+    })?;
+    match EventsReader::from_bytes(bytes.clone()) {
+        Ok(r) => Ok((path, bytes, r)),
         Err(e) => {
             eprintln!("trace_compile: {e}");
             Err(ExitCode::FAILURE)
@@ -127,7 +132,7 @@ fn open_file_flag() -> Result<(PathBuf, EventsReader), ExitCode> {
 }
 
 fn cmd_inspect() -> ExitCode {
-    let (path, r) = match open_file_flag() {
+    let (path, _, r) = match open_file_flag() {
         Ok(v) => v,
         Err(code) => return code,
     };
@@ -156,7 +161,7 @@ fn cmd_inspect() -> ExitCode {
 }
 
 fn cmd_verify() -> ExitCode {
-    let (path, r) = match open_file_flag() {
+    let (path, on_disk, r) = match open_file_flag() {
         Ok(v) => v,
         Err(code) => return code,
     };
@@ -169,7 +174,6 @@ fn cmd_verify() -> ExitCode {
     }
     let resynth = synthesize(r.spec(), r.duration(), scale, r.seed());
     let frame = encode(&resynth).expect("synthesized traces encode");
-    let on_disk = std::fs::read(&path).expect("file was readable a moment ago");
     if frame == on_disk {
         println!(
             "verify OK: {} reproduces bit-for-bit from (trace {}, scale {scale}, seed {:#x}, {})",
