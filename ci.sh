@@ -95,6 +95,9 @@ expect_exit() { # expect_exit CODE EXAMPLE ARGS...
 expect_exit 2 isp_backbone -- --switches x
 expect_exit 2 metrics_report -- --golden
 expect_exit 2 metrics_report -- --write-golden
+expect_exit 2 trace_compile -- compile --scale
+expect_exit 2 trace_compile -- compile --scale abc
+expect_exit 2 trace_compile -- compile --scale 2
 expect_exit 1 trace_compile -- verify --file /nonexistent/missing.events
 
 echo "== shard gate (conservative-parallel DES, FANCY_SHARDS byte-identity) =="

@@ -22,6 +22,10 @@
 //! `FANCY_THREADS`, and `FANCY_CACHE_DIR` like every other harness, and
 //! prints how many in-process synthesis runs the sweep needed — 0 on a
 //! warm trace directory.
+//!
+//! A malformed command line (unknown subcommand, a missing flag or value,
+//! an unparsable or out-of-range number) prints usage and exits 2; a file
+//! that cannot be read or written, or fails validation, exits 1.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -33,62 +37,72 @@ use fancy_sim::SimDuration;
 use fancy_traffic::events::compile;
 use fancy_traffic::{encode, paper_traces, synthesis_count, synthesize, EventsReader};
 
-fn flag(name: &str) -> Option<String> {
+const USAGE: &str = "usage: trace_compile compile [--trace 1-4] [--scale (0,1]] [--secs S] \
+                     [--seed N] [--out FILE | --dir DIR]
+       trace_compile inspect --file FILE.events
+       trace_compile verify --file FILE.events
+       trace_compile smoke [--dump FILE]";
+
+/// The value following `name` on the command line, if `name` is given.
+fn flag(name: &str) -> Result<Option<String>, String> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == name {
-            return Some(
-                args.next()
-                    .unwrap_or_else(|| panic!("{name} needs a value")),
-            );
+            return args
+                .next()
+                .map(Some)
+                .ok_or_else(|| format!("{name} needs a value"));
         }
     }
-    None
+    Ok(None)
 }
 
-fn parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    flag(name)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{name}: cannot parse {v:?}"))
-        })
-        .unwrap_or(default)
+fn parse<T: std::str::FromStr>(name: &str, default: T) -> Result<T, String> {
+    match flag(name)? {
+        Some(v) => v.parse().map_err(|_| format!("{name}: cannot parse {v:?}")),
+        None => Ok(default),
+    }
 }
 
+/// Each subcommand returns `Err` for a malformed command line (usage,
+/// exit 2) and `Ok` with its exit code otherwise.
 fn main() -> ExitCode {
     let cmd = std::env::args().nth(1).unwrap_or_default();
-    match cmd.as_str() {
+    let run = match cmd.as_str() {
         "compile" => cmd_compile(),
         "inspect" => cmd_inspect(),
         "verify" => cmd_verify(),
         "smoke" => cmd_smoke(),
-        other => {
-            eprintln!(
-                "trace_compile: unknown subcommand {other:?} \
-                 (expected compile | inspect | verify | smoke)"
-            );
-            ExitCode::FAILURE
-        }
-    }
+        other => Err(format!("unknown subcommand {other:?}")),
+    };
+    run.unwrap_or_else(|e| {
+        eprintln!("trace_compile: {e}\n{USAGE}");
+        ExitCode::from(2)
+    })
 }
 
-fn cmd_compile() -> ExitCode {
-    let id: u8 = parse("--trace", 1);
-    let scale: f64 = parse("--scale", 0.004);
-    let secs: f64 = parse("--secs", 6.0);
-    let seed: u64 = parse("--seed", 7);
+fn cmd_compile() -> Result<ExitCode, String> {
+    let id: u8 = parse("--trace", 1)?;
+    let scale: f64 = parse("--scale", 0.004)?;
+    let secs: f64 = parse("--secs", 6.0)?;
+    let seed: u64 = parse("--seed", 7)?;
     let Some(spec) = paper_traces().into_iter().find(|t| t.id == id) else {
-        eprintln!("trace_compile: no Table-5 trace with id {id} (expected 1-4)");
-        return ExitCode::FAILURE;
+        return Err(format!("no Table-5 trace with id {id} (expected 1-4)"));
     };
+    if !(scale > 0.0 && scale <= 1.0) {
+        return Err(format!("--scale must be in (0, 1], got {scale}"));
+    }
+    if !(secs.is_finite() && secs > 0.0) {
+        return Err(format!("--secs must be a positive number, got {secs}"));
+    }
     let duration = SimDuration::from_secs_f64(secs);
-    let path = match flag("--out") {
+    let path = match flag("--out")? {
         Some(p) => PathBuf::from(p),
-        None => PathBuf::from(flag("--dir").unwrap_or_else(|| ".".into()))
+        None => PathBuf::from(flag("--dir")?.unwrap_or_else(|| ".".into()))
             .join(trace_file_name(&spec, duration, scale, seed)),
     };
     let trace = synthesize(spec, duration, scale, seed);
-    match compile(&trace, &path) {
+    Ok(match compile(&trace, &path) {
         Ok(c) => {
             println!(
                 "compiled trace {id} ({}) at scale {scale} over {secs}s, seed {seed}:",
@@ -108,22 +122,23 @@ fn cmd_compile() -> ExitCode {
             eprintln!("trace_compile: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
-/// The `--file` path, its bytes (read once) and the frame they hold.
-fn open_file_flag() -> Result<(PathBuf, Vec<u8>, EventsReader), ExitCode> {
-    let Some(path) = flag("--file") else {
-        eprintln!("trace_compile: --file <path.events> is required");
-        return Err(ExitCode::FAILURE);
-    };
-    let path = PathBuf::from(path);
-    let bytes = std::fs::read(&path).map_err(|e| {
+/// The `--file` path (`Err` when it is not given).
+fn file_flag() -> Result<PathBuf, String> {
+    let path = flag("--file")?.ok_or("--file <path.events> is required")?;
+    Ok(PathBuf::from(path))
+}
+
+/// `path`'s bytes (read once) and the frame they hold.
+fn open_events(path: &Path) -> Result<(Vec<u8>, EventsReader), ExitCode> {
+    let bytes = std::fs::read(path).map_err(|e| {
         eprintln!("trace_compile: cannot read {}: {e}", path.display());
         ExitCode::FAILURE
     })?;
     match EventsReader::from_bytes(bytes.clone()) {
-        Ok(r) => Ok((path, bytes, r)),
+        Ok(r) => Ok((bytes, r)),
         Err(e) => {
             eprintln!("trace_compile: {e}");
             Err(ExitCode::FAILURE)
@@ -131,10 +146,11 @@ fn open_file_flag() -> Result<(PathBuf, Vec<u8>, EventsReader), ExitCode> {
     }
 }
 
-fn cmd_inspect() -> ExitCode {
-    let (path, _, r) = match open_file_flag() {
+fn cmd_inspect() -> Result<ExitCode, String> {
+    let path = file_flag()?;
+    let (_, r) = match open_events(&path) {
         Ok(v) => v,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
     let spec = r.spec();
     println!("{} — valid .events frame", path.display());
@@ -157,24 +173,25 @@ fn cmd_inspect() -> ExitCode {
         r.file_len(),
         r.checksum()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_verify() -> ExitCode {
-    let (path, on_disk, r) = match open_file_flag() {
+fn cmd_verify() -> Result<ExitCode, String> {
+    let path = file_flag()?;
+    let (on_disk, r) = match open_events(&path) {
         Ok(v) => v,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
     // synthesize() rejects scales outside (0, 1] with a panic; a frame
     // claiming one cannot have come from our synthesizer.
     let scale = r.scale();
     if !(scale > 0.0 && scale <= 1.0) {
         eprintln!("verify FAILED: stored scale {scale} is outside (0, 1]");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     let resynth = synthesize(r.spec(), r.duration(), scale, r.seed());
     let frame = encode(&resynth).expect("synthesized traces encode");
-    if frame == on_disk {
+    Ok(if frame == on_disk {
         println!(
             "verify OK: {} reproduces bit-for-bit from (trace {}, scale {scale}, seed {:#x}, {})",
             path.display(),
@@ -192,7 +209,7 @@ fn cmd_verify() -> ExitCode {
             on_disk.len()
         );
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// Dump rows as bit-exact JSONL: floats travel as `f64::to_bits`, so
@@ -214,7 +231,8 @@ fn rows_to_jsonl(rows: &[Table3Row]) -> String {
     out
 }
 
-fn cmd_smoke() -> ExitCode {
+fn cmd_smoke() -> Result<ExitCode, String> {
+    let dump = flag("--dump")?;
     // Fixed tiny scale and loss subset: the gate wants a fast,
     // deterministic fingerprint of the Table 3 path, not the table.
     let scale = Scale {
@@ -233,7 +251,7 @@ fn cmd_smoke() -> ExitCode {
         Ok(rows) => rows,
         Err(e) => {
             eprintln!("trace_compile smoke: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let synth_runs = synthesis_count() - synth_before;
@@ -246,15 +264,15 @@ fn cmd_smoke() -> ExitCode {
     );
 
     let jsonl = rows_to_jsonl(&rows);
-    match flag("--dump") {
+    match dump {
         Some(path) => {
             if let Err(e) = std::fs::write(&path, &jsonl) {
                 eprintln!("trace_compile smoke: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             eprintln!("smoke: wrote {} bytes to {path}", jsonl.len());
         }
         None => print!("{jsonl}"),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
