@@ -17,8 +17,12 @@
 //!   pipelining and split-k parallel exploration (§4.2, Fig. 6);
 //! * [`output`] — the 1-bit flag array and the 2-register Bloom filter that
 //!   applications consult at line rate (§4.3);
-//! * [`switch`] — the full FANcY switch as a simulator node, including the
-//!   fast-reroute application hook (§6.1).
+//! * [`switch`] — the FANcY switch as a simulator node: the paper's
+//!   pipeline (ingress count → FIB → steer → TM → egress count and tag)
+//!   driving one sender and one receiver FSM per counting instance
+//!   through one step function per role; its failover layer (fast-reroute
+//!   backup chains, cascaded failover, reroute damping, §6.1) is the
+//!   `switch::failover` child module.
 //!
 //! ## Quick start
 //!

@@ -73,7 +73,7 @@ impl Harness {
             }
         }
         // The switch reopens an idle sender with no pending timer (the
-        // post-Deliver path of `drive_sender`); mirror it here so "idle
+        // post-Deliver path of `step_sender`); mirror it here so "idle
         // forever" can only mean a real protocol deadlock.
         if self.sender.state == SenderState::Idle && self.sender_timer.is_none() {
             let actions = self.sender.open();
