@@ -39,6 +39,6 @@ pub mod uniform;
 pub mod prelude {
     pub use crate::cache::{CacheCodec, CacheKeyed, CellCache, Fingerprint, Record};
     pub use crate::env::{BenchEnv, Scale};
-    pub use crate::runner::{CellCtx, CellFailure, FailedCell, Sweep, SweepError, SweepReport};
+    pub use crate::runner::{CellCtx, Sweep, SweepError, SweepReport};
     pub use crate::tracefile::{load_or_compile, TraceHandle, TraceProvenance};
 }

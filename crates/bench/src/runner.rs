@@ -2,12 +2,13 @@
 //!
 //! A [`Sweep`] fans a list of independent simulation *cells* (one cell =
 //! one self-contained set of runs, e.g. a heatmap pixel) across worker
-//! threads. Every entry point runs on the same private *cell board*:
-//! per cell a lifecycle word (state + attempt count) and a result slot,
-//! plus one work queue and one failure list. One `worker()` loop pulls
-//! cells off the queue (slow cells never stall the rest of the grid),
-//! and one `finish()` turns the settled board into results and a
-//! [`SweepReport`]. Five properties make sweeps safe for paper results:
+//! threads. There is one executor, a private *cell board*: per cell one
+//! result slot, plus one atomic counter handing out cell indices. Scoped
+//! workers (or the caller alone, at one thread) run one `worker()` loop
+//! that takes the next index (slow cells never stall the rest of the
+//! grid) and calls the cell function exactly once, and one `finish()`
+//! turns the filled slots into results and a [`SweepReport`]. Five
+//! properties make sweeps safe for paper results:
 //!
 //! 1. **Deterministic seeding.** Every cell's RNG seed is
 //!    [`Sweep::cell_seed`] of its *index* — never of the thread that
@@ -17,19 +18,18 @@
 //!    slot owned by the cell index, so the output order is the input
 //!    order regardless of completion order.
 //! 3. **Observational telemetry, committed once, in index order.**
-//!    Each attempt buffers its kernel counters, metrics and timed spans
-//!    privately and publishes the buffer with its result. `finish()`
-//!    folds exactly one buffer per completed cell, walking cells by
-//!    index — so a panicked, superseded, or watchdog-abandoned attempt
-//!    contributes nothing, and every report field (phase label order
-//!    included) is scheduling-independent.
+//!    Each cell call buffers its kernel counters, metrics and timed spans
+//!    privately, and the buffer lands in the cell's slot with its result.
+//!    `finish()` folds exactly one buffer per completed cell, walking
+//!    cells by index — so a panicked call contributes nothing, and every
+//!    report field (phase label order included) is
+//!    scheduling-independent.
 //! 4. **Crash isolation.** The worker catches a panicking cell and
-//!    hands it back to the queue for one retry. [`Sweep::run`] then
-//!    panics *at the end* naming every cell that failed twice;
-//!    [`Sweep::run_partial`] instead returns the surviving results with
-//!    [`SweepReport::failed_cells`], and adds a wall-clock watchdog
-//!    ([`Sweep::watchdog`]) that applies the same retry-once policy to
-//!    cells that *hang*.
+//!    keeps its panic message; every other cell still runs to
+//!    completion. [`Sweep::run`] then panics *at the end* naming every
+//!    failed cell, its seed and its message. Cells are deterministic, so
+//!    a failed cell is not retried: a second call would replay the same
+//!    panic.
 //! 5. **Resumable runs.** [`Sweep::try_run_cached`] consults the
 //!    content-addressed result store ([`crate::cache`], usually rooted
 //!    at `FANCY_CACHE_DIR`): warm cells return instantly with their
@@ -37,11 +37,10 @@
 //!    stored on success, so an interrupted, failed or edited sweep
 //!    re-runs only what is missing.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -98,50 +97,6 @@ impl std::error::Error for SweepError {
     }
 }
 
-/// Why a cell failed to produce a result (after the one-retry policy).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CellFailure {
-    /// The cell panicked on every attempt; the payload's message.
-    Panicked(String),
-    /// The cell exceeded the per-cell watchdog on every attempt.
-    TimedOut(Duration),
-}
-
-impl fmt::Display for CellFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CellFailure::Panicked(msg) => write!(f, "panicked: {msg}"),
-            CellFailure::TimedOut(limit) => {
-                write!(f, "timed out after {:.2}s", limit.as_secs_f64())
-            }
-        }
-    }
-}
-
-/// One cell the sweep could not complete.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FailedCell {
-    /// Index of the cell in the sweep's input order.
-    pub index: usize,
-    /// The deterministic seed the cell ran with — rerun
-    /// `f(&cells[index], &CellCtx::detached(seed))` to reproduce.
-    pub seed: u64,
-    /// What went wrong on the final attempt.
-    pub cause: CellFailure,
-    /// Attempts made (2 with the one-retry policy).
-    pub attempts: u32,
-}
-
-impl fmt::Display for FailedCell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cell {:04} (seed {:#018x}) after {} attempt(s): {}",
-            self.index, self.seed, self.attempts, self.cause,
-        )
-    }
-}
-
 /// Per-cell context handed to the sweep's work function.
 #[derive(Clone)]
 pub struct CellCtx {
@@ -166,12 +121,11 @@ impl CellCtx {
         }
     }
 
-    /// Fold a finished network's kernel telemetry into this attempt's
+    /// Fold a finished network's kernel telemetry into this cell's
     /// private buffer. Call once per simulated network, after its last
     /// `run_until`. The buffer reaches the sweep's aggregate report
-    /// only if this attempt completes its cell — a panicked or
-    /// watchdog-abandoned attempt's absorbs are dropped with it.
-    /// No-op on a detached context.
+    /// only if the cell returns — a panicked cell's absorbs are dropped
+    /// with it. No-op on a detached context.
     pub fn absorb(&self, net: &Network) {
         let Some(pending) = &self.pending else { return };
         let snap = net.kernel.telemetry_snapshot();
@@ -181,7 +135,7 @@ impl CellCtx {
         p.wall_nanos += snap.wall_elapsed.as_nanos() as u64;
         p.networks += 1;
         // A metrics hub on the kernel rides along: its registry snapshot
-        // merges into the attempt buffer and ultimately into
+        // merges into the cell's buffer and ultimately into
         // [`SweepReport::metrics`]. Attach a fresh hub per network —
         // absorbing the same hub twice double-counts its counters.
         if let Some(hub) = net.kernel.metrics_hub() {
@@ -191,8 +145,8 @@ impl CellCtx {
 
     /// Wall-clock a span of cell work under `label`; spans merge by
     /// label across cells and surface in [`SweepReport::phases`]. Like
-    /// [`CellCtx::absorb`], spans are buffered per attempt and only
-    /// committed when the attempt completes its cell. On a detached
+    /// [`CellCtx::absorb`], spans are buffered per cell and only
+    /// committed when the cell returns. On a detached
     /// context the closure still runs, untimed.
     pub fn time<R>(&self, label: &str, f: impl FnOnce() -> R) -> R {
         let Some(pending) = &self.pending else {
@@ -261,11 +215,10 @@ impl CellCtx {
     }
 }
 
-/// One attempt's privately buffered accounting: kernel telemetry,
-/// cache lookup outcomes, and timed spans. Published next to the
-/// attempt's result and folded into the report by `Board::finish`;
-/// dropped (never folded) for panicked, superseded, or
-/// watchdog-abandoned attempts.
+/// One cell call's privately buffered accounting: kernel telemetry,
+/// cache lookup outcomes, and timed spans. Stored in the cell's slot
+/// next to its result and folded into the report by `Board::finish`;
+/// dropped (never folded) when the call panics.
 #[derive(Debug, Default)]
 struct PendingStats {
     telemetry: TelemetryCounters,
@@ -303,8 +256,7 @@ pub struct SweepReport {
     /// this matches the cold run.
     pub networks: u64,
     /// Cells served warm from the content-addressed result cache.
-    /// Always 0 for the plain `run`/`try_run`/`run_partial` entry
-    /// points and for [`Sweep::try_run_cached`] with no cache attached.
+    /// Always 0 for the plain `run`/`try_run` entry points and for [`Sweep::try_run_cached`] with no cache attached.
     pub cache_hits: u64,
     /// Cells that executed under [`Sweep::try_run_cached`] because the
     /// cache held no usable record for them.
@@ -320,11 +272,6 @@ pub struct SweepReport {
     /// count and on warm cache replays. Empty when cells attach no
     /// [`fancy_sim::metrics::MetricsHub`].
     pub metrics: Snapshot,
-    /// Cells that produced no result despite the one-retry policy,
-    /// sorted by index. Always empty for a report returned by
-    /// [`Sweep::run`] (which panics instead); [`Sweep::run_partial`]
-    /// reports them here alongside the surviving results.
-    pub failed_cells: Vec<FailedCell>,
 }
 
 impl SweepReport {
@@ -434,9 +381,6 @@ impl SweepReport {
                 ));
             }
         }
-        for c in &self.failed_cells {
-            s.push_str(&format!("\n  FAILED {c}"));
-        }
         s
     }
 }
@@ -452,224 +396,115 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-// Per-cell lifecycle word: the low 2 bits are the state, the rest a run
-// token bumped on every claim — so it doubles as the attempt count —
-// which keeps a superseded (timed-out, later-requeued) run from
-// completing or failing the cell out from under its replacement:
-// every transition is a CAS on the full (state, token) word.
-const ST_PENDING: u64 = 0;
-const ST_RUNNING: u64 = 1;
-const ST_DONE: u64 = 2;
-const ST_FAILED: u64 = 3;
-
-fn pack(state: u64, token: u64) -> u64 {
-    (token << 2) | state
-}
-
-fn state_of(word: u64) -> u64 {
-    word & 3
-}
-
-fn token_of(word: u64) -> u64 {
-    word >> 2
-}
-
-/// One cell's entry on the [`Board`].
-struct Slot<R> {
-    /// [`Sweep::cell_seed`] of this cell, read by the worker (cell
-    /// context) and by whoever records a failure (reproduction seed).
-    seed: u64,
-    state: AtomicU64,
-    started: Mutex<Option<Instant>>,
-    // The result *and* the producing attempt's buffered telemetry;
-    // `finish` folds exactly one buffer per DONE cell after every cell
-    // is terminal, so an abandoned run that finishes late can never
-    // double-count alongside its replacement.
-    result: Mutex<Option<(R, PendingStats)>>,
-}
-
-impl<R> Slot<R> {
-    /// CAS the cell from PENDING to RUNNING with a fresh token, returning
-    /// the new state word. `None` on a stale queue entry: the cell
-    /// already reached a terminal state, or another run claimed it (only
-    /// claims move a PENDING word, so a lost CAS means exactly that).
-    fn claim(&self) -> Option<u64> {
-        let cur = self.state.load(Ordering::Acquire);
-        let running = pack(ST_RUNNING, token_of(cur) + 1);
-        (state_of(cur) == ST_PENDING && self.transition(cur, running)).then_some(running)
-    }
-
-    /// CAS the full state word. `false` when the run that read `from`
-    /// was superseded and no longer owns the cell.
-    fn transition(&self, from: u64, to: u64) -> bool {
-        self.state
-            .compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-}
+/// What one cell's single call left in its slot: the result with that
+/// call's buffered accounting, or the call's panic message.
+type Outcome<R> = Result<(R, PendingStats), String>;
 
 /// The shared state of one sweep execution — the only executor there
-/// is. [`Sweep::run`] borrows it from scoped workers; under
-/// [`Sweep::run_partial`] it lives behind an `Arc` because a hung
-/// worker thread may outlive the sweep (it is leaked, on purpose: there
-/// is no safe way to kill a thread).
-struct Board<R> {
-    label: String,
+/// is, borrowed by [`Sweep::run`]'s scoped workers.
+struct Board<'s, C, R> {
+    sweep: &'s Sweep<C>,
     threads: usize,
     start: Instant,
     trace_dir: Option<Arc<PathBuf>>,
-    slots: Vec<Slot<R>>,
-    failures: Mutex<Vec<FailedCell>>,
-    queue: Mutex<VecDeque<usize>>,
+    /// The next cell index to hand out; indices past the end mean done.
+    /// `Relaxed` suffices: the counter publishes no data (outcomes go
+    /// through the slot mutexes, and the scope's join orders them
+    /// before `finish`), and `fetch_add` alone hands each index out once.
+    next: AtomicUsize,
+    slots: Vec<Mutex<Option<Outcome<R>>>>,
 }
 
-impl<R> Board<R> {
-    fn new<C: Sync>(sweep: &Sweep<C>) -> Self {
+impl<'s, C: Sync, R> Board<'s, C, R> {
+    fn new(sweep: &'s Sweep<C>) -> Self {
         let n = sweep.cells.len();
-        let slot = |index| Slot {
-            seed: sweep.cell_seed(index),
-            state: AtomicU64::new(pack(ST_PENDING, 0)),
-            started: Mutex::new(None),
-            result: Mutex::new(None),
-        };
         Board {
-            label: sweep.label.clone(),
+            sweep,
             threads: sweep.threads.min(n.max(1)),
             start: Instant::now(),
             trace_dir: sweep.trace_dir.clone().map(Arc::new),
-            slots: (0..n).map(slot).collect(),
-            failures: Mutex::new(Vec::new()),
-            queue: Mutex::new((0..n).collect()),
+            next: AtomicUsize::new(0),
+            slots: (0..n).map(|_| Mutex::new(None)).collect(),
         }
     }
 
-    /// Pull cells off the queue until it is empty. The one place a cell
-    /// function is called, and the one place its panics are caught.
-    fn worker<C, F>(&self, cells: &[C], f: &F)
+    /// Take cell indices off the counter until none are left. The one
+    /// place a cell function is called, and the one place its panics
+    /// are caught.
+    fn worker<F>(&self, f: &F)
     where
         F: Fn(&C, &CellCtx) -> R,
     {
         loop {
-            let next = self.queue.lock().expect("queue poisoned").pop_front();
-            let Some(index) = next else { return };
-            let slot = &self.slots[index];
-            let Some(running) = slot.claim() else {
-                continue;
+            let index = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(cell) = self.sweep.cells.get(index) else {
+                return;
             };
-            *slot.started.lock().expect("start stamp poisoned") = Some(Instant::now());
-            // Fresh buffer per attempt: only an attempt that returns
-            // publishes it, so a panicked attempt's partial absorbs
-            // never reach the report.
+            // Fresh buffer per cell: it reaches the slot only when the
+            // call returns, so a panicked call's partial absorbs never
+            // reach the report.
             let pending = Arc::new(Mutex::new(PendingStats::default()));
             let ctx = CellCtx {
                 index,
-                seed: slot.seed,
+                seed: self.sweep.cell_seed(index),
                 pending: Some(pending.clone()),
                 trace_dir: self.trace_dir.clone(),
             };
-            match catch_unwind(AssertUnwindSafe(|| f(&cells[index], &ctx))) {
+            let outcome = match catch_unwind(AssertUnwindSafe(|| f(cell, &ctx))) {
                 Ok(r) => {
-                    // Publish the result (with this attempt's buffer)
-                    // before the state flip so a DONE state always has
-                    // a filled slot. If the CAS fails the watchdog
-                    // superseded this run; its replacement owns the
-                    // cell now (and, cells being deterministic, will
-                    // write the identical value).
                     let buffered =
                         std::mem::take(&mut *pending.lock().expect("pending stats poisoned"));
-                    *slot.result.lock().expect("result slot poisoned") = Some((r, buffered));
-                    slot.transition(running, pack(ST_DONE, token_of(running)));
+                    Ok((r, buffered))
                 }
-                Err(payload) => {
-                    let cause = CellFailure::Panicked(panic_message(payload.as_ref()));
-                    self.give_up(index, running, cause);
-                }
-            }
-        }
-    }
-
-    /// The retry-once policy, for panics and watchdog expiries alike:
-    /// the run owning state word `running` ended without a result —
-    /// hand the cell back to the queue if that was its first attempt,
-    /// else record it failed. `false` (and no effect) when that run was
-    /// already superseded.
-    fn give_up(&self, index: usize, running: u64, cause: CellFailure) -> bool {
-        let slot = &self.slots[index];
-        let attempts = token_of(running) as u32;
-        let retry = attempts < 2;
-        let next = if retry { ST_PENDING } else { ST_FAILED };
-        if !slot.transition(running, pack(next, token_of(running))) {
-            return false;
-        }
-        if retry {
-            self.queue.lock().expect("queue poisoned").push_back(index);
-        } else {
-            let mut failures = self.failures.lock().expect("failure list poisoned");
-            failures.push(FailedCell {
-                index,
-                seed: slot.seed,
-                cause,
-                attempts,
-            });
-        }
-        true
-    }
-
-    /// One watchdog pass: expire every run older than `limit` (calling
-    /// `respawn` each time, because the thread stuck on an expired run
-    /// is lost to the pool) and report whether every cell is terminal.
-    fn settled(&self, limit: Option<Duration>, respawn: impl Fn()) -> bool {
-        let mut terminal = 0;
-        for (index, slot) in self.slots.iter().enumerate() {
-            let cur = slot.state.load(Ordering::Acquire);
-            let state = state_of(cur);
-            terminal += usize::from(state == ST_DONE || state == ST_FAILED);
-            let (ST_RUNNING, Some(limit)) = (state, limit) else {
-                continue;
+                Err(payload) => Err(panic_message(payload.as_ref())),
             };
-            let started = *slot.started.lock().expect("start stamp poisoned");
-            let expired = started.is_some_and(|s| s.elapsed() >= limit);
-            // A lost CAS means the run finished just in time.
-            if expired && self.give_up(index, cur, CellFailure::TimedOut(limit)) {
-                respawn();
-            }
+            *self.slots[index].lock().expect("result slot poisoned") = Some(outcome);
         }
-        terminal == self.slots.len()
     }
 
-    /// Turn the settled board into results and the report. Taking a
-    /// slot's result consumes whichever attempt's publication survived
-    /// there, so exactly one buffer is folded per completed cell — in
-    /// cell-index order, whatever order the cells completed in.
-    fn finish(&self) -> (Vec<Option<R>>, SweepReport) {
+    /// Turn the filled slots into results and the report, folding
+    /// exactly one buffer per completed cell in cell-index order,
+    /// whatever order the cells completed in. Panics at the end naming
+    /// every cell whose call panicked.
+    fn finish(self) -> (Vec<R>, SweepReport) {
+        let n = self.slots.len();
         let mut total = PendingStats::default();
-        let results = self
-            .slots
-            .iter()
-            .map(|slot| {
-                if state_of(slot.state.load(Ordering::Acquire)) != ST_DONE {
-                    return None;
+        let mut results = Vec::with_capacity(n);
+        let mut failed = String::new();
+        for (index, slot) in self.slots.into_iter().enumerate() {
+            let outcome = slot.into_inner().expect("result slot poisoned");
+            match outcome.expect("every cell is called once") {
+                Ok((r, p)) => {
+                    total.telemetry.absorb(&p.telemetry);
+                    total.sim_nanos += p.sim_nanos;
+                    total.wall_nanos += p.wall_nanos;
+                    total.networks += p.networks;
+                    total.cache_hits += p.cache_hits;
+                    total.cache_misses += p.cache_misses;
+                    total.metrics.merge(&p.metrics);
+                    for (label, d) in p.phases.spans() {
+                        total.phases.add(label, *d);
+                    }
+                    results.push(r);
                 }
-                let (r, p) = slot.result.lock().expect("result slot poisoned").take()?;
-                total.telemetry.absorb(&p.telemetry);
-                total.sim_nanos += p.sim_nanos;
-                total.wall_nanos += p.wall_nanos;
-                total.networks += p.networks;
-                total.cache_hits += p.cache_hits;
-                total.cache_misses += p.cache_misses;
-                total.metrics.merge(&p.metrics);
-                for (label, d) in p.phases.spans() {
-                    total.phases.add(label, *d);
+                Err(msg) => {
+                    let seed = self.sweep.cell_seed(index);
+                    failed.push_str(&format!(
+                        "\n  cell {index:04} (seed {seed:#018x}) panicked: {msg}"
+                    ));
                 }
-                Some(r)
-            })
-            .collect();
-        let mut failed_cells =
-            std::mem::take(&mut *self.failures.lock().expect("failure list poisoned"));
-        failed_cells.sort_by_key(|c| c.index);
+            }
+        }
+        if !failed.is_empty() {
+            panic!(
+                "sweep '{}': {} of {n} cell(s) failed:{failed}",
+                self.sweep.label,
+                n - results.len(),
+            );
+        }
         let report = SweepReport {
-            label: self.label.clone(),
-            cells: self.slots.len(),
+            label: self.sweep.label.clone(),
+            cells: n,
             threads: self.threads,
             wall: self.start.elapsed(),
             telemetry: total.telemetry,
@@ -680,7 +515,6 @@ impl<R> Board<R> {
             cache_misses: total.cache_misses,
             phases: total.phases.into_spans(),
             metrics: total.metrics,
-            failed_cells,
         };
         (results, report)
     }
@@ -703,7 +537,6 @@ pub struct Sweep<C> {
     threads: usize,
     base_seed: u64,
     trace_dir: Option<PathBuf>,
-    cell_timeout: Option<Duration>,
     cache: Option<SweepCache>,
 }
 
@@ -718,7 +551,7 @@ struct SweepCache {
 
 impl<C: Sync> Sweep<C> {
     /// A sweep over `cells`, using `FANCY_THREADS` (or the machine's
-    /// parallelism) workers, the default base seed, and no watchdog.
+    /// parallelism) workers, the default base seed, and no cache.
     pub fn new(label: impl Into<String>, cells: Vec<C>) -> Self {
         Sweep {
             label: label.into(),
@@ -726,7 +559,6 @@ impl<C: Sync> Sweep<C> {
             threads: BenchEnv::from_env().threads,
             base_seed: 0xFA9C,
             trace_dir: None,
-            cell_timeout: None,
             cache: None,
         }
     }
@@ -749,15 +581,6 @@ impl<C: Sync> Sweep<C> {
     /// directory layout is thread-count invariant too.
     pub fn trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.trace_dir = Some(dir.into());
-        self
-    }
-
-    /// Set the per-cell wall-clock watchdog used by
-    /// [`Sweep::run_partial`] (none by default). A cell exceeding it is
-    /// retried once on a fresh thread, then reported in
-    /// [`SweepReport::failed_cells`]; the hung thread is abandoned.
-    pub fn watchdog(mut self, timeout: Duration) -> Self {
-        self.cell_timeout = Some(timeout);
         self
     }
 
@@ -794,45 +617,27 @@ impl<C: Sync> Sweep<C> {
     /// thread count because seeds and result slots are keyed by cell
     /// index, not by worker.
     ///
-    /// A panicking cell is caught and retried once; if it panics again
-    /// the whole sweep panics *at the end* with a diagnosis naming
-    /// every failed cell and its seed (all other cells still run to
-    /// completion first). Use [`Sweep::run_partial`] to receive the
-    /// surviving results instead of a panic.
+    /// A panicking cell is caught, and every other cell still runs to
+    /// completion; then the whole sweep panics *at the end* with a
+    /// diagnosis naming every failed cell, its seed and its panic
+    /// message. Each cell is called exactly once: cells are
+    /// deterministic, so a retry would only replay the panic.
     pub fn run<R, F>(&self, f: F) -> (Vec<R>, SweepReport)
     where
         R: Send,
         F: Fn(&C, &CellCtx) -> R + Sync,
     {
         let board = Board::new(self);
-        let n = self.cells.len();
-        if self.threads <= 1 || n <= 1 {
-            board.worker(&self.cells, &f);
+        if board.threads <= 1 {
+            board.worker(&f);
         } else {
             std::thread::scope(|scope| {
                 for _ in 0..board.threads {
-                    scope.spawn(|| board.worker(&self.cells, &f));
+                    scope.spawn(|| board.worker(&f));
                 }
             });
         }
-        let (results, report) = board.finish();
-        if !report.failed_cells.is_empty() {
-            let mut diagnosis = format!(
-                "sweep '{}': {} of {n} cell(s) failed after retry \
-                 (use Sweep::run_partial to keep the surviving results):",
-                self.label,
-                report.failed_cells.len(),
-            );
-            for c in &report.failed_cells {
-                diagnosis.push_str(&format!("\n  {c}"));
-            }
-            panic!("{diagnosis}");
-        }
-        let results = results
-            .into_iter()
-            .map(|r| r.expect("cell produced neither result nor failure record"))
-            .collect();
-        (results, report)
+        board.finish()
     }
 
     /// Like [`Sweep::run`] for fallible cells: stops at the first error
@@ -882,69 +687,11 @@ impl<C: Sync> Sweep<C> {
         let cache = self.cache.as_ref();
         self.try_run(|cell, ctx| run_cell_cached(cache, cell, ctx, &f))
     }
-
-    /// Crash-isolated sweep: execute `f` once per cell and return
-    /// whatever results survive, `None`-filling the cells that did not.
-    ///
-    /// Unlike [`Sweep::run`] this never panics on cell failure and —
-    /// when a watchdog is set via [`Sweep::watchdog`] — also survives
-    /// cells that *hang*: a cell exceeding the timeout is abandoned on
-    /// its (leaked) thread and retried once on a fresh one, so one
-    /// wedged pixel cannot stall a whole heatmap. Every unrecoverable
-    /// cell is listed in [`SweepReport::failed_cells`] with its
-    /// deterministic seed for offline reproduction. Without a watchdog,
-    /// a hung cell hangs the sweep (there is no safe way to preempt
-    /// arbitrary code).
-    ///
-    /// Workers run on detached threads (hence the `'static` bounds and
-    /// the consuming `self`); determinism guarantees are unchanged —
-    /// seeds and result slots stay index-keyed.
-    ///
-    /// ```
-    /// use fancy_bench::runner::{CellFailure, Sweep};
-    ///
-    /// let (results, report) = Sweep::new("partial", vec![1u64, 2, 3])
-    ///     .threads(2)
-    ///     .run_partial(|&cell, _ctx| {
-    ///         if cell == 2 {
-    ///             panic!("cell two always crashes");
-    ///         }
-    ///         cell * 10
-    ///     });
-    /// assert_eq!(results, vec![Some(10), None, Some(30)]);
-    /// assert_eq!(report.failed_cells.len(), 1);
-    /// assert_eq!(report.failed_cells[0].index, 1);
-    /// assert!(matches!(report.failed_cells[0].cause, CellFailure::Panicked(_)));
-    /// ```
-    pub fn run_partial<R, F>(self, f: F) -> (Vec<Option<R>>, SweepReport)
-    where
-        C: Send + 'static,
-        R: Send + 'static,
-        F: Fn(&C, &CellCtx) -> R + Send + Sync + 'static,
-    {
-        let timeout = self.cell_timeout;
-        let board = Board::new(&self);
-        let workers = board.threads.min(self.cells.len());
-        let shared = Arc::new((board, self.cells, f));
-        // Detached, not joined: a worker stuck in a hung cell never
-        // returns, and the sweep must not wait for it.
-        let spawn_worker = || {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || shared.0.worker(&shared.1, &shared.2));
-        };
-        for _ in 0..workers {
-            spawn_worker();
-        }
-        while !shared.0.settled(timeout, spawn_worker) {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        shared.0.finish()
-    }
 }
 
 /// Run one cell through the cache: serve a warm hit (folding its
-/// stored telemetry and a `cache_hits` tick into the attempt's
-/// buffer), or execute `f` and persist the result on success.
+/// stored telemetry and a `cache_hits` tick into the cell's buffer),
+/// or execute `f` and persist the result on success.
 /// Detached contexts and uncached sweeps fall straight through to `f`.
 fn run_cell_cached<C, R, E, F>(
     cache: Option<&SweepCache>,
@@ -978,7 +725,7 @@ where
     }
     pending.lock().expect("pending stats poisoned").cache_misses += 1;
     let r = f(cell, ctx)?;
-    // The attempt buffer holds exactly this attempt's absorbs, so it
+    // The cell's buffer holds exactly this call's absorbs, so it
     // doubles as the per-cell record. Kernel wall-clock is deliberately
     // not stored: a warm run honestly reports its own (near-zero) wall.
     let mut result = Record::default();
@@ -1015,7 +762,6 @@ mod tests {
                     });
             assert_eq!(out, (0..37).map(|c| c * 10).collect::<Vec<_>>());
             assert_eq!(report.cells, 37);
-            assert!(report.failed_cells.is_empty());
         }
     }
 
@@ -1081,30 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_attempts_do_not_commit_telemetry() {
-        use std::sync::atomic::AtomicU32;
-        // Cell 1 absorbs a network and *then* panics on its first
-        // attempt; only the successful retry's absorb may reach the
-        // aggregate — the aborted attempt's buffer must be dropped.
-        let first_attempt = AtomicU32::new(0);
-        let (_, report) = Sweep::new("buffered", vec![(); 3])
-            .threads(1)
-            .run(|_, ctx| {
-                let net = one_packet_net(ctx.seed);
-                ctx.absorb(&net);
-                if ctx.index == 1 && first_attempt.fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("post-absorb transient");
-                }
-            });
-        assert_eq!(
-            report.networks, 3,
-            "panicked attempt's absorb must not count"
-        );
-        assert_eq!(report.telemetry.events_dispatched, 3);
-        assert_eq!(report.sim_seconds, 3.0);
-    }
-
-    #[test]
     fn uncached_sweeps_report_zero_cache_counters() {
         // `try_run_cached` without an attached cache is exactly
         // `try_run`: no lookups, no counters, no summary line.
@@ -1133,31 +855,15 @@ mod tests {
     }
 
     #[test]
-    fn run_retries_a_flaky_cell_once() {
-        use std::sync::atomic::AtomicU32;
-        // Cell 2 panics on its first attempt only; the retry succeeds,
-        // so the sweep completes with no failure on record.
-        let first_attempt = AtomicU32::new(0);
-        let (out, report) = Sweep::new("flaky", (0..8usize).collect::<Vec<_>>())
-            .threads(4)
-            .run(|&c, _| {
-                if c == 2 && first_attempt.fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("transient failure");
-                }
-                c
-            });
-        assert_eq!(out, (0..8).collect::<Vec<_>>());
-        assert!(report.failed_cells.is_empty());
-        assert_eq!(first_attempt.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
     fn run_panics_at_end_with_per_cell_diagnosis() {
+        use std::sync::atomic::AtomicU32;
+        let calls: Vec<AtomicU32> = (0..6).map(|_| AtomicU32::new(0)).collect();
         let caught = catch_unwind(AssertUnwindSafe(|| {
             Sweep::new("doomed", (0..6usize).collect::<Vec<_>>())
                 .threads(2)
                 .seed(7)
                 .run(|&c, _| {
+                    calls[c].fetch_add(1, Ordering::Relaxed);
                     if c == 3 {
                         panic!("cell three is cursed");
                     }
@@ -1176,56 +882,9 @@ mod tests {
         assert!(msg.contains("cell 0003"), "{msg}");
         assert!(msg.contains("cell three is cursed"), "{msg}");
         assert!(msg.contains(&format!("{:#018x}", mix64(7u64 ^ 3))), "{msg}");
-    }
-
-    #[test]
-    fn run_partial_returns_survivors_and_failed_cells() {
-        let (out, report) = Sweep::new("partial", (0..10usize).collect::<Vec<_>>())
-            .threads(3)
-            .run_partial(|&c, ctx| {
-                assert_eq!(c, ctx.index);
-                if c == 4 {
-                    panic!("boom {c}");
-                }
-                c * 2
-            });
-        let expect: Vec<Option<usize>> = (0..10)
-            .map(|c| if c == 4 { None } else { Some(c * 2) })
-            .collect();
-        assert_eq!(out, expect);
-        assert_eq!(report.failed_cells.len(), 1);
-        let fc = &report.failed_cells[0];
-        assert_eq!(fc.index, 4);
-        assert_eq!(fc.attempts, 2);
-        assert_eq!(fc.cause, CellFailure::Panicked("boom 4".into()));
-        assert!(report.summary().contains("FAILED cell 0004"));
-    }
-
-    #[test]
-    fn run_partial_watchdog_expires_hung_cells() {
-        // Cell 1 sleeps far past the watchdog on both attempts; the
-        // other cells complete and the sweep returns promptly.
-        let t0 = Instant::now();
-        let (out, report) = Sweep::new("hung", (0..4usize).collect::<Vec<_>>())
-            .threads(2)
-            .watchdog(Duration::from_millis(60))
-            .run_partial(|&c, _| {
-                if c == 1 {
-                    std::thread::sleep(Duration::from_secs(600));
-                }
-                c
-            });
-        assert!(
-            t0.elapsed() < Duration::from_secs(30),
-            "watchdog failed to fire"
-        );
-        assert_eq!(out, vec![Some(0), None, Some(2), Some(3)]);
-        assert_eq!(report.failed_cells.len(), 1);
-        assert_eq!(report.failed_cells[0].index, 1);
-        assert_eq!(
-            report.failed_cells[0].cause,
-            CellFailure::TimedOut(Duration::from_millis(60))
-        );
+        // Every cell — the panicking one included — is called exactly once.
+        let calls: Vec<u32> = calls.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+        assert_eq!(calls, vec![1; 6], "calls per cell");
     }
 
     /// The scheduling-independent content of a report: everything except
@@ -1234,14 +893,14 @@ mod tests {
     fn deterministic_fields(r: &SweepReport) -> impl PartialEq + fmt::Debug {
         (
             (r.cells, r.telemetry, r.sim_seconds.to_bits(), r.networks),
-            (r.cache_hits, r.cache_misses, r.failed_cells.clone()),
+            (r.cache_hits, r.cache_misses),
             r.metrics.to_jsonl(),
             r.phases.iter().map(|(l, _)| l.clone()).collect::<Vec<_>>(),
         )
     }
 
     #[test]
-    fn run_and_run_partial_yield_equal_reports_at_any_thread_count() {
+    fn run_yields_equal_reports_at_any_thread_count() {
         use fancy_sim::metrics::{Labels, MetricsHub};
         // 32 absorbing cells, each with its own phase label (so a
         // completion-order commit would scramble `phases`), a metrics
@@ -1273,19 +932,15 @@ mod tests {
         let (reference, serial) = sweep(1).run(cell);
         assert_eq!(serial.networks, 32);
         assert_eq!(serial.phases[1].0, "phase-07", "index-order commit");
-        for threads in [1, 8] {
-            let (plain, run_report) = sweep(threads).run(cell);
-            let (partial, partial_report) = sweep(threads).run_partial(cell);
-            assert_eq!(plain, reference);
-            assert_eq!(partial, plain.into_iter().map(Some).collect::<Vec<_>>());
-            assert_eq!(run_report.threads, threads);
-            for report in [&run_report, &partial_report] {
-                assert_eq!(
-                    deterministic_fields(report),
-                    deterministic_fields(&serial),
-                    "{threads} thread(s) vs the serial run"
-                );
-            }
+        for threads in [1, 2, 8] {
+            let (out, report) = sweep(threads).run(cell);
+            assert_eq!(out, reference);
+            assert_eq!(report.threads, threads);
+            assert_eq!(
+                deterministic_fields(&report),
+                deterministic_fields(&serial),
+                "{threads} thread(s) vs the serial run"
+            );
         }
     }
 }
