@@ -54,13 +54,18 @@ impl BenchEnv {
     /// Read and parse the environment. Unset or malformed variables fall
     /// back to their defaults — experiments never abort on a typo'd knob.
     pub fn from_env() -> Self {
-        let full = std::env::var("FANCY_FULL").is_ok_and(|v| v == "1");
-        let reps = std::env::var("FANCY_REPS")
-            .ok()
+        Self::from_lookup(|k| std::env::var(k).ok())
+    }
+
+    /// Parse the knobs from `get`, which maps a variable name to its
+    /// value (`None` when unset): a pure function of `get`, so tests
+    /// feed it values without touching the process environment.
+    fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Self {
+        let full = get("FANCY_FULL").is_some_and(|v| v == "1");
+        let reps = get("FANCY_REPS")
             .and_then(|v| v.parse::<u64>().ok())
             .map(|r| r.max(1));
-        let threads = std::env::var("FANCY_THREADS")
-            .ok()
+        let threads = get("FANCY_THREADS")
             .and_then(|v| v.parse::<usize>().ok())
             .map(|t| t.max(1))
             .unwrap_or_else(|| {
@@ -69,17 +74,14 @@ impl BenchEnv {
                     .unwrap_or(4)
                     .min(16)
             });
-        let shards = std::env::var("FANCY_SHARDS")
-            .ok()
+        let shards = get("FANCY_SHARDS")
             .and_then(|v| v.parse::<usize>().ok())
             .map(|t| t.max(1))
             .unwrap_or(1);
-        let cache_dir = std::env::var("FANCY_CACHE_DIR")
-            .ok()
+        let cache_dir = get("FANCY_CACHE_DIR")
             .filter(|v| !v.is_empty())
             .map(std::path::PathBuf::from);
-        let trace_dir = std::env::var("FANCY_TRACE_DIR")
-            .ok()
+        let trace_dir = get("FANCY_TRACE_DIR")
             .filter(|v| !v.is_empty())
             .map(std::path::PathBuf::from);
         BenchEnv {
@@ -159,16 +161,23 @@ impl Scale {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use proptest::collection;
+    use proptest::prelude::*;
+
     use super::*;
 
-    // Env-var mutation is process-global, so everything lives in one test.
+    /// [`BenchEnv::from_lookup`] over a fixed set of variables.
+    fn parse(vars: &[(&str, &str)]) -> BenchEnv {
+        let vars: HashMap<&str, &str> = vars.iter().copied().collect();
+        BenchEnv::from_lookup(|k| vars.get(k).map(|v| v.to_string()))
+    }
+
     #[test]
     fn env_parsing_and_scale_resolution() {
         // Defaults with nothing set.
-        std::env::remove_var("FANCY_FULL");
-        std::env::remove_var("FANCY_REPS");
-        std::env::remove_var("FANCY_THREADS");
-        let e = BenchEnv::from_env();
+        let e = parse(&[]);
         assert!(!e.full);
         assert_eq!(e.reps, None);
         assert!(e.threads >= 1 && e.threads <= 16);
@@ -177,10 +186,11 @@ mod tests {
         assert!(!s.full);
 
         // Explicit knobs.
-        std::env::set_var("FANCY_FULL", "1");
-        std::env::set_var("FANCY_REPS", "7");
-        std::env::set_var("FANCY_THREADS", "3");
-        let e = BenchEnv::from_env();
+        let e = parse(&[
+            ("FANCY_FULL", "1"),
+            ("FANCY_REPS", "7"),
+            ("FANCY_THREADS", "3"),
+        ]);
         assert!(e.full);
         assert_eq!(e.reps, Some(7));
         assert_eq!(e.threads, 3);
@@ -190,48 +200,98 @@ mod tests {
         assert_eq!(s.duration, SimDuration::from_secs(30));
 
         // Malformed values fall back instead of aborting; zero clamps to 1.
-        std::env::set_var("FANCY_REPS", "many");
-        std::env::set_var("FANCY_THREADS", "0");
-        let e = BenchEnv::from_env();
+        let e = parse(&[
+            ("FANCY_FULL", "1"),
+            ("FANCY_REPS", "many"),
+            ("FANCY_THREADS", "0"),
+        ]);
         assert_eq!(e.reps, None);
         assert_eq!(e.threads, 1);
         assert_eq!(e.scale().reps, 10); // full still set
 
         // Shard workers: default 1, malformed → 1, zero clamps to 1.
-        std::env::remove_var("FANCY_SHARDS");
-        assert_eq!(BenchEnv::from_env().shards, 1);
-        std::env::set_var("FANCY_SHARDS", "8");
-        assert_eq!(BenchEnv::from_env().shards, 8);
-        std::env::set_var("FANCY_SHARDS", "0");
-        assert_eq!(BenchEnv::from_env().shards, 1);
-        std::env::set_var("FANCY_SHARDS", "all");
-        assert_eq!(BenchEnv::from_env().shards, 1);
-        std::env::remove_var("FANCY_SHARDS");
+        assert_eq!(parse(&[]).shards, 1);
+        assert_eq!(parse(&[("FANCY_SHARDS", "8")]).shards, 8);
+        assert_eq!(parse(&[("FANCY_SHARDS", "0")]).shards, 1);
+        assert_eq!(parse(&[("FANCY_SHARDS", "all")]).shards, 1);
 
         // Cache knob: empty means unset.
-        std::env::set_var("FANCY_CACHE_DIR", "/tmp/fancy-cache-test");
         assert_eq!(
-            BenchEnv::from_env().cache_dir,
+            parse(&[("FANCY_CACHE_DIR", "/tmp/fancy-cache-test")]).cache_dir,
             Some(std::path::PathBuf::from("/tmp/fancy-cache-test"))
         );
-        std::env::set_var("FANCY_CACHE_DIR", "");
-        assert_eq!(BenchEnv::from_env().cache_dir, None);
-        std::env::remove_var("FANCY_CACHE_DIR");
-        assert_eq!(BenchEnv::from_env().cache_dir, None);
+        assert_eq!(parse(&[("FANCY_CACHE_DIR", "")]).cache_dir, None);
+        assert_eq!(parse(&[]).cache_dir, None);
 
         // Compiled-trace knob: same empty-means-unset convention.
-        std::env::set_var("FANCY_TRACE_DIR", "/tmp/fancy-trace-test");
         assert_eq!(
-            BenchEnv::from_env().trace_dir,
+            parse(&[("FANCY_TRACE_DIR", "/tmp/fancy-trace-test")]).trace_dir,
             Some(std::path::PathBuf::from("/tmp/fancy-trace-test"))
         );
-        std::env::set_var("FANCY_TRACE_DIR", "");
-        assert_eq!(BenchEnv::from_env().trace_dir, None);
-        std::env::remove_var("FANCY_TRACE_DIR");
-        assert_eq!(BenchEnv::from_env().trace_dir, None);
+        assert_eq!(parse(&[("FANCY_TRACE_DIR", "")]).trace_dir, None);
+        assert_eq!(parse(&[]).trace_dir, None);
+    }
 
-        std::env::remove_var("FANCY_FULL");
-        std::env::remove_var("FANCY_REPS");
-        std::env::remove_var("FANCY_THREADS");
+    /// An unset variable, or a value that stresses the parser: numbers
+    /// with signs, padding or `u64` overflow, and strings decoded from
+    /// arbitrary bytes (non-ASCII included).
+    fn knob() -> impl Strategy<Value = Option<String>> {
+        let tricky = prop_oneof![
+            Just(""),
+            Just("0"),
+            Just("1"),
+            Just(" 1"),
+            Just("1 "),
+            Just("+4"),
+            Just("-1"),
+            Just("18446744073709551615"),
+            Just("18446744073709551616"),
+            Just("１"),
+            Just("é"),
+        ]
+        .prop_map(|s: &str| Some(s.to_string()));
+        let numeric = collection::vec((0..13usize).prop_map(|i| b"0123456789+- "[i]), 0..24)
+            .prop_map(|b| Some(String::from_utf8(b).expect("ASCII bytes")));
+        let bytes = collection::vec(any::<u8>(), 0..16)
+            .prop_map(|b| Some(String::from_utf8_lossy(&b).into_owned()));
+        prop_oneof![Just(None), tricky, numeric, bytes]
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_knob_strings_parse_to_valid_settings(
+            full in knob(),
+            reps in knob(),
+            threads in knob(),
+            shards in knob(),
+            cache_dir in knob(),
+            trace_dir in knob(),
+        ) {
+            let vars: HashMap<&str, String> = [
+                ("FANCY_FULL", full),
+                ("FANCY_REPS", reps),
+                ("FANCY_THREADS", threads),
+                ("FANCY_SHARDS", shards),
+                ("FANCY_CACHE_DIR", cache_dir),
+                ("FANCY_TRACE_DIR", trace_dir),
+            ]
+            .into_iter()
+            .filter_map(|(k, v)| Some((k, v?)))
+            .collect();
+            let var = |k: &str| vars.get(k).map(String::as_str);
+            let e = BenchEnv::from_lookup(|k| var(k).map(str::to_string));
+            prop_assert!(e.threads >= 1);
+            prop_assert!(e.shards >= 1);
+            prop_assert!(e.reps.unwrap_or(1) >= 1);
+            prop_assert_eq!(e.full, var("FANCY_FULL") == Some("1"));
+            prop_assert_eq!(
+                e.cache_dir.is_none(),
+                var("FANCY_CACHE_DIR").unwrap_or("").is_empty()
+            );
+            prop_assert_eq!(
+                e.trace_dir.is_none(),
+                var("FANCY_TRACE_DIR").unwrap_or("").is_empty()
+            );
+        }
     }
 }
