@@ -190,13 +190,6 @@ impl CountingBloom {
         self.positions(entry).collect()
     }
 
-    /// All cells whose sent counter currently exceeds the received one.
-    pub fn mismatching_cells(&self) -> Vec<usize> {
-        (0..self.cells)
-            .filter(|&i| self.sent[i] > self.received[i])
-            .collect()
-    }
-
     /// Snapshot of the sent-side cells (for settle-delay comparison).
     pub fn snapshot_sent(&self) -> Vec<u32> {
         self.sent.clone()

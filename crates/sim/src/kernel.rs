@@ -125,11 +125,6 @@ impl Kernel {
         self.tracer = Some(tracer);
     }
 
-    /// Detach and return the current trace sink, if any.
-    pub fn take_tracer(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.tracer.take()
-    }
-
     /// Is a trace sink attached? Instrumentation sites with non-trivial
     /// event preparation (cloning a path, reading state twice) check this
     /// first so the disabled path stays a single branch.
@@ -154,11 +149,6 @@ impl Kernel {
     /// keeps a clone to read snapshots after (or during) the run.
     pub fn set_metrics(&mut self, hub: MetricsHub) {
         self.metrics = Some(hub);
-    }
-
-    /// Detach and return the current metrics hub, if any.
-    pub fn take_metrics(&mut self) -> Option<MetricsHub> {
-        self.metrics.take()
     }
 
     /// Borrow the attached metrics hub, if any (the scrape node reads
@@ -757,17 +747,6 @@ impl Kernel {
         let l = &mut self.links[link];
         let dir = l.dir_from(link, from);
         l.dirs[dir].chaos.push(plan);
-    }
-
-    /// Remove all failures and fault plans from every link (used by
-    /// repair scenarios).
-    pub fn clear_failures(&mut self) {
-        for l in &mut self.links {
-            for d in &mut l.dirs {
-                d.failures.clear();
-                d.chaos.clear();
-            }
-        }
     }
 
     /// Access a link's static configuration and counters.

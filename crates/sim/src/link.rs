@@ -140,11 +140,6 @@ impl Link {
         }
     }
 
-    /// Is this the egress half of a cross-shard link?
-    pub fn is_remote(&self) -> bool {
-        self.remote.is_some()
-    }
-
     /// Resolve `from` (a node transmitting on this link) to a direction
     /// index. On a half-link only the local egress direction exists, and
     /// `ends[1]`'s remote-local id must not be matched against local ids.

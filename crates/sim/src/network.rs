@@ -68,11 +68,6 @@ impl Network {
             .expect("node type mismatch")
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Connect local node `a` to a node owned by another shard (the
     /// egress half of a cross-shard link; see
     /// [`crate::link::RemoteEnd`]). The mirrored half lives in the peer

@@ -137,11 +137,6 @@ impl ShardedNet {
         &self.shards
     }
 
-    /// All shards, mutably.
-    pub fn shards_mut(&mut self) -> &mut [Network] {
-        &mut self.shards
-    }
-
     /// Per-shard execution statistics (valid after a run).
     pub fn stats(&self) -> &[ShardStats] {
         &self.stats

@@ -58,12 +58,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// This duration in fractional milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {

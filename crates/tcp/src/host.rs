@@ -472,12 +472,6 @@ impl ReceiverHost {
         Self::default()
     }
 
-    /// Attach a throughput probe.
-    pub fn with_probe(mut self, probe: ThroughputProbe) -> Self {
-        self.probes.push(probe);
-        self
-    }
-
     fn note(&mut self, now: SimTime, entry: Prefix, bytes: u64) {
         let seen = self.entries.entry(entry).or_default();
         seen.bytes += bytes;
