@@ -231,7 +231,7 @@ pub fn run_stop_and_wait(loss: f64, rounds: u32, seed: u64) -> ProtocolResult {
     let timers = TimerConfig::paper_default();
     let mut s = SenderFsm::new(SimDuration::from_millis(50), timers);
     let mut r = ReceiverFsm::new(timers);
-    let mut s_actions = s.open();
+    let mut s_actions: Vec<SenderAction> = s.open().into_iter().collect();
     let mut s_timer = None;
     let mut r_timer = None;
     for _ in 0..rounds {
@@ -256,7 +256,7 @@ pub fn run_stop_and_wait(loss: f64, rounds: u32, seed: u64) -> ProtocolResult {
         for pass in 0..2 {
             if pass == 1 {
                 match r_timer.take() {
-                    Some(e) => r_acts = r.on_timer(e),
+                    Some(e) => r_acts.extend(r.on_timer(e)),
                     None => break,
                 }
             }
@@ -279,7 +279,7 @@ pub fn run_stop_and_wait(loss: f64, rounds: u32, seed: u64) -> ProtocolResult {
         }
         for (sid, b) in to_s {
             let acts = s.on_message(sid, &b);
-            let done = acts.iter().any(|a| matches!(a, SenderAction::Deliver(_)));
+            let done = acts.iter().any(|a| matches!(a, SenderAction::Deliver));
             s_actions.extend(acts);
             if done {
                 s_actions.extend(s.open());

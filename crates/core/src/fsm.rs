@@ -9,15 +9,82 @@
 //! last report so a duplicated Stop (lost Report) can be answered again.
 //!
 //! The FSMs here are *pure*: they hold no counters and perform no I/O.
-//! Every input (message, timer) returns a list of [`SenderAction`]s /
-//! [`ReceiverAction`]s that the switch executes. Timers are guarded by
-//! epochs so stale timer events are ignored — the same pattern the Tofino
-//! implementation achieves with its `state_lock` register (Appendix B.1).
+//! Every input (message, timer) returns an [`Actions`] list of
+//! [`SenderAction`]s / [`ReceiverAction`]s that the switch executes in
+//! order. A transition emits at most three, so the list is an inline array
+//! that derefs to a slice: stepping an FSM never allocates. Timers are
+//! guarded by epochs so stale timer events are ignored — the same pattern
+//! the Tofino implementation achieves with its `state_lock` register
+//! (Appendix B.1).
+
+use std::fmt;
+use std::ops::Deref;
 
 use fancy_net::ControlBody;
 use fancy_sim::SimDuration;
 
 use crate::config::TimerConfig;
+
+/// Most actions one FSM transition emits (reset + send + arm).
+const MAX_ACTIONS: usize = 3;
+
+/// An action type an [`Actions`] list can hold.
+pub trait FsmAction: Sized {
+    /// Pads the unused tail of the inline array; never exposed.
+    const PAD: Self;
+}
+
+/// The actions of one FSM transition, in the order the switch applies
+/// them. Inline (at most three), derefs to a slice, iterates by value.
+pub struct Actions<A: FsmAction> {
+    items: [A; MAX_ACTIONS],
+    len: usize,
+}
+
+impl<A: FsmAction> Actions<A> {
+    /// No action.
+    fn none() -> Self {
+        Actions {
+            items: [A::PAD, A::PAD, A::PAD],
+            len: 0,
+        }
+    }
+
+    /// The actions `items`, in order.
+    fn of<const N: usize>(items: [A; N]) -> Self {
+        let mut list = Actions::none();
+        for a in items {
+            list.push(a);
+        }
+        list
+    }
+
+    fn push(&mut self, a: A) {
+        self.items[self.len] = a;
+        self.len += 1;
+    }
+}
+
+impl<A: FsmAction> Deref for Actions<A> {
+    type Target = [A];
+    fn deref(&self) -> &[A] {
+        &self.items[..self.len]
+    }
+}
+
+impl<A: FsmAction> IntoIterator for Actions<A> {
+    type Item = A;
+    type IntoIter = std::iter::Take<std::array::IntoIter<A, MAX_ACTIONS>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter().take(self.len)
+    }
+}
+
+impl<A: FsmAction + fmt::Debug> fmt::Debug for Actions<A> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// Sender-side protocol states (Fig. 3, left).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +122,9 @@ pub enum SenderAction {
     BeginCounting,
     /// The counting phase ends: stop tagging/counting packets.
     EndCounting,
-    /// A Report arrived: compare `local` counters against these and act.
-    Deliver(Vec<u32>),
+    /// The session's Report arrived: compare the local counters against
+    /// its counters (which the caller holds: it passed the message in).
+    Deliver,
     /// `X` retransmissions exhausted: declare the link failed.
     LinkFailure,
     /// Arm the FSM timer. Only the most recent `epoch` is valid.
@@ -66,6 +134,10 @@ pub enum SenderAction {
         /// Epoch to pass back to [`SenderFsm::on_timer`].
         epoch: u64,
     },
+}
+
+impl FsmAction for SenderAction {
+    const PAD: Self = SenderAction::BeginCounting;
 }
 
 /// The upstream (sender) FSM for one counting instance.
@@ -123,44 +195,46 @@ impl SenderFsm {
     }
 
     /// Open a new counting session. Valid from `Idle`.
-    pub fn open(&mut self) -> Vec<SenderAction> {
+    pub fn open(&mut self) -> Actions<SenderAction> {
         debug_assert_eq!(self.state, SenderState::Idle, "open() while busy");
         self.session_id = self.session_id.wrapping_add(1);
         self.retx = 0;
         self.state = SenderState::WaitAck;
-        vec![
+        let arm = self.arm(self.timers.trtx);
+        Actions::of([
             SenderAction::ResetCounters,
             SenderAction::Send(ControlBody::Start),
-            self.arm(self.timers.trtx),
-        ]
+            arm,
+        ])
     }
 
     /// A control message arrived from the downstream switch.
-    pub fn on_message(&mut self, session_id: u32, body: &ControlBody) -> Vec<SenderAction> {
+    pub fn on_message(&mut self, session_id: u32, body: &ControlBody) -> Actions<SenderAction> {
         if session_id != self.session_id {
-            return Vec::new(); // stale session
+            return Actions::none(); // stale session
         }
         match (self.state, body) {
             (SenderState::WaitAck, ControlBody::StartAck) => {
                 self.state = SenderState::Counting;
                 self.retx = 0;
-                vec![SenderAction::BeginCounting, self.arm(self.interval)]
+                let arm = self.arm(self.interval);
+                Actions::of([SenderAction::BeginCounting, arm])
             }
-            (SenderState::WaitReport, ControlBody::Report(counters)) => {
+            (SenderState::WaitReport, ControlBody::Report(_)) => {
                 self.state = SenderState::Idle;
                 self.sessions_completed += 1;
                 self.consecutive_failures = 0;
-                vec![SenderAction::Deliver(counters.clone())]
+                Actions::of([SenderAction::Deliver])
             }
-            _ => Vec::new(),
+            _ => Actions::none(),
         }
     }
 
     /// The FSM timer fired. `epoch` must match the most recent
     /// [`SenderAction::ArmTimer`]; stale epochs are ignored.
-    pub fn on_timer(&mut self, epoch: u64) -> Vec<SenderAction> {
+    pub fn on_timer(&mut self, epoch: u64) -> Actions<SenderAction> {
         if epoch != self.epoch {
-            return Vec::new();
+            return Actions::none();
         }
         match self.state {
             SenderState::WaitAck => self.retransmit(ControlBody::Start),
@@ -168,11 +242,12 @@ impl SenderFsm {
                 // Counting phase over: close the session.
                 self.state = SenderState::WaitReport;
                 self.retx = 0;
-                vec![
+                let arm = self.arm(self.timers.trtx);
+                Actions::of([
                     SenderAction::EndCounting,
                     SenderAction::Send(ControlBody::Stop),
-                    self.arm(self.timers.trtx),
-                ]
+                    arm,
+                ])
             }
             SenderState::WaitReport => self.retransmit(ControlBody::Stop),
             SenderState::Idle => {
@@ -182,7 +257,7 @@ impl SenderFsm {
         }
     }
 
-    fn retransmit(&mut self, msg: ControlBody) -> Vec<SenderAction> {
+    fn retransmit(&mut self, msg: ControlBody) -> Actions<SenderAction> {
         self.retx += 1;
         if self.retx >= self.timers.max_retx {
             // "If A does not receive responses from B after X attempts
@@ -199,12 +274,14 @@ impl SenderFsm {
                 self.consecutive_failures,
                 self.timers.max_backoff_shift,
             );
-            vec![SenderAction::LinkFailure, self.arm(delay)]
+            let arm = self.arm(delay);
+            Actions::of([SenderAction::LinkFailure, arm])
         } else {
             // Retransmissions within a session back off too: the k-th
             // resend waits trtx << min(k, cap).
             let delay = backoff(self.timers.trtx, self.retx, self.timers.max_backoff_shift);
-            vec![SenderAction::Send(msg), self.arm(delay)]
+            let arm = self.arm(delay);
+            Actions::of([SenderAction::Send(msg), arm])
         }
     }
 }
@@ -261,6 +338,10 @@ pub enum ReceiverAction {
     },
 }
 
+impl FsmAction for ReceiverAction {
+    const PAD: Self = ReceiverAction::ResetCounters;
+}
+
 /// The downstream (receiver) FSM for one counting instance.
 #[derive(Debug, Clone)]
 pub struct ReceiverFsm {
@@ -304,7 +385,7 @@ impl ReceiverFsm {
     }
 
     /// A control message arrived from the upstream switch.
-    pub fn on_message(&mut self, session_id: u32, body: &ControlBody) -> Vec<ReceiverAction> {
+    pub fn on_message(&mut self, session_id: u32, body: &ControlBody) -> Actions<ReceiverAction> {
         match body {
             ControlBody::Start => {
                 if self.accepts_counts() && session_id == self.session_id {
@@ -312,7 +393,7 @@ impl ReceiverFsm {
                     // started tagging (it is still in WaitAck), so resetting
                     // again is safe and keeps both sides aligned.
                     let reset = self.state == ReceiverState::Ready;
-                    let mut actions = Vec::new();
+                    let mut actions = Actions::none();
                     if reset {
                         actions.push(ReceiverAction::ResetCounters);
                     }
@@ -324,15 +405,15 @@ impl ReceiverFsm {
                     // would resurrect a dead session — the receiver would
                     // reset its counters, re-ACK, and later report counts
                     // for traffic the sender never tagged under that id.
-                    Vec::new()
+                    Actions::none()
                 } else {
                     // Genuinely new session: supersedes anything in flight.
                     self.session_id = session_id;
                     self.state = ReceiverState::Ready;
-                    vec![
+                    Actions::of([
                         ReceiverAction::ResetCounters,
                         ReceiverAction::Send(ControlBody::StartAck),
-                    ]
+                    ])
                 }
             }
             ControlBody::Stop => {
@@ -340,21 +421,21 @@ impl ReceiverFsm {
                     // Duplicate Stop while T_wait is already running (the
                     // sender's T_rtx raced our timer): keep the armed timer,
                     // don't postpone the report.
-                    Vec::new()
+                    Actions::none()
                 } else if session_id == self.session_id && self.accepts_counts() {
                     // "the receiver FSM transitions to the WaitToSendCounter
                     // state, where it can keep counting tagged packets for a
                     // short time interval T_wait" (§4.1)
                     self.state = ReceiverState::WaitToSend;
-                    vec![self.arm(self.timers.twait)]
+                    Actions::of([self.arm(self.timers.twait)])
                 } else if Some(session_id) == self.last_reported {
                     // Our Report was lost; serve it again.
-                    vec![ReceiverAction::ResendReport]
+                    Actions::of([ReceiverAction::ResendReport])
                 } else {
-                    Vec::new()
+                    Actions::none()
                 }
             }
-            _ => Vec::new(),
+            _ => Actions::none(),
         }
     }
 
@@ -367,13 +448,13 @@ impl ReceiverFsm {
     }
 
     /// The `T_wait` timer fired.
-    pub fn on_timer(&mut self, epoch: u64) -> Vec<ReceiverAction> {
+    pub fn on_timer(&mut self, epoch: u64) -> Actions<ReceiverAction> {
         if epoch != self.epoch || self.state != ReceiverState::WaitToSend {
-            return Vec::new();
+            return Actions::none();
         }
         self.state = ReceiverState::Idle;
         self.last_reported = Some(self.session_id);
-        vec![ReceiverAction::EmitReport]
+        Actions::of([ReceiverAction::EmitReport])
     }
 }
 
@@ -458,12 +539,12 @@ mod tests {
         assert_eq!(r.state, ReceiverState::WaitToSend);
         assert!(r.accepts_counts(), "keeps counting during T_wait");
         let ra = r.on_timer(r_epoch_of(&ra));
-        assert_eq!(ra, vec![ReceiverAction::EmitReport]);
+        assert_eq!(*ra, [ReceiverAction::EmitReport]);
         assert_eq!(r.state, ReceiverState::Idle);
 
         // Report reaches the sender → Deliver, back to Idle.
         let a = s.on_message(sid, &ControlBody::Report(vec![42]));
-        assert_eq!(a, vec![SenderAction::Deliver(vec![42])]);
+        assert_eq!(*a, [SenderAction::Deliver]);
         assert_eq!(s.state, SenderState::Idle);
         assert_eq!(s.sessions_completed, 1);
     }
@@ -510,7 +591,7 @@ mod tests {
         // Once counting, a duplicate Start only re-ACKs (no reset).
         r.on_tagged_packet();
         let ra = r.on_message(1, &ControlBody::Start);
-        assert_eq!(ra, vec![ReceiverAction::Send(ControlBody::StartAck)]);
+        assert_eq!(*ra, [ReceiverAction::Send(ControlBody::StartAck)]);
         assert_eq!(r.state, ReceiverState::Counting);
     }
 
@@ -523,7 +604,7 @@ mod tests {
         let _ = r.on_timer(r_epoch_of(&ra)); // Report emitted (and lost).
                                              // Upstream retransmits Stop for session 7.
         let ra = r.on_message(7, &ControlBody::Stop);
-        assert_eq!(ra, vec![ReceiverAction::ResendReport]);
+        assert_eq!(*ra, [ReceiverAction::ResendReport]);
     }
 
     #[test]
@@ -694,6 +775,6 @@ mod tests {
         let a = s.on_timer(epoch_of(&a)); // Stop lost → retransmit
         assert!(a.contains(&SenderAction::Send(ControlBody::Stop)));
         let d = s.on_message(s.session_id, &ControlBody::Report(vec![9]));
-        assert_eq!(d, vec![SenderAction::Deliver(vec![9])]);
+        assert_eq!(*d, [SenderAction::Deliver]);
     }
 }

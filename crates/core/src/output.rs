@@ -80,12 +80,26 @@ impl FlagArray {
 /// path was inserted tests positive. Bloom semantics mean the filter can
 /// also flag colliding paths (false positives); it never misses an inserted
 /// path.
+///
+/// The registers are allocated on the first [`insert`](Self::insert): a
+/// filter that never flagged a path owns no register words and tests
+/// negative without hashing, while [`memory_bits`](Self::memory_bits)
+/// keeps reporting the modelled hardware size.
 #[derive(Debug, Clone)]
 pub struct OutputBloom {
-    regs: [Vec<u64>; 2],
+    /// Both registers back to back (`2 × words`), empty until the first
+    /// insert.
+    regs: Vec<u64>,
     cells: usize,
     seed: u64,
     insertions: u64,
+}
+
+/// Fold a hash path into the key both registers hash.
+fn path_key(path: impl IntoIterator<Item = u8>) -> u64 {
+    path.into_iter().fold(0u64, |key, b| {
+        key.wrapping_mul(257).wrapping_add(u64::from(b) + 1)
+    })
 }
 
 impl OutputBloom {
@@ -93,7 +107,7 @@ impl OutputBloom {
     pub fn new(cells: usize, seed: u64) -> Self {
         assert!(cells > 0);
         OutputBloom {
-            regs: [vec![0; cells.div_ceil(64)], vec![0; cells.div_ceil(64)]],
+            regs: Vec::new(),
             cells,
             seed,
             insertions: 0,
@@ -105,36 +119,47 @@ impl OutputBloom {
         OutputBloom::new(BLOOM_CELLS, seed)
     }
 
-    fn cell(&self, reg: usize, path: &[u8]) -> usize {
-        let mut key = 0u64;
-        for &b in path {
-            key = key.wrapping_mul(257).wrapping_add(u64::from(b) + 1);
-        }
-        seeded_hash(self.seed ^ ((reg as u64) << 32), key, self.cells as u64) as usize
+    /// The word and bit of `key`'s cell in register `reg`.
+    fn bit(&self, reg: usize, key: u64) -> (usize, u64) {
+        let c = seeded_hash(self.seed ^ ((reg as u64) << 32), key, self.cells as u64) as usize;
+        (reg * self.cells.div_ceil(64) + c / 64, 1 << (c % 64))
     }
 
     /// Insert a failed hash path.
     pub fn insert(&mut self, path: &[u8]) {
+        if self.regs.is_empty() {
+            self.regs = vec![0; 2 * self.cells.div_ceil(64)];
+        }
+        let key = path_key(path.iter().copied());
         for reg in 0..2 {
-            let c = self.cell(reg, path);
-            self.regs[reg][c / 64] |= 1 << (c % 64);
+            let (word, mask) = self.bit(reg, key);
+            self.regs[word] |= mask;
         }
         self.insertions += 1;
     }
 
     /// Does `path` test positive?
     pub fn contains(&self, path: &[u8]) -> bool {
+        self.contains_path(path.iter().copied())
+    }
+
+    /// [`contains`](Self::contains) for a path given index by index (e.g.
+    /// [`TreeHasher::path_iter`](crate::tree::TreeHasher::path_iter)), so
+    /// a per-packet check never builds the path.
+    pub fn contains_path(&self, path: impl IntoIterator<Item = u8>) -> bool {
+        if self.regs.is_empty() {
+            return false;
+        }
+        let key = path_key(path);
         (0..2).all(|reg| {
-            let c = self.cell(reg, path);
-            self.regs[reg][c / 64] & (1 << (c % 64)) != 0
+            let (word, mask) = self.bit(reg, key);
+            self.regs[word] & mask != 0
         })
     }
 
     /// Clear the filter (failure repaired / entries re-validated).
     pub fn reset(&mut self) {
-        for reg in &mut self.regs {
-            reg.iter_mut().for_each(|w| *w = 0);
-        }
+        self.regs.fill(0);
         self.insertions = 0;
     }
 
@@ -152,6 +177,8 @@ impl OutputBloom {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::{TreeHasher, TreeParams};
+    use fancy_net::Prefix;
 
     #[test]
     fn flag_array_set_get_clear() {
@@ -207,6 +234,24 @@ mod tests {
     }
 
     #[test]
+    fn fresh_bloom_owns_no_registers_and_tests_negative() {
+        let b = OutputBloom::tofino_default(5);
+        assert_eq!(b.regs.len(), 0, "registers allocated before any insert");
+        assert!(!b.contains(&[1, 2, 3]));
+        assert!(!b.contains(&[]));
+        assert_eq!(b.memory_bits(), 2 * BLOOM_CELLS as u64);
+    }
+
+    #[test]
+    fn reset_on_untouched_bloom_leaves_it_empty() {
+        let mut b = OutputBloom::new(100, 1);
+        b.reset();
+        assert_eq!(b.regs.len(), 0);
+        assert!(!b.contains(&[1, 2, 3]));
+        assert_eq!(b.insertions(), 0);
+    }
+
+    #[test]
     fn bloom_reset_clears() {
         let mut b = OutputBloom::new(100, 1);
         b.insert(&[1, 2, 3]);
@@ -225,5 +270,38 @@ mod tests {
         assert_eq!(flags_32_ports / 8, 2048); // 2 KB
         let bloom = OutputBloom::tofino_default(0);
         assert_eq!(bloom.memory_bits(), 200_000);
+    }
+
+    proptest::proptest! {
+        /// The per-packet check over `path_iter` answers exactly what
+        /// `contains` answers over the built `hash_path`, on an untouched
+        /// filter and after inserting arbitrary entries' paths. A
+        /// 97-cell filter makes false positives common, so the equality
+        /// is tested on positives that were never inserted too.
+        #[test]
+        fn path_iter_check_equals_contains_of_hash_path(
+            seed in proptest::arbitrary::any::<u64>(),
+            inserted in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 0..40),
+            queried in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 1..80),
+        ) {
+            let hasher = TreeHasher::new(TreeParams::paper_default(), seed);
+            let mut b = OutputBloom::new(97, seed.rotate_left(17));
+            let agree = |b: &OutputBloom, e: Prefix| {
+                b.contains_path(hasher.path_iter(e)) == b.contains(&hasher.hash_path(e))
+            };
+            for &q in &queried {
+                proptest::prop_assert!(agree(&b, Prefix(q)), "entry {q:#x}");
+                proptest::prop_assert!(!b.contains_path(hasher.path_iter(Prefix(q))));
+            }
+            for &e in &inserted {
+                b.insert(&hasher.hash_path(Prefix(e)));
+            }
+            for &e in &inserted {
+                proptest::prop_assert!(b.contains_path(hasher.path_iter(Prefix(e))));
+            }
+            for &q in inserted.iter().chain(&queried) {
+                proptest::prop_assert!(agree(&b, Prefix(q)), "entry {q:#x}");
+            }
+        }
     }
 }

@@ -36,7 +36,7 @@ use fancy_sim::{
 };
 
 use crate::config::{FancyLayout, TimerConfig};
-use crate::fsm::{ReceiverAction, ReceiverFsm, SenderAction, SenderFsm};
+use crate::fsm::{Actions, ReceiverAction, ReceiverFsm, SenderAction, SenderFsm};
 use crate::output::{FlagArray, OutputBloom};
 use crate::tree::TreeHasher;
 use crate::zoom::{ZoomEngine, ZoomOutcome, ZoomStep};
@@ -250,6 +250,13 @@ impl UpstreamPort {
                 .map(|d| &mut d.fsm)
         }
     }
+
+    /// Does the output Bloom filter flag `entry`'s hash path? The path is
+    /// folded as it is hashed, so the per-packet check never allocates.
+    fn tree_flags(&self, entry: Prefix) -> bool {
+        self.bloom
+            .contains_path(self.zoom.hasher().path_iter(entry))
+    }
 }
 
 /// One receiver FSM and the counters its sessions fill: one for a
@@ -446,8 +453,7 @@ impl FancySwitch {
 
     /// Does `port`'s output Bloom filter flag this entry's hash path?
     pub fn tree_flags_entry(&self, port: PortId, entry: Prefix) -> bool {
-        let up = self.up(port);
-        up.bloom.contains(&up.zoom.hasher().hash_path(entry))
+        self.up(port).tree_flags(entry)
     }
 
     /// Completed counting sessions on `port` (dedicated, tree).
@@ -519,12 +525,15 @@ impl FancySwitch {
 
     /// Feed one input to the sender FSM of (`port`, `kind`), trace the
     /// transition, and apply the actions in the order they are emitted.
+    /// `report` is the counters of the Report message being fed (empty
+    /// for any other input): a `Deliver` compares against them.
     fn step_sender(
         &mut self,
         ctx: &mut Kernel,
         port: PortId,
         kind: u16,
-        input: impl FnOnce(&mut SenderFsm) -> Vec<SenderAction>,
+        report: &[u32],
+        input: impl FnOnce(&mut SenderFsm) -> Actions<SenderAction>,
     ) {
         let Some(fsm) = self.upstream.get_mut(port).and_then(|up| up.sender(kind)) else {
             return; // a reply on a port we do not monitor: ignore
@@ -548,16 +557,16 @@ impl FancySwitch {
                     }
                 }
                 SenderAction::BeginCounting | SenderAction::EndCounting => {}
-                SenderAction::Deliver(counters) => {
+                SenderAction::Deliver => {
                     // A completed session proves the link answers again.
                     let up = self.up_mut(port);
                     up.link_down = false;
                     if std::mem::take(&mut up.degraded) {
                         trace_degraded(ctx, port, 0);
                     }
-                    self.deliver_report(ctx, port, kind, &counters);
+                    self.deliver_report(ctx, port, kind, report);
                     // "immediately after, starts a new session" (§3).
-                    self.step_sender(ctx, port, kind, SenderFsm::open);
+                    self.step_sender(ctx, port, kind, &[], SenderFsm::open);
                 }
                 SenderAction::LinkFailure => {
                     let up = self.up_mut(port);
@@ -591,7 +600,7 @@ impl FancySwitch {
         ctx: &mut Kernel,
         port: PortId,
         kind: u16,
-        input: impl FnOnce(&mut ReceiverFsm) -> Vec<ReceiverAction>,
+        input: impl FnOnce(&mut ReceiverFsm) -> Actions<ReceiverAction>,
     ) {
         let Some(down) = self.downstream.get_mut(port) else {
             return;
@@ -757,8 +766,13 @@ impl FancySwitch {
                     fsm.on_message(msg.session_id, &msg.body)
                 });
             }
-            ControlBody::StartAck | ControlBody::Report(_) => {
-                self.step_sender(ctx, port, kind, |fsm| {
+            ControlBody::StartAck => {
+                self.step_sender(ctx, port, kind, &[], |fsm| {
+                    fsm.on_message(msg.session_id, &msg.body)
+                });
+            }
+            ControlBody::Report(counters) => {
+                self.step_sender(ctx, port, kind, counters, |fsm| {
                     fsm.on_message(msg.session_id, &msg.body)
                 });
             }
@@ -831,7 +845,7 @@ impl Node for FancySwitch {
         let dedicated = self.layout.high_priority.len() as u16;
         for port in self.monitored.clone() {
             for kind in (0..dedicated).chain([KIND_TREE]) {
-                self.step_sender(ctx, port, kind, SenderFsm::open);
+                self.step_sender(ctx, port, kind, &[], SenderFsm::open);
             }
         }
     }
@@ -899,7 +913,7 @@ impl Node for FancySwitch {
             return;
         }
         if role == ROLE_SENDER {
-            self.step_sender(ctx, port, kind, |fsm| fsm.on_timer(epoch));
+            self.step_sender(ctx, port, kind, &[], |fsm| fsm.on_timer(epoch));
         } else {
             self.step_receiver(ctx, port, kind, |fsm| fsm.on_timer(epoch));
         }

@@ -132,7 +132,7 @@ impl FancySwitch {
         if let Some(&id) = self.dedicated_index.get(&entry) {
             up.flags.get(id)
         } else {
-            up.bloom.contains(&up.zoom.hasher().hash_path(entry))
+            up.tree_flags(entry)
         }
     }
 
@@ -150,7 +150,7 @@ impl FancySwitch {
         if let Some(&id) = self.dedicated_index.get(&entry) {
             !up.flags.get(id)
         } else {
-            !up.bloom.contains(&up.zoom.hasher().hash_path(entry))
+            !up.tree_flags(entry)
         }
     }
 

@@ -148,9 +148,12 @@ impl TreeHasher {
 
     /// The full hash path of `entry`, root to leaf.
     pub fn hash_path(&self, entry: Prefix) -> Vec<u8> {
-        (0..self.params.depth)
-            .map(|l| self.index(l, entry))
-            .collect()
+        self.path_iter(entry).collect()
+    }
+
+    /// [`hash_path`](Self::hash_path) index by index, without building it.
+    pub fn path_iter(&self, entry: Prefix) -> impl Iterator<Item = u8> + '_ {
+        (0..self.params.depth).map(move |l| self.index(l, entry))
     }
 
     /// `format_path` plus a completeness marker: partial paths (still

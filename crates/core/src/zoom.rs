@@ -108,8 +108,9 @@ struct ActivePath {
 #[derive(Debug, Clone)]
 pub struct ZoomEngine {
     hasher: TreeHasher,
-    /// Local per-slot counters (slot-major, `slot_count × width`).
-    counters: Vec<Vec<u32>>,
+    /// Local counters, slot-major (`slot_count × width`): the shape of a
+    /// Report.
+    counters: Vec<u32>,
     paths: Vec<ActivePath>,
     free_slots: Vec<u8>,
     uniform_active: bool,
@@ -129,7 +130,7 @@ impl ZoomEngine {
         let slots = params.slot_count();
         ZoomEngine {
             hasher: TreeHasher::new(params, seed),
-            counters: vec![vec![0; usize::from(params.width)]; slots],
+            counters: vec![0; slots * usize::from(params.width)],
             paths: Vec::new(),
             free_slots: (1..slots as u8).rev().collect(),
             uniform_active: false,
@@ -162,7 +163,7 @@ impl ZoomEngine {
 
     /// Number of provisioned node slots (= report length / width).
     pub fn slot_count(&self) -> usize {
-        self.counters.len()
+        self.counters.len() / usize::from(self.params().width)
     }
 
     /// Currently explored partial paths (deepest-first not guaranteed).
@@ -172,9 +173,7 @@ impl ZoomEngine {
 
     /// Zero all counters for a new counting session.
     pub fn begin_session(&mut self) {
-        for slot in &mut self.counters {
-            slot.iter_mut().for_each(|c| *c = 0);
-        }
+        self.counters.fill(0);
     }
 
     /// Classify a packet: the slot/index it must be counted at — the node
@@ -198,14 +197,15 @@ impl ZoomEngine {
     /// Count a packet locally and return the tag the downstream needs.
     pub fn tag_and_count(&mut self, entry: Prefix) -> FancyTag {
         let (slot, index) = self.classify(entry);
-        self.counters[usize::from(slot)][usize::from(index)] =
-            self.counters[usize::from(slot)][usize::from(index)].wrapping_add(1);
+        let width = usize::from(self.params().width);
+        let c = &mut self.counters[usize::from(slot) * width + usize::from(index)];
+        *c = c.wrapping_add(1);
         FancyTag::Tree { slot, index }
     }
 
-    /// Local counters flattened slot-major (the shape of a Report).
+    /// A copy of the local counters, slot-major (the shape of a Report).
     pub fn local_report(&self) -> Vec<u32> {
-        self.counters.iter().flatten().copied().collect()
+        self.counters.clone()
     }
 
     fn paths_at_level(&self, level: usize) -> usize {
@@ -233,7 +233,8 @@ impl ZoomEngine {
 
         // Per-slot positive differences (local − remote = packets lost).
         let diff = |slot: usize, idx: usize| -> i64 {
-            i64::from(self.counters[slot][idx]) - i64::from(report[slot * width + idx])
+            let i = slot * width + idx;
+            i64::from(self.counters[i]) - i64::from(report[i])
         };
 
         // 1. Uniform check on the root node (§4.2: "If it detects

@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 
 use fancy_core::config::TimerConfig;
-use fancy_core::fsm::{ReceiverAction, ReceiverFsm, SenderAction, SenderFsm, SenderState};
+use fancy_core::fsm::{Actions, ReceiverAction, ReceiverFsm, SenderAction, SenderFsm, SenderState};
 use fancy_net::ControlBody;
 use fancy_sim::SimDuration;
 
@@ -56,7 +56,7 @@ impl Harness {
         h
     }
 
-    fn apply_sender(&mut self, actions: Vec<SenderAction>) {
+    fn apply_sender(&mut self, actions: Actions<SenderAction>) {
         for a in actions {
             match a {
                 SenderAction::Send(body) => {
@@ -68,7 +68,7 @@ impl Harness {
                 SenderAction::ResetCounters
                 | SenderAction::BeginCounting
                 | SenderAction::EndCounting
-                | SenderAction::Deliver(_)
+                | SenderAction::Deliver
                 | SenderAction::LinkFailure => {}
             }
         }
@@ -81,7 +81,7 @@ impl Harness {
         }
     }
 
-    fn apply_receiver(&mut self, reply_session: u32, actions: Vec<ReceiverAction>) {
+    fn apply_receiver(&mut self, reply_session: u32, actions: Actions<ReceiverAction>) {
         for a in actions {
             match a {
                 ReceiverAction::Send(body) => {

@@ -1,16 +1,17 @@
-//! Observing a warm FANcY link performs zero heap allocations of its
-//! own: with a `MetricsHub` and a trace sink attached, complete counting
+//! A warm FANcY counting session allocates only the Report it puts on the
+//! wire, and observing it allocates nothing more. Complete counting
 //! sessions (Start → Start-ACK → Stop → Report through the sender and
-//! receiver FSMs, every FSM transition counted and traced, every control
-//! message traced) and tagged data packets between two `FancySwitch`es
-//! reach the allocator exactly as often as the same window does with
-//! both hooks off, once the first session has created its metric
-//! series. (The sessions themselves allocate — FSM action lists, report
-//! payloads — so the window is compared with its unobserved twin, not
-//! with zero; the data-packet hop alone is pinned at zero by
-//! `zero_alloc_hop.rs`.) Label sets and trace vocabulary are borrowed
-//! literals. Measured with a counting `#[global_allocator]`, not
-//! asserted from inspection.
+//! receiver FSMs) and tagged data packets between two `FancySwitch`es
+//! reach the allocator exactly once per Report the receiving switch
+//! sends — the counters payload of `ControlBody::Report`; FSM transitions
+//! return inline action lists and the sender compares the Report it
+//! received in place. With a `MetricsHub` and a trace sink attached
+//! (every FSM transition counted and traced, every control message
+//! traced) the same window allocates exactly as often as with both hooks
+//! off, once the first session has created its metric series: label sets
+//! and trace vocabulary are borrowed literals. The data-packet hop alone
+//! is pinned at zero by `zero_alloc_hop.rs`. Measured with a counting
+//! `#[global_allocator]`, not asserted from inspection.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -59,11 +60,18 @@ struct CountingSink {
     fsm: Arc<AtomicU64>,
     ctrl: Arc<AtomicU64>,
     fwd: Arc<AtomicU64>,
+    /// Reports sent (the receiving switch is the only one that sends them).
+    reports: Arc<AtomicU64>,
 }
 
 impl TraceSink for CountingSink {
     fn record(&mut self, ev: &TraceEvent) {
         // Statistics read after the run; nothing is published through them.
+        if let TraceEvent::CounterExchange { body, dir, .. } = ev {
+            if body == "report" && dir == "tx" {
+                self.reports.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         let counter = match ev {
             TraceEvent::FsmTransition { .. } => &self.fsm,
             TraceEvent::CounterExchange { .. } => &self.ctrl,
@@ -103,6 +111,9 @@ struct Window {
     allocs: u64,
     control_sent: u64,
     tagged: u64,
+    /// Reports the receiving switch sent (counted by the sink; 0 when no
+    /// sink is attached).
+    reports: u64,
 }
 
 /// Build sink — S1 ══ S2 — sink with FANcY on S1's port 1, attach
@@ -138,6 +149,8 @@ fn window(hooks: Option<(MetricsHub, CountingSink)>) -> Window {
     net.connect(near, s1, link);
     net.connect(s1, s2, link);
     net.connect(s2, far, link);
+    let probe = hooks.as_ref().map(|(_, sink)| Arc::clone(&sink.reports));
+    let reports = || probe.as_ref().map_or(0, |r| r.load(Ordering::Relaxed));
     if let Some((hub, sink)) = hooks {
         net.kernel.set_metrics(hub);
         net.kernel.set_tracer(Box::new(sink));
@@ -149,6 +162,7 @@ fn window(hooks: Option<(MetricsHub, CountingSink)>) -> Window {
     let warm = net.node::<FancySwitch>(s1).stats;
 
     let start = net.kernel.now();
+    let reports_before = reports();
     let before = ALLOCS.with(Cell::get);
     assert!(before > 0, "counter is dead: set-up must have allocated");
     push_batch(&mut net, s1, start);
@@ -160,6 +174,7 @@ fn window(hooks: Option<(MetricsHub, CountingSink)>) -> Window {
         allocs,
         control_sent: stats.control_sent - warm.control_sent,
         tagged: stats.tagged_packets - warm.tagged_packets,
+        reports: reports() - reports_before,
     }
 }
 
@@ -208,5 +223,16 @@ fn observing_warm_counting_sessions_adds_no_allocation() {
         observed.allocs, plain.allocs,
         "{tx_done} sessions and {} tagged packets: {} allocations observed, {} unobserved",
         observed.tagged, observed.allocs, plain.allocs
+    );
+}
+
+#[test]
+fn warm_counting_sessions_allocate_only_the_reports_they_send() {
+    let w = window(Some((MetricsHub::new(), CountingSink::default())));
+    assert!(w.reports >= SESSIONS, "{} Reports sent", w.reports);
+    assert_eq!(
+        w.allocs, w.reports,
+        "{} allocations for {} Reports sent",
+        w.allocs, w.reports
     );
 }

@@ -5,14 +5,17 @@
 //! admissions) touches the allocator not at all. The port- and
 //! prefix-indexed tables on that path must stay as allocation-free as
 //! the pool and queue under them (`fancy-sim`'s `zero_alloc.rs`).
-//! Measured with a counting `#[global_allocator]`, not asserted from
-//! inspection.
+//! That holds with a fast-reroute table on the upstream's egress port
+//! too: with nothing flagged, the per-packet consultation of the output
+//! Bloom filter folds each tree entry's hash path as it hashes it and
+//! builds nothing. Measured with a counting `#[global_allocator]`, not
+//! asserted from inspection.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use fancy_core::prelude::*;
-use fancy_net::Prefix;
+use fancy_net::{FnvMap, Prefix};
 use fancy_sim::{
     Fib, LinkConfig, Network, PacketBuilder, PacketKind, SimDuration, SimTime, SinkNode,
 };
@@ -64,8 +67,11 @@ fn push_batch(net: &mut Network, s1: usize, start: SimTime) {
     net.run_until(start + SimDuration::from_millis(50));
 }
 
-#[test]
-fn warm_fancy_hop_inside_a_counting_session_never_allocates() {
+/// Run a warm-up batch and a measured batch through
+/// sink — S1 ══ S2 — sink (FANcY on S1's port 1; with `reroute`, S1 also
+/// protects port 1 with a backup to a third sink on port 2) and return
+/// the measured batch's allocations.
+fn measured_hop_allocs(reroute: bool) -> u64 {
     // Ten-second sessions: both open at t = 0 and stay in their counting
     // phase, with nothing scheduled, for the whole test.
     let mut timers = TimerConfig::paper_default().for_link_delay(SimDuration::from_millis(1));
@@ -97,6 +103,12 @@ fn warm_fancy_hop_inside_a_counting_session_never_allocates() {
     net.connect(near, s1, link);
     net.connect(s1, s2, link);
     net.connect(s2, far, link);
+    if reroute {
+        let alt = net.add_node(Box::new(SinkNode::default()));
+        net.connect(s1, alt, link);
+        let backup: FnvMap<_, _> = [(1, 2)].into_iter().collect();
+        net.node_mut::<FancySwitch>(s1).reroute = Some(Reroute::port_level(backup));
+    }
 
     // Warm-up: open the sessions, then one batch sizes the pool, both
     // lane heaps, S2's downstream table and the zooming counters.
@@ -126,9 +138,26 @@ fn warm_fancy_hop_inside_a_counting_session_never_allocates() {
         "S2 acked the two Starts and nothing else"
     );
     assert_eq!(net.kernel.telemetry.timers_fired, warm.1, "timer in window");
-    // …and it never reached the allocator.
+    let s1 = net.node::<FancySwitch>(s1);
+    assert_eq!(s1.reroute.as_ref().is_some_and(|r| r.protects(1)), reroute);
+    assert_eq!(stats.rerouted_packets, 0, "nothing is flagged");
+    allocs
+}
+
+#[test]
+fn warm_fancy_hop_inside_a_counting_session_never_allocates() {
+    let allocs = measured_hop_allocs(false);
     assert_eq!(
         allocs, 0,
         "{BATCH} warm packets through two FANcY switches allocated {allocs} time(s)"
+    );
+}
+
+#[test]
+fn warm_hop_through_a_protected_port_with_nothing_flagged_never_allocates() {
+    let allocs = measured_hop_allocs(true);
+    assert_eq!(
+        allocs, 0,
+        "{BATCH} warm packets through a reroute-protected FANcY port allocated {allocs} time(s)"
     );
 }

@@ -67,7 +67,7 @@ fn run_fsm_pair(drop_pattern: &[bool], rounds: usize) -> (u64, u64) {
     let mut sender = SenderFsm::new(SimDuration::from_millis(50), timers);
     let mut receiver = ReceiverFsm::new(timers);
     let mut drop_iter = drop_pattern.iter().cycle();
-    let mut pending_sender: Vec<SenderAction> = sender.open();
+    let mut pending_sender: Vec<SenderAction> = sender.open().into_iter().collect();
     let mut to_receiver: Vec<(u32, ControlBody)> = Vec::new();
     let mut to_sender: Vec<(u32, ControlBody)> = Vec::new();
     let mut sender_timer: Option<u64> = None;
@@ -112,7 +112,7 @@ fn run_fsm_pair(drop_pattern: &[bool], rounds: usize) -> (u64, u64) {
         // Deliver to sender.
         for (sid, body) in std::mem::take(&mut to_sender) {
             let acts = sender.on_message(sid, &body);
-            let reopened = acts.iter().any(|a| matches!(a, SenderAction::Deliver(_)));
+            let reopened = acts.iter().any(|a| matches!(a, SenderAction::Deliver));
             pending_sender.extend(acts);
             if reopened {
                 pending_sender.extend(sender.open());
