@@ -13,6 +13,15 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test -q --workspace --release
 
+echo "== allocation gate (warm hot paths, reported by name) =="
+# Counting-allocator tests: the kernel's warm event loop allocates
+# nothing; a warm data-packet hop through two FANcY switches allocates
+# nothing, through a reroute-protected port too; a warm counting session
+# allocates only the Report payload it sends, hooks on or off. They also
+# run in the workspace tests above; this stage names the regression.
+cargo test -q --release -p fancy-sim --test zero_alloc
+cargo test -q --release -p fancy-core --test zero_alloc_hop --test zero_alloc_hooks
+
 echo "== clippy (all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets --release -- -D warnings
 
