@@ -21,6 +21,9 @@ echo "== allocation gate (warm hot paths, reported by name) =="
 # run in the workspace tests above; this stage names the regression.
 cargo test -q --release -p fancy-sim --test zero_alloc
 cargo test -q --release -p fancy-core --test zero_alloc_hop --test zero_alloc_hooks
+# A TCP sender's peak heap grows with the flows running at once, not with
+# the length of its schedule (at most 16 B per extra scheduled flow).
+cargo test -q --release -p fancy-tcp --test live_flow_memory
 
 echo "== clippy (all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets --release -- -D warnings

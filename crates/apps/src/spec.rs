@@ -32,6 +32,7 @@
 //! `FANCY_THREADS`.
 
 use core::fmt;
+use std::sync::Arc;
 
 use fancy_core::{
     ConfigError, FancyInput, FancyLayout, FancySwitch, Reroute, TimerConfig, TreeParams,
@@ -369,7 +370,7 @@ pub struct ScenarioSpec {
     timers: Option<TimerConfig>,
     core_link: Option<LinkConfig>,
     edge_link: Option<LinkConfig>,
-    flows: Vec<ScheduledFlow>,
+    flows: Arc<[ScheduledFlow]>,
     probes: Vec<ThroughputProbe>,
     udp: Option<UdpBackground>,
     pair_flows: Vec<PairFlow>,
@@ -386,7 +387,7 @@ impl ScenarioSpec {
             timers: None,
             core_link: None,
             edge_link: None,
-            flows: Vec::new(),
+            flows: Arc::default(),
             probes: Vec::new(),
             udp: None,
             pair_flows: Vec::new(),
@@ -458,10 +459,11 @@ impl ScenarioSpec {
         self
     }
 
-    /// The flow schedule of the single sender (linear/case-study shapes).
-    /// Graph scenarios use [`ScenarioSpec::pair_flows`] instead.
-    pub fn flows(mut self, flows: Vec<ScheduledFlow>) -> Self {
-        self.flows = flows;
+    /// The flow schedule of the single sender (linear/case-study shapes),
+    /// shared with the caller when given as an `Arc`. Graph scenarios use
+    /// [`ScenarioSpec::pair_flows`] instead.
+    pub fn flows(mut self, flows: impl Into<Arc<[ScheduledFlow]>>) -> Self {
+        self.flows = flows.into();
         self
     }
 

@@ -11,6 +11,7 @@
 //! result and recorded in EXPERIMENTS.md.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -125,7 +126,7 @@ pub fn run_trace_failure(
 
     let mut sc = ScenarioSpec::linear()
         .seed(seed)
-        .flows(trace.flows.clone())
+        .flows(Arc::clone(&trace.flows))
         .high_priority(dedicated)
         .build()?;
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xFA11);
@@ -352,7 +353,10 @@ pub fn run_baseline_comparison_with(
             // variant detects AND the prefix is within its coverage.
             let st_all = BaselineState::new(&universe, rs);
             let mut net = Network::new(rs);
-            let host = net.add_node(Box::new(SenderHost::new(0x01000001, trace.flows.clone())));
+            let host = net.add_node(Box::new(SenderHost::new(
+                0x01000001,
+                Arc::clone(&trace.flows),
+            )));
             let interval = SimDuration::from_millis(50);
             let settle = SimDuration::from_millis(25);
             let up_all = net.add_node(Box::new(BaselineTap::new(
@@ -589,7 +593,7 @@ pub fn run_fig11_point(
 
         let mut sc = ScenarioSpec::linear()
             .seed(s ^ 2)
-            .flows(trace.flows.clone())
+            .flows(Arc::clone(&trace.flows))
             .tree(TreeParams {
                 width: config.width,
                 depth: config.depth,

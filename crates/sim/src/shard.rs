@@ -249,9 +249,11 @@ impl ShardedNet {
     /// canonical `(time, source shard, source seq)` order. The sort makes
     /// the receiving queue's insertion order — and with it every
     /// same-timestamp tiebreak — independent of which worker deposited
-    /// which message first.
+    /// which message first. The keys are unique (a shard's seq lane never
+    /// repeats), so the unstable sort gives that one order too, without
+    /// the stable sort's scratch buffer.
     fn deliver(shard: &mut Network, stats: &mut ShardStats, mut msgs: Vec<(usize, OutMsg)>) {
-        msgs.sort_by_key(|(sa, a)| (a.at, *sa, a.seq));
+        msgs.sort_unstable_by_key(|(sa, a)| (a.at, *sa, a.seq));
         stats.msgs_received += msgs.len() as u64;
         for (_, m) in msgs {
             debug_assert!(
@@ -671,6 +673,74 @@ mod tests {
         // (it only receives), but its lane base is reserved anyway.
         assert_eq!(net.stats()[0].msgs_sent, 3);
         assert!(net.shard(0).kernel.records.wire_packets == 3);
+    }
+
+    /// Logs `(arrival time, source shard, source seq)` of every packet,
+    /// read back from what `barrier_batch` stamped into it.
+    #[derive(Default)]
+    struct ArrivalLog(Vec<(SimTime, u64, u64)>);
+
+    impl Node for ArrivalLog {
+        fn on_packet(&mut self, ctx: &mut Kernel, _port: usize, pkt: PacketRef) {
+            if let PacketKind::Udp { flow, seq } = ctx.pkt(pkt).kind {
+                self.0.push((ctx.now(), flow, seq));
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// 48 messages for node 0 of shard 2: eight from each of source
+    /// shards 0 and 1 at each of three arrival times, in an order no
+    /// worker would produce — latest time first, shards interleaved,
+    /// seqs descending.
+    fn barrier_batch() -> Vec<(usize, OutMsg)> {
+        let mut msgs = Vec::new();
+        for at_ms in [30, 20, 10] {
+            for seq in (0..8u64).rev() {
+                for src in [1, 0] {
+                    let kind = PacketKind::Udp {
+                        flow: src as u64,
+                        seq: at_ms * 100 + seq,
+                    };
+                    let mut pkt = PacketBuilder::new(1, 0x0A000001, 100, kind).build();
+                    pkt.uid = 1 + msgs.len() as u64;
+                    let at = SimTime::ZERO + SimDuration::from_millis(at_ms);
+                    let msg = OutMsg {
+                        at,
+                        seq: at_ms * 100 + seq,
+                        dst_shard: 2,
+                        dst_node: 0,
+                        dst_port: 0,
+                        pkt,
+                    };
+                    msgs.push((src, msg));
+                }
+            }
+        }
+        msgs
+    }
+
+    #[test]
+    fn barrier_delivers_tied_times_in_source_shard_then_seq_order() {
+        let batch = barrier_batch();
+        assert!(batch.len() > 20, "past the small-sort cutoff");
+        let mut expect: Vec<_> = batch
+            .iter()
+            .map(|(src, m)| (m.at, *src as u64, m.seq))
+            .collect();
+        expect.sort();
+        let mut shard = Network::for_shard(7, 2);
+        shard.add_node(Box::new(ArrivalLog::default()));
+        let mut stats = ShardStats::default();
+        ShardedNet::deliver(&mut shard, &mut stats, batch);
+        shard.run_until(SimTime::ZERO + SimDuration::from_millis(40));
+        assert_eq!(stats.msgs_received, 48);
+        assert_eq!(shard.node::<ArrivalLog>(0).0, expect);
     }
 
     #[test]

@@ -35,6 +35,7 @@
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use fancy_net::{FnvMap, Prefix};
 use fancy_sim::metrics::Labels;
@@ -91,7 +92,7 @@ pub struct SenderStats {
     pub local_congestion_drops: u64,
 }
 
-/// Everything the host keeps per started flow.
+/// Everything the host keeps per live flow.
 struct FlowSlot {
     flow: TcpFlow,
     dst: u32,
@@ -103,18 +104,34 @@ struct FlowSlot {
     rto_timer: Option<SimTime>,
 }
 
+/// `slot_of` entry of a flow that holds no slot.
+const NO_SLOT: u32 = u32::MAX;
+
 /// A host that originates TCP flows on port 0.
+///
+/// Per-flow TCP state is held only while a flow is live: a flow takes a
+/// slot when it starts and gives it back when its last packet is
+/// acknowledged, so the slots grow with the most flows ever running at
+/// once, not with the schedule. ACKs and timers that arrive for a flow
+/// holding no slot — not started yet, or completed — are ignored.
 pub struct SenderHost {
     /// This host's source address.
     pub addr: u32,
-    /// Flows not yet started.
-    pub scheduled: Vec<ScheduledFlow>,
-    /// Parallel to `scheduled` (a flow's id is its index there); `None`
-    /// until the flow starts.
-    flows: Vec<Option<FlowSlot>>,
+    /// The flow schedule, shared with whoever built it; a flow's id is
+    /// its index here. Read at `on_start`.
+    pub scheduled: Arc<[ScheduledFlow]>,
+    /// Live flows' state; a completed flow's slot goes to `free`.
+    slots: Vec<FlowSlot>,
+    /// Indices into `slots` whose flow has completed.
+    free: Vec<u32>,
+    /// Parallel to `scheduled`: each flow's index into `slots`, `NO_SLOT`
+    /// before it starts and after it completes. Filled at `on_start`.
+    slot_of: Vec<u32>,
+    /// Flows started so far.
+    started: usize,
     /// Flows not yet started, latest `(start, id)` first: the next one to
     /// start is on top. Filled at `on_start`.
-    pending_starts: Vec<FlowId>,
+    pending_starts: Vec<u32>,
     /// When the flow on top of `pending_starts` starts, and the host's one
     /// start timer fires (`FAR_FUTURE` once every flow has started).
     next_start_at: SimTime,
@@ -125,11 +142,14 @@ pub struct SenderHost {
 
 impl SenderHost {
     /// A sender with a list of scheduled flows.
-    pub fn new(addr: u32, scheduled: Vec<ScheduledFlow>) -> Self {
+    pub fn new(addr: u32, scheduled: impl Into<Arc<[ScheduledFlow]>>) -> Self {
         SenderHost {
             addr,
-            flows: scheduled.iter().map(|_| None).collect(),
-            scheduled,
+            scheduled: scheduled.into(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            slot_of: Vec::new(),
+            started: 0,
             pending_starts: Vec::new(),
             next_start_at: SimTime::FAR_FUTURE,
             ip_id: 0,
@@ -137,11 +157,48 @@ impl SenderHost {
         }
     }
 
-    /// The slot of a started flow. Flow ids arrive in ACKs and timer
-    /// tokens: one that was never started, or is past the table
+    /// The slot of a live flow. Flow ids arrive in ACKs and timer
+    /// tokens: one that is not running, or is past the schedule
     /// (`UdpSource` stamps `u64::MAX`), has no slot.
     fn slot(&mut self, flow: FlowId) -> Option<&mut FlowSlot> {
-        self.flows.get_mut(usize::try_from(flow).ok()?)?.as_mut()
+        let at = *self.slot_of.get(usize::try_from(flow).ok()?)?;
+        self.slots.get_mut(at as usize)
+    }
+
+    /// Give a completed flow's slot back for the next flow to start.
+    fn release(&mut self, flow: FlowId) {
+        let at = std::mem::replace(&mut self.slot_of[flow as usize], NO_SLOT);
+        // The flow's state is about to be overwritten: nothing of it may
+        // be left for a later ACK or timer to act on.
+        let f = &self.slots[at as usize].flow;
+        debug_assert_eq!(
+            (f.send_una, f.inflight(), f.rto_deadline),
+            (f.cfg.total_packets, 0, None),
+            "flow {flow} completed with data unacknowledged or a timer armed"
+        );
+        self.free.push(at);
+    }
+
+    /// Give `flow` a slot: a free one if any, else a new one. The slots
+    /// grow by doubling but never past the schedule's length, so a host
+    /// with two flows keeps two slots.
+    fn occupy(&mut self, flow: u32, slot: FlowSlot) {
+        let at = match self.free.pop() {
+            Some(at) => {
+                self.slots[at as usize] = slot;
+                at
+            }
+            None => {
+                let len = self.slots.len();
+                if len == self.slots.capacity() {
+                    let want = (2 * len).max(4).min(self.scheduled.len());
+                    self.slots.reserve_exact(want.saturating_sub(len));
+                }
+                self.slots.push(slot);
+                len as u32
+            }
+        };
+        self.slot_of[flow as usize] = at;
     }
 
     /// Put one segment of `flow` on the wire; `(dst, size)` is copied out
@@ -228,14 +285,16 @@ impl SenderHost {
                 break;
             }
             self.pending_starts.pop();
-            self.flows[flow as usize] = Some(FlowSlot {
+            let slot = FlowSlot {
                 flow: TcpFlow::new(s.cfg),
                 dst: s.dst,
                 pacing: false,
                 pace_interval: s.cfg.pace_interval(),
                 rto_timer: None,
-            });
-            self.pace(ctx, flow);
+            };
+            self.occupy(flow, slot);
+            self.started += 1;
+            self.pace(ctx, FlowId::from(flow));
         }
         self.arm_start(ctx);
     }
@@ -251,25 +310,27 @@ impl SenderHost {
         ctx.schedule_timer(delay, token(KIND_START, 0));
     }
 
-    /// Number of flows that have been started.
+    /// Number of flows that have been started, completed ones included.
     pub fn started_flows(&self) -> usize {
-        self.flows.iter().flatten().count()
+        self.started
     }
 
-    /// Iterate over the started flows' states (post-run inspection).
+    /// Iterate over the live flows' states — started and not completed —
+    /// in id order (post-run inspection). A completed flow's state is
+    /// gone; [`SenderStats`] keeps what it added up to.
     pub fn flows(&self) -> impl Iterator<Item = (FlowId, &TcpFlow)> {
-        self.flows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| Some((i as FlowId, &s.as_ref()?.flow)))
+        (0..)
+            .zip(&self.slot_of)
+            .filter(|&(_, &at)| at != NO_SLOT)
+            .map(|(id, &at)| (id, &self.slots[at as usize].flow))
     }
 }
 
 impl Node for SenderHost {
     fn on_start(&mut self, ctx: &mut Kernel) {
-        // `scheduled` is public: it may have grown since `new()`.
-        self.flows.resize_with(self.scheduled.len(), || None);
-        self.pending_starts = (0..self.scheduled.len() as FlowId).collect();
+        let n = u32::try_from(self.scheduled.len()).expect("flow ids fit in u32");
+        self.slot_of = vec![NO_SLOT; n as usize];
+        self.pending_starts = (0..n).collect();
         // Flows with equal start times start in id order.
         self.pending_starts
             .sort_unstable_by_key(|&i| Reverse((self.scheduled[i as usize].start, i)));
@@ -314,6 +375,7 @@ impl Node for SenderHost {
         if done {
             if !was_done {
                 self.stats.completed_flows += 1;
+                self.release(flow);
             }
             return;
         }
@@ -866,13 +928,18 @@ mod tests {
             dst: 0x0A000001,
             cfg: flow_cfg(12_000_000, 10),
         };
-        // `scheduled` grows behind the flow table's back, before on_start.
-        net.node_mut::<SenderHost>(a).scheduled.push(late);
+        // A longer schedule replaces the one given to `new()`, before
+        // on_start: the host sizes everything from what it finds there.
+        let mut longer = one_started_one_pending();
+        longer.push(late);
+        net.node_mut::<SenderHost>(a).scheduled = longer.into();
         net.run_until(SimTime::ZERO + SimDuration::from_secs(1));
         let tx: &SenderHost = net.node(a);
         assert_eq!(tx.started_flows(), 2);
-        let started: Vec<_> = tx.flows().map(|(id, f)| (id, f.done())).collect();
-        assert_eq!(started, vec![(0, false), (2, true)]);
+        assert_eq!(tx.stats.completed_flows, 1);
+        // Flow 2 completed and gave its slot back; flow 0 is still running.
+        let live: Vec<_> = tx.flows().map(|(id, _)| id).collect();
+        assert_eq!(live, vec![0]);
     }
 
     #[test]

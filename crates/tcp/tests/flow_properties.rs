@@ -106,15 +106,14 @@ proptest! {
         );
         net.run_until(SimTime(25_000_000_000));
 
+        // "Complete ⇒ every packet acknowledged" is a debug assertion in
+        // `SenderHost` at the completion transition, the last moment the
+        // flow's state exists; this debug-profile run checks it for every
+        // flow that completes.
         let sender: &SenderHost = net.node(tx);
-        for (_, flow) in sender.flows() {
-            if flow.done() {
-                prop_assert_eq!(flow.send_una, flow.cfg.total_packets);
-            }
-            // Retransmission accounting is consistent with loss presence.
-            if loss_pct == 0 {
-                prop_assert_eq!(flow.retransmissions, 0);
-            }
+        // Retransmission accounting is consistent with loss presence.
+        if loss_pct == 0 {
+            prop_assert_eq!(sender.stats.retransmissions, 0);
         }
         let receiver: &ReceiverHost = net.node(rx);
         let got = receiver.entries.get(&entry).map_or(0, |e| e.packets);

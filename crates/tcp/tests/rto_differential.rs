@@ -16,8 +16,14 @@
 //! under generated flow sets and loss plans. The wiretap sees every
 //! segment before the loss does, so the two transmit sequences are
 //! compared packet for packet, to the nanosecond.
+//!
+//! [`SenderHost`] also hands a completed flow's state slot to the next
+//! flow to start. The reference keeps every flow's state for the whole
+//! run, so the same comparison shows that an ACK or timer still queued
+//! for a completed flow never reaches the flow that took its slot.
 
 use std::any::Any;
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
@@ -159,18 +165,37 @@ impl Node for EagerSender {
 /// One data segment as the sender put it on the wire.
 type Segment = (SimTime, FlowId, u64, bool);
 
-/// Transparent two-port node that logs every data segment going 0 → 1.
+/// Transparent two-port node that logs every data segment going 0 → 1,
+/// and with `echo` set sends every ACK going 1 → 0 a second time, that
+/// much later.
 #[derive(Default)]
 struct Wiretap {
     segments: Vec<Segment>,
+    echo: Option<SimDuration>,
+    /// ACK copies waiting for their echo timer, oldest first.
+    echoes: VecDeque<fancy_sim::Packet>,
 }
 
 impl Node for Wiretap {
     fn on_packet(&mut self, ctx: &mut Kernel, port: PortId, pkt: PacketRef) {
-        if let PacketKind::TcpData { flow, seq, retx } = ctx.pkt(pkt).kind {
-            self.segments.push((ctx.now(), flow, seq, retx));
+        match ctx.pkt(pkt).kind {
+            PacketKind::TcpData { flow, seq, retx } => {
+                self.segments.push((ctx.now(), flow, seq, retx));
+            }
+            PacketKind::TcpAck { .. } => {
+                if let Some(delay) = self.echo {
+                    self.echoes.push_back(ctx.pkt(pkt).clone());
+                    ctx.schedule_timer(delay, 0);
+                }
+            }
+            _ => {}
         }
         ctx.forward(1 - port, pkt);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Kernel, _t: TimerToken) {
+        let ack = self.echoes.pop_front().expect("one echo per timer");
+        ctx.send(0, ack);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -195,6 +220,14 @@ enum Loss {
         from_ms: u64,
         len_ms: u64,
     },
+    /// No loss, but every ACK arrives a second time `echo_ms` later, and
+    /// every scheduled flow gets a forged pace and RTO timer at
+    /// `stale_ms`: a completed flow's late ACKs and stale timers reach
+    /// the sender after later flows have taken its state slot.
+    Stale {
+        echo_ms: u64,
+        stale_ms: u64,
+    },
 }
 
 fn loss_strategy() -> impl Strategy<Value = Loss> {
@@ -204,6 +237,10 @@ fn loss_strategy() -> impl Strategy<Value = Loss> {
         (0u64..600).prop_map(|from_ms| Loss::Blackhole {
             from_ms,
             len_ms: 700 + from_ms % 900,
+        }),
+        any::<u64>().prop_map(|w| Loss::Stale {
+            echo_ms: 20 + w % 380,
+            stale_ms: 100 + (w >> 32) % 1_400,
         }),
     ]
 }
@@ -235,10 +272,18 @@ struct Outcome {
 
 const SENDER: usize = 0;
 
-fn run(sender: Box<dyn Node>, loss: &Loss) -> Network {
+/// Run `sender`, whose schedule holds `n_flows` flows, under `loss`.
+fn run(sender: Box<dyn Node>, n_flows: usize, loss: &Loss) -> Network {
     let mut net = Network::new(0x7C9);
     let tx = net.add_node(sender);
-    let tap = net.add_node(Box::new(Wiretap::default()));
+    let echo = match *loss {
+        Loss::Stale { echo_ms, .. } => Some(SimDuration::from_millis(echo_ms)),
+        _ => None,
+    };
+    let tap = net.add_node(Box::new(Wiretap {
+        echo,
+        ..Wiretap::default()
+    }));
     let rx = net.add_node(Box::new(ReceiverHost::new()));
     assert_eq!(tx, SENDER);
     let cfg = LinkConfig::new(1_000_000_000, SimDuration::from_millis(5));
@@ -255,6 +300,14 @@ fn run(sender: Box<dyn Node>, loss: &Loss) -> Network {
             hole.end = ms(from_ms + len_ms);
             net.kernel.add_failure(lossy, tap, hole);
         }
+        Loss::Stale { stale_ms, .. } => {
+            for flow in 0..n_flows as u64 {
+                for kind in [PACE, RTO] {
+                    net.kernel
+                        .schedule_timer_for(tx, ms(stale_ms), (flow << 2) | kind);
+                }
+            }
+        }
     }
     net.run_until(ms(6_000));
     net
@@ -270,18 +323,25 @@ fn outcome_of(net: &Network, flows: String, stats: &SenderStats) -> Outcome {
 }
 
 fn run_real(flows: &[ScheduledFlow], loss: &Loss) -> Outcome {
-    let net = run(Box::new(SenderHost::new(1, flows.to_vec())), loss);
+    let net = run(Box::new(SenderHost::new(1, flows)), flows.len(), loss);
     let tx: &SenderHost = net.node(SENDER);
     let states: Vec<_> = tx.flows().collect();
     outcome_of(&net, format!("{states:?}"), &tx.stats)
 }
 
+/// The eager host keeps every flow it started; the real one keeps only
+/// those still running, so those are what the two are compared on.
 fn run_eager(flows: &[ScheduledFlow], loss: &Loss) -> Outcome {
-    let net = run(Box::new(EagerSender::new(1, flows.to_vec())), loss);
+    let net = run(
+        Box::new(EagerSender::new(1, flows.to_vec())),
+        flows.len(),
+        loss,
+    );
     let tx: &EagerSender = net.node(SENDER);
     let states: Vec<_> = (0u64..)
         .zip(&tx.flows)
         .filter_map(|(id, f)| Some((id, &f.as_ref()?.0)))
+        .filter(|(_, f)| !f.done())
         .collect();
     outcome_of(&net, format!("{states:?}"), &tx.stats)
 }
@@ -363,4 +423,49 @@ fn blackhole_then_recovery_moves_the_deadline_earlier() {
              the last ACK, not the backed-off 1.6 s: {timeouts:?} ms"
         );
     }
+}
+
+/// Slot reuse, pinned: three waves of five flows, each wave starting
+/// after the one before has completed, so each takes the slots the last
+/// one gave back. Every ACK is echoed 120 ms later and every flow gets
+/// a forged pace and RTO timer at 300 ms, so a completed flow's late
+/// ACKs (≈ 140 ms and ≈ 265 ms), its own RTO timer left pending at
+/// completion (≈ 200 ms and ≈ 325 ms) and the forged timers all reach
+/// the sender while a later wave holds its slot.
+#[test]
+fn late_acks_and_stale_timers_of_completed_flows_miss_the_next_occupant() {
+    let wave = |start_ms: u64, rate_bps: u64, total_packets: u64| {
+        (0..5u32).map(move |i| ScheduledFlow {
+            start: SimTime::ZERO + SimDuration::from_millis(start_ms),
+            dst: 0x0A00_0001 + i,
+            cfg: FlowConfig {
+                rate_bps,
+                total_packets,
+                pkt_size: 1500,
+                initial_rto: fancy_tcp::DEFAULT_RTO,
+            },
+        })
+    };
+    // Three packets in 2 ms, acknowledged one 20 ms RTT later; then 40
+    // packets at 10 ms spacing, running until about 600 ms.
+    let flows: Vec<ScheduledFlow> = wave(0, 12_000_000, 3)
+        .chain(wave(125, 12_000_000, 3))
+        .chain(wave(190, 1_200_000, 40))
+        .collect();
+    let loss = Loss::Stale {
+        echo_ms: 120,
+        stale_ms: 300,
+    };
+    let (real, eager) = (run_real(&flows, &loss), run_eager(&flows, &loss));
+    assert_eq!(real.segments, eager.segments);
+    assert_eq!(real.flows, eager.flows);
+    assert_eq!(real.stats, eager.stats);
+    assert!(real.timers_fired < eager.timers_fired);
+    // Every flow completed, none retransmitted: nothing stale reached a
+    // running flow.
+    assert_eq!(real.flows, "[]");
+    assert!(real
+        .stats
+        .contains("retransmissions: 0, completed_flows: 15"));
+    assert_eq!(real.segments.len(), 2 * 5 * 3 + 5 * 40);
 }

@@ -13,6 +13,7 @@
 //! experiment harness documents the scale it ran at.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -111,8 +112,8 @@ pub struct SyntheticTrace {
     pub prefixes_by_rank: Vec<Prefix>,
     /// Normalized traffic share per rank.
     pub weights: Vec<f64>,
-    /// Flow schedule.
-    pub flows: Vec<ScheduledFlow>,
+    /// Flow schedule, shared by every scenario built from the trace.
+    pub flows: Arc<[ScheduledFlow]>,
 }
 
 impl SyntheticTrace {
@@ -137,7 +138,7 @@ impl SyntheticTrace {
         let secs = duration.as_secs_f64();
         let mut total_bytes: u64 = 0;
         let mut total_packets: u64 = 0;
-        for f in &self.flows {
+        for f in self.flows.iter() {
             let n = packets_in_window(f, duration);
             total_packets += n;
             total_bytes += n * u64::from(f.cfg.pkt_size);
@@ -261,7 +262,7 @@ pub fn synthesize(spec: CaidaSpec, duration: SimDuration, scale: f64, seed: u64)
         duration,
         prefixes_by_rank,
         weights: zipf.weights().to_vec(),
-        flows,
+        flows: flows.into(),
     }
 }
 
@@ -352,18 +353,18 @@ mod tests {
             duration: dur,
             prefixes_by_rank: vec![Prefix(0x0001_0000)],
             weights: vec![1.0],
-            flows: vec![ScheduledFlow {
+            flows: Arc::new([ScheduledFlow {
                 start: SimTime::ZERO + SimDuration::from_millis(9_500),
                 dst: Prefix(0x0001_0000).host(1),
                 cfg,
-            }],
+            }]),
         };
         let stats = trace.stats(dur);
         let in_window = (stats.pkt_rate_pps * dur.as_secs_f64()).round() as u64;
         assert_eq!(in_window, 500, "spill past the window must not count");
         // A flow fully inside the window still counts its whole budget.
         let mut full = trace.clone();
-        full.flows[0].start = SimTime::ZERO;
+        Arc::make_mut(&mut full.flows)[0].start = SimTime::ZERO;
         let stats = full.stats(dur);
         assert_eq!(
             (stats.pkt_rate_pps * dur.as_secs_f64()).round() as u64,
@@ -379,7 +380,7 @@ mod tests {
         let dur = SimDuration::from_secs(5);
         for seed in 0..8 {
             let trace = synthesize(paper_traces()[1], dur, 0.01, seed);
-            for f in &trace.flows {
+            for f in trace.flows.iter() {
                 assert!(
                     f.start.0 + f.cfg.pace_interval().0.min(dur.0) <= dur.0,
                     "flow at {} cannot land a packet inside {dur}",
@@ -444,7 +445,7 @@ mod tests {
         let spec = paper_traces()[2];
         let trace = synthesize(spec, SimDuration::from_secs(5), 0.01, 4);
         assert!(!trace.flows.is_empty());
-        for f in &trace.flows {
+        for f in trace.flows.iter() {
             let bytes_per_sec = (f.cfg.rate_bps + 4) / 8;
             assert_eq!(
                 f.cfg.total_packets,

@@ -218,7 +218,7 @@ pub fn encode(trace: &SyntheticTrace) -> Result<Vec<u8>, EventsError> {
     for p in &trace.prefixes_by_rank {
         buf.extend_from_slice(&p.0.to_le_bytes());
     }
-    for f in &trace.flows {
+    for f in trace.flows.iter() {
         buf.extend_from_slice(&f.start.0.to_le_bytes());
         buf.extend_from_slice(&f.dst.to_le_bytes());
         buf.extend_from_slice(&f.cfg.pkt_size.to_le_bytes());

@@ -183,7 +183,9 @@ fn crafted_bad_zipf_exponent_is_rejected_not_panicking() {
 fn mixed_rto_schedules_refuse_to_compile() {
     let mut trace = small_trace(9);
     assert!(trace.flows.len() >= 2);
-    trace.flows[1].cfg.initial_rto = SimDuration::from_millis(123);
+    std::sync::Arc::make_mut(&mut trace.flows)[1]
+        .cfg
+        .initial_rto = SimDuration::from_millis(123);
     match encode(&trace) {
         Err(EventsError::MixedRto { flow }) => assert_eq!(flow, 1),
         other => panic!("expected MixedRto, got {other:?}"),
