@@ -82,6 +82,8 @@ echo "== metrics gate (golden Prometheus diff + merge determinism) =="
 # merge: 1-thread == 8-thread, byte-for-byte.
 cargo run -q --release --example metrics_report -- --golden tests/golden/metrics_report.prom >/dev/null
 cargo test -q --release -p fancy-bench --test metrics_determinism
+# The one JSONL codec (fancy_trace::json) and the snapshot's byte pin, by name.
+cargo test -q --release -p fancy-metrics -p fancy-trace --lib
 
 echo "== network-wide gate (small ISP backbone, FANcY on every edge) =="
 # Fails a sample of edges on a 12-switch backbone with every edge

@@ -294,12 +294,12 @@ impl Record {
 
     /// Set an integer field (replacing any previous value).
     pub fn put_u64(&mut self, key: &str, v: u64) {
-        self.put(key, JsonValue::U64(v));
+        self.put(key, JsonValue::Int(v.into()));
     }
 
     /// Set a float field, stored exactly via its bit pattern.
     pub fn put_f64(&mut self, key: &str, v: f64) {
-        self.put(key, JsonValue::U64(v.to_bits()));
+        self.put(key, JsonValue::Int(v.to_bits().into()));
     }
 
     /// Set a string field.
@@ -337,9 +337,11 @@ impl Record {
         let mut w = ObjectWriter::new();
         for (k, v) in &self.fields {
             match v {
-                JsonValue::U64(n) => w.u64(k, *n),
+                JsonValue::Int(n) => w.u128(k, *n),
                 JsonValue::Str(s) => w.str(k, s),
                 JsonValue::Arr(a) => w.arr(k, a),
+                JsonValue::Pairs(p) => w.pairs(k, p.iter().copied()),
+                JsonValue::Obj(o) => w.obj(k, o.iter().map(|(k, v)| (k.as_str(), v.as_str()))),
             };
         }
         w.finish()
@@ -781,6 +783,34 @@ mod tests {
         );
         std::fs::write(&path, content).unwrap();
         assert_eq!(cache.load(key), None);
+    }
+
+    #[test]
+    fn repeated_key_is_a_miss() {
+        let cache = CellCache::new(fresh_dir("repeat"));
+        let key = cell_key(&Fingerprint::new().with("repeat"), &1u64, 1);
+        let cell = sample_cell();
+        assert!(cache.store(key, &cell));
+        let path = cache.path_of(key);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let payload = text.split_once('\n').unwrap().1;
+        // Repeat a key with a *valid* checksum, in the meta line and in
+        // the result line: the record no longer says one thing.
+        for (line, extra) in [(0, ",\"sim_nanos\":1}"), (1, ",\"reps\":4}")] {
+            let mut lines: Vec<String> = payload.lines().map(str::to_owned).collect();
+            lines[line].pop();
+            lines[line].push_str(extra);
+            let doubled = lines.join("\n") + "\n";
+            let content = format!(
+                "fancy-cache 1 {} {:016x}\n{doubled}",
+                doubled.len(),
+                fnv1a64(doubled.as_bytes())
+            );
+            std::fs::write(&path, content).unwrap();
+            assert_eq!(cache.load(key), None, "line {line}: {extra}");
+        }
+        std::fs::write(&path, text).unwrap();
+        assert_eq!(cache.load(key), Some(cell));
     }
 
     #[test]

@@ -171,11 +171,11 @@ pub struct EdgeOutcome {
     pub recovery_ok: bool,
     /// Damping retrips ("flaps") the verifier observed for the victim.
     pub flaps: u64,
-    /// The cell's metrics snapshot (`fancy-metrics` JSONL): per-edge
-    /// detection-latency histogram plus everything the instrumented
-    /// stack recorded. Travels through the cell cache so warm sweeps
-    /// rebuild the same merged [`NetwideReport::metrics`].
-    pub metrics_jsonl: String,
+    /// The cell's metrics snapshot: per-edge detection-latency histogram
+    /// plus everything the instrumented stack recorded. Travels through
+    /// the cell cache (as `fancy-metrics` JSONL) so warm sweeps rebuild
+    /// the same merged [`NetwideReport::metrics`].
+    pub metrics: Snapshot,
     /// Per-shard executor statistics for this cell (empty for dark
     /// edges, which never build a network). Travels through the cell
     /// cache so warm sweeps rebuild the same
@@ -218,23 +218,17 @@ fn decode_shard_stats(rec: &Record) -> Option<Vec<ShardStats>> {
 /// parses: a checksum-valid record written before a `fancy-metrics`
 /// JSONL change must degrade to a cache miss (and a cold re-run), the
 /// same way the runner treats its own stored snapshot.
-fn decode_metrics(rec: &Record) -> Option<String> {
-    let jsonl = rec.str("metrics")?;
-    Snapshot::parse_jsonl(jsonl).ok()?;
-    Some(jsonl.to_owned())
+fn decode_metrics(rec: &Record) -> Option<Snapshot> {
+    Snapshot::parse_jsonl(rec.str("metrics")?).ok()
 }
 
 /// Merge per-cell snapshots in cell order. The merge is associative and
 /// commutative and outcomes are in input order, so the result is
 /// identical at any thread count and on warm cache replays.
-fn merge_cell_metrics<'a>(cells: impl Iterator<Item = &'a str>) -> Snapshot {
+fn merge_cell_metrics<'a>(cells: impl Iterator<Item = &'a Snapshot>) -> Snapshot {
     let mut merged = Snapshot::default();
-    for jsonl in cells {
-        // Cold cells serialize the snapshot themselves and warm ones
-        // passed `decode_metrics`, so every cell parses.
-        if let Ok(s) = Snapshot::parse_jsonl(jsonl) {
-            merged.merge(&s);
-        }
+    for cell in cells {
+        merged.merge(cell);
     }
     merged
 }
@@ -252,7 +246,7 @@ impl CacheCodec for EdgeOutcome {
         rec.put_f64("bound_s", self.bound_s);
         rec.put_u64("recovery", self.recovery_ok as u64);
         rec.put_u64("flaps", self.flaps);
-        rec.put_str("metrics", &self.metrics_jsonl);
+        rec.put_str("metrics", &self.metrics.to_jsonl());
         encode_shard_stats(rec, &self.shard_stats);
     }
 
@@ -271,7 +265,7 @@ impl CacheCodec for EdgeOutcome {
             // these keys and degrade to a cache miss (self-invalidation).
             recovery_ok: rec.u64("recovery")? != 0,
             flaps: rec.u64("flaps")?,
-            metrics_jsonl: decode_metrics(rec)?,
+            metrics: decode_metrics(rec)?,
             shard_stats: decode_shard_stats(rec)?,
         })
     }
@@ -555,7 +549,7 @@ pub fn run_netwide(
                 bound_s: e.bound_s,
                 recovery_ok: e.recovery_ok,
                 flaps: e.flaps,
-                metrics_jsonl: o.metrics_jsonl,
+                metrics: o.metrics,
                 shard_stats: o.shard_stats,
             })
         },
@@ -586,7 +580,7 @@ pub fn run_netwide(
         .iter()
         .filter(|o| o.protected && !o.recovery_ok)
         .count();
-    let metrics = merge_cell_metrics(outcomes.iter().map(|o| o.metrics_jsonl.as_str()));
+    let metrics = merge_cell_metrics(outcomes.iter().map(|o| &o.metrics));
     let shard_breakdown = sum_shard_stats(outcomes.iter().map(|o| o.shard_stats.as_slice()));
     Ok(NetwideReport {
         outcomes,
@@ -659,8 +653,8 @@ pub struct ComboOutcome {
     pub edges: Vec<ComboEdge>,
     /// Detections after onset at no failed edge's upstream port.
     pub cross_talk: u64,
-    /// The cell's merged metrics snapshot (JSONL), as in [`EdgeOutcome`].
-    pub metrics_jsonl: String,
+    /// The cell's merged metrics snapshot, as in [`EdgeOutcome`].
+    pub metrics: Snapshot,
     /// Per-shard executor statistics for this cell.
     pub shard_stats: Vec<ShardStats>,
 }
@@ -711,7 +705,7 @@ impl CacheCodec for ComboOutcome {
             rec.put_u64(&format!("e{i}_alarms"), e.alarms);
         }
         rec.put_u64("cross_talk", self.cross_talk);
-        rec.put_str("metrics", &self.metrics_jsonl);
+        rec.put_str("metrics", &self.metrics.to_jsonl());
         encode_shard_stats(rec, &self.shard_stats);
     }
 
@@ -740,7 +734,7 @@ impl CacheCodec for ComboOutcome {
         Some(ComboOutcome {
             edges,
             cross_talk: rec.u64("cross_talk")?,
-            metrics_jsonl: decode_metrics(rec)?,
+            metrics: decode_metrics(rec)?,
             shard_stats: decode_shard_stats(rec)?,
         })
     }
@@ -792,7 +786,7 @@ pub fn run_netwide_multi(
         .filter(|e| e.protected && !e.recovery_ok)
         .count();
     let cross_talk = outcomes.iter().map(|o| o.cross_talk).sum();
-    let metrics = merge_cell_metrics(outcomes.iter().map(|o| o.metrics_jsonl.as_str()));
+    let metrics = merge_cell_metrics(outcomes.iter().map(|o| &o.metrics));
     let shard_breakdown = sum_shard_stats(outcomes.iter().map(|o| o.shard_stats.as_slice()));
     Ok(MultiReport {
         outcomes,
@@ -879,7 +873,7 @@ fn run_cell(
         return Ok(ComboOutcome {
             edges: faults.iter().map(|f| dark_combo_edge(topo, f)).collect(),
             cross_talk: 0,
-            metrics_jsonl: String::new(),
+            metrics: Snapshot::default(),
             shard_stats: Vec::new(),
         });
     }
@@ -1053,7 +1047,7 @@ fn run_cell(
     Ok(ComboOutcome {
         edges: edges_out,
         cross_talk,
-        metrics_jsonl: sc.merged_metrics().to_jsonl(),
+        metrics: sc.merged_metrics(),
         shard_stats: sc.net.stats().to_vec(),
     })
 }
@@ -1128,7 +1122,7 @@ mod tests {
             bound_s: -1.0,
             recovery_ok: true,
             flaps: 0,
-            metrics_jsonl: String::new(),
+            metrics: Snapshot::default(),
             shard_stats: vec![
                 ShardStats {
                     events: 10,
@@ -1188,7 +1182,7 @@ mod tests {
                 },
             ],
             cross_talk: 3,
-            metrics_jsonl: String::new(),
+            metrics: Snapshot::default(),
             shard_stats: vec![ShardStats::default()],
         };
         let mut rec = Record::default();
@@ -1316,7 +1310,7 @@ mod tests {
         assert_eq!((o.detection_s, o.reroute_s, o.bound_s), (-1.0, -1.0, -1.0));
         assert!(o.recovery_ok);
         assert_eq!((o.cross_talk, o.flaps), (0, 0));
-        assert!(o.metrics_jsonl.is_empty() && o.shard_stats.is_empty());
+        assert!(o.metrics.is_empty() && o.shard_stats.is_empty());
         assert_eq!(report.coverage, 1.0);
         assert_eq!(report.shard_summary(), None);
 

@@ -315,8 +315,8 @@ fn check_mangled_record_heals<R: CacheCodec + Send>(
 fn netwide_outcomes() -> (EdgeOutcome, ComboOutcome) {
     let hub = MetricsHub::new();
     hub.with(|r| r.inc("cells_total", Labels::new()));
-    let metrics_jsonl = hub.snapshot().to_jsonl();
-    assert!(!metrics_jsonl.is_empty());
+    let metrics = hub.snapshot();
+    assert!(!metrics.is_empty());
     let shard_stats = vec![ShardStats::default(); 2];
     let edge = EdgeOutcome {
         edge: 3,
@@ -330,7 +330,7 @@ fn netwide_outcomes() -> (EdgeOutcome, ComboOutcome) {
         bound_s: -1.0,
         recovery_ok: true,
         flaps: 0,
-        metrics_jsonl: metrics_jsonl.clone(),
+        metrics: metrics.clone(),
         shard_stats: shard_stats.clone(),
     };
     let member = |edge: usize| ComboEdge {
@@ -351,7 +351,7 @@ fn netwide_outcomes() -> (EdgeOutcome, ComboOutcome) {
     let combo = ComboOutcome {
         edges: vec![member(0), member(4)],
         cross_talk: 0,
-        metrics_jsonl,
+        metrics,
         shard_stats,
     };
     (edge, combo)

@@ -8,10 +8,11 @@
 //!
 //! Exporters:
 //!
-//! * [`Snapshot::to_jsonl`] / [`Snapshot::parse_jsonl`] — one hand-rolled
-//!   JSON object per line, byte-exact round trip, same style as
-//!   `fancy-trace` (this crate carries its own ~100 line writer/parser
-//!   instead of depending on `fancy-trace`'s).
+//! * [`Snapshot::to_jsonl`] / [`Snapshot::parse_jsonl`] — one JSON object
+//!   per line, byte-exact round trip, written and read by
+//!   `fancy_trace::json`, the codec the trace and the cell cache share.
+//!   This module adds only what makes a line a sample: its kind, its
+//!   keys, its required fields, a consistent histogram and sample order.
 //! * [`Snapshot::to_prometheus`] — Prometheus text exposition: counters
 //!   and gauges as single samples, histograms as cumulative
 //!   `_bucket{le="…"}` series with integer bounds (`2^i − 1`) plus
@@ -19,6 +20,8 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+
+use fancy_trace::json::{parse_object, ObjectWriter};
 
 use crate::histogram::{bucket_le, Histogram};
 use crate::Labels;
@@ -228,49 +231,24 @@ impl Snapshot {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.samples.len() * 64);
         for s in &self.samples {
-            out.push_str("{\"kind\":\"");
-            out.push_str(s.value.kind());
-            out.push_str("\",\"name\":");
-            write_json_str(&mut out, &s.name);
-            out.push_str(",\"labels\":{");
-            for (i, (k, v)) in s.labels.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json_str(&mut out, k);
-                out.push(':');
-                write_json_str(&mut out, v);
-            }
-            out.push('}');
+            let mut w = ObjectWriter::appending_to(out);
+            w.str("kind", s.value.kind())
+                .str("name", &s.name)
+                .obj("labels", s.labels.iter());
             match &s.value {
                 Value::Counter(v) | Value::Gauge(v) => {
-                    out.push_str(",\"value\":");
-                    out.push_str(&v.to_string());
+                    w.u64("value", *v);
                 }
                 Value::Histogram(h) => {
-                    out.push_str(",\"count\":");
-                    out.push_str(&h.count().to_string());
-                    out.push_str(",\"sum\":");
-                    out.push_str(&h.sum().to_string());
-                    out.push_str(",\"min\":");
-                    out.push_str(&h.min().unwrap_or(u64::MAX).to_string());
-                    out.push_str(",\"max\":");
-                    out.push_str(&h.max().unwrap_or(0).to_string());
-                    out.push_str(",\"buckets\":[");
-                    for (i, (idx, c)) in h.nonzero_buckets().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push('[');
-                        out.push_str(&idx.to_string());
-                        out.push(',');
-                        out.push_str(&c.to_string());
-                        out.push(']');
-                    }
-                    out.push(']');
+                    w.u64("count", h.count())
+                        .u128("sum", h.sum())
+                        .u64("min", h.min().unwrap_or(u64::MAX))
+                        .u64("max", h.max().unwrap_or(0))
+                        .pairs("buckets", h.nonzero_buckets().map(|(i, c)| [i as u64, c]));
                 }
             }
-            out.push_str("}\n");
+            out = w.finish();
+            out.push('\n');
         }
         out
     }
@@ -367,27 +345,6 @@ impl Snapshot {
     }
 }
 
-/// Write a JSON string literal (quotes, backslash and control characters
-/// escaped; everything else — including the topology's `↔` edge names —
-/// passes through as UTF-8, which JSON permits).
-fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Append a Prometheus label block: `{k="v",…}` (with `le` appended last
 /// when rendering a histogram bucket); nothing at all for an empty set
 /// with no `le`.
@@ -425,203 +382,51 @@ fn write_prom_labels(out: &mut String, labels: &Labels, le: Option<&str>) {
     out.push('}');
 }
 
-// ---------------------------------------------------------------------
-// JSONL parsing: a tiny cursor over the restricted grammar the writer
-// emits (objects, string keys, string/integer values, arrays of integer
-// pairs). No floats, no booleans, no null — a snapshot never contains
-// them.
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Self {
-        Cursor {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos < self.bytes.len() && self.bytes[self.pos] == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".to_owned());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("dangling escape".to_owned());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        other => return Err(format!("unknown escape \\{}", char::from(other))),
-                    }
-                }
-                _ => {
-                    // Re-borrow the full UTF-8 character starting here.
-                    let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let ch = s.chars().next().ok_or("empty char")?;
-                    out.push(ch);
-                    self.pos = start + ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn u128(&mut self) -> Result<u128, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_digit() {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ASCII")
-            .parse()
-            .map_err(|e| format!("bad number: {e}"))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let v = self.u128()?;
-        u64::try_from(v).map_err(|_| format!("{v} overflows u64"))
-    }
-
-    fn at_end(&mut self) -> bool {
-        self.skip_ws();
-        self.pos >= self.bytes.len()
-    }
-}
-
+/// Turn one parsed line into a sample. The shared codec has already
+/// refused malformed JSON and repeated keys; what is left is the line's
+/// meaning.
 fn parse_sample(line: &str) -> Result<Sample, String> {
-    let mut c = Cursor::new(line);
-    c.eat(b'{')?;
-
-    let mut kind: Option<String> = None;
-    let mut name: Option<String> = None;
+    let mut kind: Option<&str> = None;
+    let mut name: Option<&str> = None;
     let mut labels = Labels::new();
     let mut value: Option<u64> = None;
     let mut count: Option<u64> = None;
     let mut sum: Option<u128> = None;
     let mut min: Option<u64> = None;
     let mut max: Option<u64> = None;
-    let mut buckets: Option<Vec<(usize, u64)>> = None;
+    let mut buckets: Option<&[[u64; 2]]> = None;
 
-    loop {
-        let key = c.string()?;
-        c.eat(b':')?;
+    let fields = parse_object(line).map_err(|e| e.to_string())?;
+    for (key, v) in &fields {
+        let bad = || format!("{key:?} has the wrong type");
         match key.as_str() {
-            "kind" => kind = Some(c.string()?),
-            "name" => name = Some(c.string()?),
+            "kind" => kind = Some(v.as_str().ok_or_else(bad)?),
+            "name" => name = Some(v.as_str().ok_or_else(bad)?),
             "labels" => {
-                c.eat(b'{')?;
-                if c.peek() != Some(b'}') {
-                    loop {
-                        let k = c.string()?;
-                        c.eat(b':')?;
-                        let v = c.string()?;
-                        labels = labels.with(k, v);
-                        if c.peek() == Some(b',') {
-                            c.eat(b',')?;
-                        } else {
-                            break;
-                        }
-                    }
+                for (k, v) in v.as_obj().ok_or_else(bad)? {
+                    labels = labels.with(k.clone(), v.clone());
                 }
-                c.eat(b'}')?;
             }
-            "value" => value = Some(c.u64()?),
-            "count" => count = Some(c.u64()?),
-            "sum" => sum = Some(c.u128()?),
-            "min" => min = Some(c.u64()?),
-            "max" => max = Some(c.u64()?),
-            "buckets" => {
-                let mut pairs = Vec::new();
-                c.eat(b'[')?;
-                if c.peek() != Some(b']') {
-                    loop {
-                        c.eat(b'[')?;
-                        let idx = c.u64()? as usize;
-                        c.eat(b',')?;
-                        let cnt = c.u64()?;
-                        c.eat(b']')?;
-                        pairs.push((idx, cnt));
-                        if c.peek() == Some(b',') {
-                            c.eat(b',')?;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                c.eat(b']')?;
-                buckets = Some(pairs);
-            }
+            "value" => value = Some(v.as_u64().ok_or_else(bad)?),
+            "count" => count = Some(v.as_u64().ok_or_else(bad)?),
+            "sum" => sum = Some(v.as_u128().ok_or_else(bad)?),
+            "min" => min = Some(v.as_u64().ok_or_else(bad)?),
+            "max" => max = Some(v.as_u64().ok_or_else(bad)?),
+            "buckets" => buckets = Some(v.as_pairs().ok_or_else(bad)?),
             other => return Err(format!("unknown key {other:?}")),
         }
-        if c.peek() == Some(b',') {
-            c.eat(b',')?;
-        } else {
-            break;
-        }
-    }
-    c.eat(b'}')?;
-    if !c.at_end() {
-        return Err("trailing bytes after the object".to_owned());
     }
 
-    let name = name.ok_or("missing \"name\"")?;
-    let value = match kind.as_deref() {
+    let name = name.ok_or("missing \"name\"")?.to_owned();
+    let value = match kind {
         Some("counter") => Value::Counter(value.ok_or("counter without \"value\"")?),
         Some("gauge") => Value::Gauge(value.ok_or("gauge without \"value\"")?),
         Some("histogram") => {
-            let pairs = buckets.ok_or("histogram without \"buckets\"")?;
+            let pairs: Vec<(usize, u64)> = buckets
+                .ok_or("histogram without \"buckets\"")?
+                .iter()
+                .map(|&[i, c]| (usize::try_from(i).unwrap_or(usize::MAX), c))
+                .collect();
             let h = Histogram::from_parts(
                 &pairs,
                 count.ok_or("histogram without \"count\"")?,
@@ -690,6 +495,57 @@ mod tests {
         assert_eq!(back, snap);
     }
 
+    /// Every corner of the line format: empty labels, escaped label keys
+    /// and values, a histogram with `min`/`max`/`buckets`, an empty one
+    /// (`min` = `u64::MAX`) and a `sum` past `u64::MAX`.
+    fn pinned_snapshot() -> Snapshot {
+        let odd = "\"\\\n\r\t\u{1}↔";
+        let mut r = Registry::new();
+        r.inc("fancy_a_total", Labels::new());
+        r.add(
+            "fancy_b_total",
+            Labels::new().with(format!("k{odd}"), format!("v{odd}")),
+            7,
+        );
+        r.gauge_max("fancy_c_high_water", Labels::new(), 42);
+        for v in [0, 120, 950, 33_000] {
+            r.observe("fancy_d_ns", Labels::new().with("edge", "s3↔s7"), v);
+        }
+        r.observe("fancy_e_ns", Labels::new(), u64::MAX);
+        r.observe("fancy_e_ns", Labels::new(), u64::MAX);
+        let mut snap = r.snapshot();
+        snap.samples.push(Sample {
+            name: "fancy_f_ns".into(),
+            labels: Labels::new(),
+            value: Value::Histogram(Box::new(Histogram::new())),
+        });
+        snap
+    }
+
+    #[test]
+    fn jsonl_bytes_are_pinned() {
+        let snap = pinned_snapshot();
+        let text = snap.to_jsonl();
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"kind":"counter","name":"fancy_a_total","labels":{},"value":1}"#,
+                "\n",
+                r#"{"kind":"counter","name":"fancy_b_total","labels":{"k\"\\\n\r\t\u0001↔":"v\"\\\n\r\t\u0001↔"},"value":7}"#,
+                "\n",
+                r#"{"kind":"gauge","name":"fancy_c_high_water","labels":{},"value":42}"#,
+                "\n",
+                r#"{"kind":"histogram","name":"fancy_d_ns","labels":{"edge":"s3↔s7"},"count":4,"sum":34070,"min":0,"max":33000,"buckets":[[0,1],[7,1],[10,1],[16,1]]}"#,
+                "\n",
+                r#"{"kind":"histogram","name":"fancy_e_ns","labels":{},"count":2,"sum":36893488147419103230,"min":18446744073709551615,"max":18446744073709551615,"buckets":[[64,2]]}"#,
+                "\n",
+                r#"{"kind":"histogram","name":"fancy_f_ns","labels":{},"count":0,"sum":0,"min":18446744073709551615,"max":0,"buckets":[]}"#,
+                "\n",
+            )
+        );
+        assert_eq!(Snapshot::parse_jsonl(&text).unwrap(), snap);
+    }
+
     #[test]
     fn merge_is_grouping_independent() {
         // Build three per-cell registries, merge 1+(2+3) and (1+2)+3,
@@ -753,6 +609,52 @@ mod tests {
         }
     }
 
+    /// A string from arbitrary code points: every control character,
+    /// JSON's own punctuation, Latin-1 and two-byte UTF-8, plus a couple of
+    /// three- and four-byte ones.
+    fn text_from(points: &[u32]) -> String {
+        points
+            .iter()
+            .map(|&p| match p {
+                0x7f0.. => ['↔', '😀'][p as usize % 2],
+                p => char::from_u32(p).expect("below the surrogates"),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Whatever a registry holds — any label strings, histogram sums
+        /// past `u64::MAX` — comes back from its JSONL as the same
+        /// snapshot, and re-encodes to the same bytes.
+        #[test]
+        fn arbitrary_registries_round_trip_byte_exact(
+            draws in proptest::collection::vec(0u64..u64::MAX, 0..40),
+            points in proptest::collection::vec(0u32..0x800, 1..64),
+        ) {
+            let mut r = Registry::new();
+            for &d in &draws {
+                let at = (d >> 8) as usize % points.len();
+                let key = text_from(&points[at..(at + (d >> 16) as usize % 5).min(points.len())]);
+                let value = text_from(&points[..(d >> 24) as usize % points.len()]);
+                let labels = match (d >> 32) % 3 {
+                    0 => Labels::new(),
+                    1 => Labels::new().with(key, value),
+                    _ => Labels::new().with(key, value).with("edge", "s3↔s7"),
+                };
+                match d % 3 {
+                    0 => r.add("a_total", labels, d >> 40),
+                    1 => r.gauge_max("b_high_water", labels, d >> 1),
+                    _ => r.observe("c_ns", labels, d),
+                }
+            }
+            let snap = r.snapshot();
+            let text = snap.to_jsonl();
+            let back = Snapshot::parse_jsonl(&text);
+            proptest::prop_assert_eq!(back.as_ref(), Ok(&snap));
+            proptest::prop_assert_eq!(back.unwrap().to_jsonl(), text);
+        }
+    }
+
     #[test]
     fn prometheus_exposition_shape() {
         let text = sample_registry().snapshot().to_prometheus();
@@ -765,6 +667,18 @@ mod tests {
         assert!(text.contains("fancy_kernel_queue_high_water 42"));
         // Stable: rendering twice is byte-identical.
         assert_eq!(text, sample_registry().snapshot().to_prometheus());
+    }
+
+    #[test]
+    fn repeated_key_is_a_parse_error() {
+        for line in [
+            r#"{"kind":"counter","name":"x","labels":{},"value":1,"value":2}"#,
+            r#"{"kind":"counter","name":"x","labels":{"k":"a","k":"b"},"value":1}"#,
+        ] {
+            let err = Snapshot::parse_jsonl(line).unwrap_err();
+            assert_eq!(err.line, 1);
+            assert!(err.reason.contains("repeated key"), "{err}");
+        }
     }
 
     #[test]

@@ -22,148 +22,103 @@ use std::time::Duration;
 
 use crate::time::SimDuration;
 
-/// Always-on kernel counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TelemetryCounters {
+/// Declares [`TelemetryCounters`] from one list of `field: sum | max`
+/// entries: the struct, [`TelemetryCounters::absorb`] (how two cells'
+/// values fold), the `to_pairs`/`from_pairs` wire names and
+/// [`KERNEL_GAUGE_NAMES`] all come from it, so they cannot drift apart.
+macro_rules! kernel_counters {
+    (@fold sum, $mine:expr, $theirs:expr) => {
+        $mine += $theirs
+    };
+    (@fold max, $mine:expr, $theirs:expr) => {
+        $mine = $mine.max($theirs)
+    };
+    ($($(#[$doc:meta])* $field:ident: $fold:ident,)*) => {
+        /// Always-on kernel counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct TelemetryCounters {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl TelemetryCounters {
+            /// Fold another counter set into this one (sums, and max for
+            /// the high-water marks). Used by sweep runners to aggregate
+            /// per-cell kernels into one report; the result is independent
+            /// of fold order, so parallel aggregation stays deterministic.
+            pub fn absorb(&mut self, other: &TelemetryCounters) {
+                $(kernel_counters!(@fold $fold, self.$field, other.$field);)*
+            }
+
+            /// Every counter as a stable `(name, value)` list, in
+            /// declaration order. The names are a wire format:
+            /// `fancy-bench`'s result cache persists counters through them,
+            /// so renaming a field here without bumping the cache schema
+            /// version invalidates nothing and decodes garbage.
+            pub fn to_pairs(&self) -> [(&'static str, u64); 16] {
+                [$((stringify!($field), self.$field),)*]
+            }
+
+            /// Rebuild counters from a name-keyed lookup (the inverse of
+            /// [`TelemetryCounters::to_pairs`]). `None` as soon as any
+            /// field is missing, so a decoder over a partial record fails
+            /// whole rather than zero-filling silently.
+            pub fn from_pairs(mut get: impl FnMut(&str) -> Option<u64>) -> Option<Self> {
+                Some(TelemetryCounters {
+                    $($field: get(stringify!($field))?,)*
+                })
+            }
+        }
+
+        /// The gauge each [`TelemetryCounters::to_pairs`] entry is scraped
+        /// into, in the same order: the pair's name behind `fancy_kernel_`,
+        /// spelled out at compile time so a scrape formats nothing.
+        pub const KERNEL_GAUGE_NAMES: [&str; 16] =
+            [$(concat!("fancy_kernel_", stringify!($field)),)*];
+    };
+}
+
+kernel_counters! {
     /// Events dispatched by the run loop (arrivals + timers).
-    pub events_dispatched: u64,
+    events_dispatched: sum,
     /// Packet-arrival events dispatched.
-    pub packet_arrivals: u64,
+    packet_arrivals: sum,
     /// Timer events dispatched.
-    pub timers_fired: u64,
+    timers_fired: sum,
     /// High-water mark of the pending-event queue length.
-    pub queue_high_water: u64,
+    queue_high_water: max,
     /// High-water mark of pending *timer* events specifically. Timers
     /// occupy their own lane of the event queue, so this is just that
     /// lane's length: a protocol storm shows up here long before it
     /// dominates the overall queue depth.
-    pub timer_high_water: u64,
+    timer_high_water: max,
     /// Packets that survived the wire (scheduled to arrive at the peer).
-    pub packets_forwarded: u64,
+    packets_forwarded: sum,
     /// Data packets dropped by gray failures.
-    pub packets_gray_dropped: u64,
+    packets_gray_dropped: sum,
     /// FANcY/baseline control messages dropped by gray failures.
-    pub control_drops: u64,
+    control_drops: sum,
     /// Packets refused by a traffic-manager queue (congestion).
-    pub congestion_drops: u64,
+    congestion_drops: sum,
     /// High-water mark of simultaneously in-flight packets in the
     /// kernel's packet pool (its peak memory footprint, in slots).
-    pub pool_high_water: u64,
+    pool_high_water: max,
     /// Packet-pool slot reuses: check-ins into previously freed slots
     /// plus in-place forwards. High recycle counts against a low pool
     /// high-water mark mean the hot path runs allocation-free.
-    pub pool_recycled: u64,
+    pool_recycled: sum,
     /// Packets dropped by the chaos layer ([`crate::failure::FaultPlan`]).
-    pub chaos_drops: u64,
+    chaos_drops: sum,
     /// Wire duplicates injected by the chaos layer.
-    pub chaos_dups: u64,
+    chaos_dups: sum,
     /// Packets delayed past later traffic (reordered) by the chaos layer.
-    pub chaos_reorders: u64,
+    chaos_reorders: sum,
     /// Chaos actions (drop/dup/reorder) that hit control messages —
     /// the §4.1 robustness scenario's primary dial.
-    pub chaos_control_faults: u64,
+    chaos_control_faults: sum,
     /// Times a switch port fell back to degraded port-level counting
     /// after exhausting protocol retries.
-    pub degraded_entries: u64,
+    degraded_entries: sum,
 }
-
-impl TelemetryCounters {
-    /// Fold another counter set into this one (sums, and max for the
-    /// queue high-water mark). Used by sweep runners to aggregate
-    /// per-cell kernels into one report; the result is independent of
-    /// fold order, so parallel aggregation stays deterministic.
-    pub fn absorb(&mut self, other: &TelemetryCounters) {
-        self.events_dispatched += other.events_dispatched;
-        self.packet_arrivals += other.packet_arrivals;
-        self.timers_fired += other.timers_fired;
-        self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
-        self.timer_high_water = self.timer_high_water.max(other.timer_high_water);
-        self.packets_forwarded += other.packets_forwarded;
-        self.packets_gray_dropped += other.packets_gray_dropped;
-        self.control_drops += other.control_drops;
-        self.congestion_drops += other.congestion_drops;
-        self.pool_high_water = self.pool_high_water.max(other.pool_high_water);
-        self.pool_recycled += other.pool_recycled;
-        self.chaos_drops += other.chaos_drops;
-        self.chaos_dups += other.chaos_dups;
-        self.chaos_reorders += other.chaos_reorders;
-        self.chaos_control_faults += other.chaos_control_faults;
-        self.degraded_entries += other.degraded_entries;
-    }
-
-    /// Every counter as a stable `(name, value)` list, in declaration
-    /// order. The names are a wire format: `fancy-bench`'s result cache
-    /// persists counters through them, so renaming a field here without
-    /// bumping the cache schema version invalidates nothing and decodes
-    /// garbage — keep them in sync with [`TelemetryCounters::from_pairs`].
-    pub fn to_pairs(&self) -> [(&'static str, u64); 16] {
-        [
-            ("events_dispatched", self.events_dispatched),
-            ("packet_arrivals", self.packet_arrivals),
-            ("timers_fired", self.timers_fired),
-            ("queue_high_water", self.queue_high_water),
-            ("timer_high_water", self.timer_high_water),
-            ("packets_forwarded", self.packets_forwarded),
-            ("packets_gray_dropped", self.packets_gray_dropped),
-            ("control_drops", self.control_drops),
-            ("congestion_drops", self.congestion_drops),
-            ("pool_high_water", self.pool_high_water),
-            ("pool_recycled", self.pool_recycled),
-            ("chaos_drops", self.chaos_drops),
-            ("chaos_dups", self.chaos_dups),
-            ("chaos_reorders", self.chaos_reorders),
-            ("chaos_control_faults", self.chaos_control_faults),
-            ("degraded_entries", self.degraded_entries),
-        ]
-    }
-
-    /// Rebuild counters from a name-keyed lookup (the inverse of
-    /// [`TelemetryCounters::to_pairs`]). `None` as soon as any field is
-    /// missing, so a decoder over a partial record fails whole rather
-    /// than zero-filling silently.
-    pub fn from_pairs(mut get: impl FnMut(&str) -> Option<u64>) -> Option<Self> {
-        Some(TelemetryCounters {
-            events_dispatched: get("events_dispatched")?,
-            packet_arrivals: get("packet_arrivals")?,
-            timers_fired: get("timers_fired")?,
-            queue_high_water: get("queue_high_water")?,
-            timer_high_water: get("timer_high_water")?,
-            packets_forwarded: get("packets_forwarded")?,
-            packets_gray_dropped: get("packets_gray_dropped")?,
-            control_drops: get("control_drops")?,
-            congestion_drops: get("congestion_drops")?,
-            pool_high_water: get("pool_high_water")?,
-            pool_recycled: get("pool_recycled")?,
-            chaos_drops: get("chaos_drops")?,
-            chaos_dups: get("chaos_dups")?,
-            chaos_reorders: get("chaos_reorders")?,
-            chaos_control_faults: get("chaos_control_faults")?,
-            degraded_entries: get("degraded_entries")?,
-        })
-    }
-}
-
-/// The gauge each [`TelemetryCounters::to_pairs`] entry is scraped into,
-/// in the same order: the pair's name behind `fancy_kernel_`, spelled out
-/// so a scrape formats nothing.
-pub const KERNEL_GAUGE_NAMES: [&str; 16] = [
-    "fancy_kernel_events_dispatched",
-    "fancy_kernel_packet_arrivals",
-    "fancy_kernel_timers_fired",
-    "fancy_kernel_queue_high_water",
-    "fancy_kernel_timer_high_water",
-    "fancy_kernel_packets_forwarded",
-    "fancy_kernel_packets_gray_dropped",
-    "fancy_kernel_control_drops",
-    "fancy_kernel_congestion_drops",
-    "fancy_kernel_pool_high_water",
-    "fancy_kernel_pool_recycled",
-    "fancy_kernel_chaos_drops",
-    "fancy_kernel_chaos_dups",
-    "fancy_kernel_chaos_reorders",
-    "fancy_kernel_chaos_control_faults",
-    "fancy_kernel_degraded_entries",
-];
 
 /// A point-in-time view of a kernel's telemetry, as delivered to sinks.
 #[derive(Debug, Clone)]

@@ -1164,6 +1164,27 @@ mod tests {
     }
 
     #[test]
+    fn time_past_u64_is_an_error() {
+        // The shared parser reads integers up to u128 (a histogram sum
+        // needs them); a trace field past u64::MAX must still fail.
+        let line = |t: u128| {
+            format!(r#"{{"ev":"reroute","t":{t},"node":2,"entry":5,"primary":1,"backup":3}}"#)
+        };
+        assert!(TraceEvent::parse_line(&line(u128::from(u64::MAX))).is_ok());
+        let err = TraceEvent::parse_line(&line(1 << 64)).unwrap_err();
+        assert_eq!(err, ParseError::Field("reroute", "t"));
+    }
+
+    #[test]
+    fn repeated_key_is_an_error() {
+        let line = r#"{"ev":"reroute","t":1,"node":2,"entry":5,"primary":1,"backup":3,"node":4}"#;
+        assert_eq!(
+            TraceEvent::parse_line(line),
+            Err(ParseError::Json(JsonError::RepeatedKey("node".into())))
+        );
+    }
+
+    #[test]
     fn time_accessor_matches_field() {
         for ev in samples() {
             assert!(ev.time_ns() > 0);

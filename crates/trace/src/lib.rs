@@ -19,8 +19,9 @@
 //!    perturb the schedule: traces are bit-identical with or without an
 //!    observer, and across `FANCY_THREADS` settings.
 //! 3. **No external dependencies.** The JSONL encoder *and* parser are
-//!    hand-rolled ([`json`]); the schema is restricted to flat objects
-//!    of unsigned integers, strings, and small byte arrays so that
+//!    hand-rolled ([`json`], also the codec of the cell cache and the
+//!    metrics snapshots); the trace schema is restricted to flat objects
+//!    of unsigned integers, strings, and small integer arrays so that
 //!    round-tripping is exact (no floats anywhere).
 
 pub mod event;
