@@ -112,6 +112,14 @@ expect_exit 2 trace_compile -- compile --scale
 expect_exit 2 trace_compile -- compile --scale abc
 expect_exit 2 trace_compile -- compile --scale 2
 expect_exit 1 trace_compile -- verify --file /nonexistent/missing.events
+# A trace that cannot be read, or names an unknown event kind, fails
+# typed (exit 1, the parse error printed), never with a panic.
+expect_exit 1 trace_report -- /nonexistent/missing.jsonl
+WARP_TRACE="$(mktemp)"
+trap 'rm -f "$WARP_TRACE"' EXIT
+echo '{"ev":"warp","t":1}' >"$WARP_TRACE"
+expect_exit 1 trace_report -- "$WARP_TRACE"
+rm -f "$WARP_TRACE"
 
 echo "== shard gate (conservative-parallel DES, FANCY_SHARDS byte-identity) =="
 # The same 12-switch netwide runs sharded in every cell; the shard

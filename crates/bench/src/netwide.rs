@@ -718,7 +718,7 @@ impl CacheCodec for ComboOutcome {
                     edge: rec.u64(&format!("e{i}_edge"))? as usize,
                     name: rec.str(&format!("e{i}_name"))?.to_owned(),
                     chaos: rec.u64(&format!("e{i}_chaos"))? != 0,
-                    victim_entry: rec.u64(&format!("e{i}_victim"))? as u32,
+                    victim_entry: u32::try_from(rec.u64(&format!("e{i}_victim"))?).ok()?,
                     carries_traffic: rec.u64(&format!("e{i}_traffic"))? != 0,
                     detected: rec.u64(&format!("e{i}_detected"))? != 0,
                     detection_s: rec.f64(&format!("e{i}_det_s"))?,
@@ -1196,6 +1196,10 @@ mod tests {
         assert_eq!(back.name(), "e1 + e4");
         assert!(!back.all_detected());
         assert!(back.recovery_ok());
+        // A victim entry past u32 is a corrupt record: a cache miss, not
+        // a silently truncated entry.
+        rec.put_u64("e1_victim", 1 << 32);
+        assert!(ComboOutcome::decode(&rec).is_none());
     }
 
     #[test]

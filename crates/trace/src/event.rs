@@ -23,7 +23,8 @@
 //! The JSONL form is one object per line; [`TraceEvent::to_jsonl`] and
 //! [`TraceEvent::parse_line`] are exact inverses (asserted in tests and
 //! by the `trace-report` CI smoke step), which is what makes "fails on
-//! schema drift" enforceable.
+//! schema drift" enforceable. Both come from the one `trace_events!`
+//! declaration below, which is the schema.
 
 use std::borrow::Cow;
 
@@ -70,11 +71,169 @@ impl DropCause {
     }
 }
 
-/// One structured trace event. All times are simulated nanoseconds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
+/// How a field type is spelled in an event's JSON object.
+trait Wire: Sized {
+    /// Append the value under `key`.
+    fn write(&self, key: &str, w: &mut ObjectWriter);
+
+    /// Read a value from what the line holds under its key (`None` when
+    /// the key is absent); `None` back means missing or malformed.
+    fn read(value: Option<&JsonValue>) -> Option<Self>;
+}
+
+impl Wire for u64 {
+    fn write(&self, key: &str, w: &mut ObjectWriter) {
+        w.u64(key, *self);
+    }
+
+    fn read(value: Option<&JsonValue>) -> Option<Self> {
+        value?.as_u64()
+    }
+}
+
+/// An absent optional is omitted, never written as `null`.
+impl Wire for Option<u64> {
+    fn write(&self, key: &str, w: &mut ObjectWriter) {
+        if let Some(v) = self {
+            v.write(key, w);
+        }
+    }
+
+    fn read(value: Option<&JsonValue>) -> Option<Self> {
+        match value {
+            None => Some(None),
+            Some(_) => u64::read(value).map(Some),
+        }
+    }
+}
+
+impl Wire for Cow<'static, str> {
+    fn write(&self, key: &str, w: &mut ObjectWriter) {
+        w.str(key, self);
+    }
+
+    fn read(value: Option<&JsonValue>) -> Option<Self> {
+        Some(Cow::Owned(value?.as_str()?.to_owned()))
+    }
+}
+
+impl Wire for Vec<u64> {
+    fn write(&self, key: &str, w: &mut ObjectWriter) {
+        w.arr(key, self);
+    }
+
+    fn read(value: Option<&JsonValue>) -> Option<Self> {
+        value?.as_arr().map(<[u64]>::to_vec)
+    }
+}
+
+impl Wire for DropCause {
+    fn write(&self, key: &str, w: &mut ObjectWriter) {
+        w.str(key, self.name());
+    }
+
+    fn read(value: Option<&JsonValue>) -> Option<Self> {
+        DropCause::from_name(value?.as_str()?)
+    }
+}
+
+/// Declares [`TraceEvent`] from one list of `Variant = "ev" { t: u64,
+/// field: Type, … }` entries, fields in wire order after the timestamp:
+/// the enum, [`TraceEvent::kind`], [`TraceEvent::time_ns`],
+/// [`TraceEvent::write_jsonl`] and [`TraceEvent::parse_line`] all come
+/// from it, so the writer and the parser cannot drift apart. A field's
+/// key is its name and its [`Wire`] impl says how it is spelled;
+/// `[omit_empty]` after the type leaves an empty value out and reads an
+/// absent one back as empty.
+macro_rules! trace_events {
+    (@write $w:ident, $key:expr, $value:expr) => {
+        Wire::write($value, $key, &mut $w)
+    };
+    (@write $w:ident, $key:expr, $value:expr, omit_empty) => {
+        if !$value.is_empty() {
+            Wire::write($value, $key, &mut $w)
+        }
+    };
+    (@read $get:ident, $key:expr, $ty:ty) => {
+        <$ty as Wire>::read($get($key))
+    };
+    (@read $get:ident, $key:expr, $ty:ty, omit_empty) => {
+        match $get($key) {
+            None => Some(<$ty>::default()),
+            value => <$ty as Wire>::read(value),
+        }
+    };
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $ev:literal {
+            $(#[$t_doc:meta])*
+            t: u64,
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty $([$mark:ident])?,)*
+        }
+    )*) => {
+        /// One structured trace event. All times are simulated nanoseconds.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum TraceEvent {
+            $($(#[$doc])* $variant {
+                $(#[$t_doc])*
+                t: u64,
+                $($(#[$field_doc])* $field: $ty,)*
+            },)*
+        }
+
+        impl TraceEvent {
+            /// Stable discriminator, as written to the `ev` field.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $ev,)*
+                }
+            }
+
+            /// Event time in simulated nanoseconds.
+            pub fn time_ns(&self) -> u64 {
+                match self {
+                    $(TraceEvent::$variant { t, .. })|* => *t,
+                }
+            }
+
+            /// Append the [`TraceEvent::to_jsonl`] line to `out` (a sink
+            /// that encodes every event keeps one buffer).
+            pub fn write_jsonl(&self, out: &mut String) {
+                let mut w = ObjectWriter::appending_to(std::mem::take(out));
+                w.str("ev", self.kind()).u64("t", self.time_ns());
+                match self {
+                    $(TraceEvent::$variant { $($field,)* .. } => {
+                        $(trace_events!(@write w, stringify!($field), $field $(, $mark)?);)*
+                    })*
+                }
+                *out = w.finish();
+            }
+
+            /// Decode one JSONL line. A bad or missing field is reported
+            /// by name, the first one in wire order; keys the event does
+            /// not declare are ignored.
+            pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
+                let fields = parse_object(line)?;
+                let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                let ev = get("ev")
+                    .and_then(JsonValue::as_str)
+                    .ok_or_else(|| ParseError::UnknownEvent(String::new()))?;
+                match ev {
+                    $($ev => Ok(TraceEvent::$variant {
+                        t: u64::read(get("t")).ok_or(ParseError::Field($ev, "t"))?,
+                        $($field: trace_events!(@read get, stringify!($field), $ty $(, $mark)?)
+                            .ok_or(ParseError::Field($ev, stringify!($field)))?,)*
+                    }),)*
+                    _ => Err(ParseError::UnknownEvent(ev.to_owned())),
+                }
+            }
+        }
+    };
+}
+
+trace_events! {
     /// A packet cleared link admission and will arrive at the far end.
-    PacketForward {
+    PacketForward = "fwd" {
         /// Departure-complete time on the wire.
         t: u64,
         /// Link id.
@@ -89,9 +248,9 @@ pub enum TraceEvent {
         flow: Option<u64>,
         /// Size in bytes.
         size: u64,
-    },
+    }
     /// A packet died.
-    PacketDrop {
+    PacketDrop = "drop" {
         /// Drop time.
         t: u64,
         /// Cause of death.
@@ -111,9 +270,9 @@ pub enum TraceEvent {
         flow: Option<u64>,
         /// Size in bytes.
         size: u64,
-    },
+    }
     /// A FANcY counting FSM changed state.
-    FsmTransition {
+    FsmTransition = "fsm" {
         /// Transition time.
         t: u64,
         /// Switch node id.
@@ -128,9 +287,9 @@ pub enum TraceEvent {
         from: Cow<'static, str>,
         /// State after.
         to: Cow<'static, str>,
-    },
+    }
     /// A counting-protocol message was sent or received.
-    CounterExchange {
+    CounterExchange = "ctrl" {
         /// Exchange time.
         t: u64,
         /// Switch node id.
@@ -147,9 +306,9 @@ pub enum TraceEvent {
         dir: Cow<'static, str>,
         /// Message payload length in bytes.
         len: u64,
-    },
+    }
     /// The hash-tree zoom engine advanced.
-    ZoomStep {
+    ZoomStep = "zoom" {
         /// Session-end time at which the step was decided.
         t: u64,
         /// Switch node id.
@@ -158,13 +317,14 @@ pub enum TraceEvent {
         port: u64,
         /// `"adopt"`, `"descend"`, `"abandon"`, `"leaf"`, or `"uniform"`.
         step: Cow<'static, str>,
-        /// Hash path the step concerns (empty for `uniform`).
+        /// Hash path the step concerns (empty for `uniform`, and then
+        /// still written, as `[]`).
         path: Vec<u64>,
         /// Lost-packet count that justified the step, when one did.
         lost: u64,
-    },
+    }
     /// A detector fired (mirrors the kernel's `DetectionRecord`).
-    Detection {
+    Detection = "detect" {
         /// Detection time.
         t: u64,
         /// Reporting switch.
@@ -179,10 +339,10 @@ pub enum TraceEvent {
         /// Implicated entry, for entry-scoped detections.
         entry: Option<u64>,
         /// Implicated hash path, for path-scoped detections.
-        path: Vec<u64>,
-    },
+        path: Vec<u64> [omit_empty],
+    }
     /// Traffic for an entry started using the backup port (rising edge).
-    Reroute {
+    Reroute = "reroute" {
         /// First rerouted packet's time.
         t: u64,
         /// Switch node id.
@@ -193,11 +353,11 @@ pub enum TraceEvent {
         primary: u64,
         /// Backup egress port now in use.
         backup: u64,
-    },
+    }
     /// A rerouted entry's active backup changed: the alternate in use
     /// turned gray (or came back) and the switch cascaded to another
     /// ranked loop-free alternate.
-    Failover {
+    Failover = "failover" {
         /// First packet steered onto the new alternate.
         t: u64,
         /// Switch node id.
@@ -212,13 +372,13 @@ pub enum TraceEvent {
         to: u64,
         /// 0-based rank of the new alternate in the backup chain.
         rank: u64,
-    },
+    }
     /// The reroute damping state machine transitioned for an entry:
     /// `"engage"` (suspicion window tripped, traffic leaves the primary),
     /// `"probe"` (hold-down expired, traffic returns to the primary on
     /// probation), `"restore"` (probation completed clean, reroute torn
     /// down), or `"retrip"` (lossy during probation — a flap).
-    RerouteDamp {
+    RerouteDamp = "damp" {
         /// Transition time (session-report time at the protecting switch).
         t: u64,
         /// Switch node id.
@@ -229,10 +389,10 @@ pub enum TraceEvent {
         primary: u64,
         /// Transition name (see above).
         action: Cow<'static, str>,
-    },
+    }
     /// Every ranked backup alternate for a rerouted entry is unhealthy:
     /// the switch degraded to drop-and-alarm (rising edge per entry).
-    BackupAlarm {
+    BackupAlarm = "alarm" {
         /// First alarmed-drop time.
         t: u64,
         /// Switch node id.
@@ -241,9 +401,9 @@ pub enum TraceEvent {
         entry: u64,
         /// Protected primary egress port.
         primary: u64,
-    },
+    }
     /// A TCP retransmission timeout fired and forced a retransmit.
-    TcpRto {
+    TcpRto = "tcp_rto" {
         /// Firing time.
         t: u64,
         /// Sender host node id.
@@ -256,9 +416,9 @@ pub enum TraceEvent {
         rto_ns: u64,
         /// Congestion window before the collapse, in milli-packets.
         cwnd_mpkt: u64,
-    },
+    }
     /// Three duplicate ACKs triggered a fast retransmit.
-    TcpFastRetx {
+    TcpFastRetx = "tcp_retx" {
         /// Trigger time.
         t: u64,
         /// Sender host node id.
@@ -267,9 +427,9 @@ pub enum TraceEvent {
         flow: u64,
         /// Sequence retransmitted.
         seq: u64,
-    },
+    }
     /// The congestion window shrank (RTO collapse or fast-recovery halving).
-    TcpCwnd {
+    TcpCwnd = "tcp_cwnd" {
         /// Shrink time.
         t: u64,
         /// Sender host node id.
@@ -280,9 +440,9 @@ pub enum TraceEvent {
         from_mpkt: u64,
         /// Window after, in milli-packets.
         to_mpkt: u64,
-    },
+    }
     /// The incident tracker opened an incident for a link.
-    IncidentOpen {
+    IncidentOpen = "incident_open" {
         /// First detection time.
         t: u64,
         /// Reporting switch.
@@ -291,9 +451,9 @@ pub enum TraceEvent {
         port: u64,
         /// Initial severity (`"entry_loss"`, `"uniform_loss"`, `"link_down"`).
         severity: Cow<'static, str>,
-    },
+    }
     /// The incident tracker cleared an incident after silence.
-    IncidentClear {
+    IncidentClear = "incident_clear" {
         /// Clear time.
         t: u64,
         /// Reporting switch.
@@ -302,11 +462,11 @@ pub enum TraceEvent {
         port: u64,
         /// Detections folded into the incident over its lifetime.
         detections: u64,
-    },
+    }
     /// The chaos layer acted on a wire packet (adversarial fault
     /// injection). Drops additionally ride [`TraceEvent::PacketDrop`]
     /// with their usual cause, so timeline analyses keep working.
-    ChaosInject {
+    ChaosInject = "chaos" {
         /// Departure time on the wire.
         t: u64,
         /// Link id.
@@ -319,10 +479,10 @@ pub enum TraceEvent {
         uid: u64,
         /// 1 when the packet is control traffic (FANcY/NetSeer), else 0.
         control: u64,
-    },
+    }
     /// A switch port entered (`on = 1`) or left (`on = 0`) degraded
     /// port-level counting after counting-protocol retry exhaustion.
-    DegradedMode {
+    DegradedMode = "degraded" {
         /// Transition time.
         t: u64,
         /// Switch node id.
@@ -331,10 +491,10 @@ pub enum TraceEvent {
         port: u64,
         /// 1 entering degraded mode, 0 recovering from it.
         on: u64,
-    },
+    }
     /// A sweep cell was served from the content-addressed result cache
     /// (`fancy-bench`'s `FANCY_CACHE_DIR` store) instead of executing.
-    CacheHit {
+    CacheHit = "cache_hit" {
         /// Stamp time (cache hits happen before any simulation; sweep
         /// stubs write 0).
         t: u64,
@@ -347,17 +507,17 @@ pub enum TraceEvent {
         /// Events the cached run dispatched when it originally executed
         /// — the work the hit avoided.
         saved_events: u64,
-    },
+    }
     /// The in-sim metrics scraper (`fancy-sim`'s `ScrapeNode`) captured
     /// a registry snapshot into the scrape series.
-    Scrape {
+    Scrape = "scrape" {
         /// Stamp time.
         t: u64,
         /// Scrape sequence number (0-based).
         seq: u64,
         /// Number of metric samples in the captured snapshot.
         samples: u64,
-    },
+    }
 }
 
 /// The `unit` value marking the shared hash-tree (vs a dedicated counter).
@@ -392,511 +552,13 @@ impl From<JsonError> for ParseError {
     }
 }
 
-struct Fields<'a> {
-    kind: &'static str,
-    fields: &'a [(String, JsonValue)],
-}
-
-impl<'a> Fields<'a> {
-    fn get(&self, key: &'static str) -> Option<&JsonValue> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn u64(&self, key: &'static str) -> Result<u64, ParseError> {
-        self.get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or(ParseError::Field(self.kind, key))
-    }
-
-    fn opt_u64(&self, key: &'static str) -> Result<Option<u64>, ParseError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .map(Some)
-                .ok_or(ParseError::Field(self.kind, key)),
-        }
-    }
-
-    fn str(&self, key: &'static str) -> Result<Cow<'static, str>, ParseError> {
-        self.get(key)
-            .and_then(JsonValue::as_str)
-            .map(|s| Cow::Owned(s.to_owned()))
-            .ok_or(ParseError::Field(self.kind, key))
-    }
-
-    fn arr(&self, key: &'static str) -> Result<Vec<u64>, ParseError> {
-        self.get(key)
-            .and_then(JsonValue::as_arr)
-            .map(<[u64]>::to_vec)
-            .ok_or(ParseError::Field(self.kind, key))
-    }
-}
-
 impl TraceEvent {
-    /// Stable discriminator, as written to the `ev` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::PacketForward { .. } => "fwd",
-            TraceEvent::PacketDrop { .. } => "drop",
-            TraceEvent::FsmTransition { .. } => "fsm",
-            TraceEvent::CounterExchange { .. } => "ctrl",
-            TraceEvent::ZoomStep { .. } => "zoom",
-            TraceEvent::Detection { .. } => "detect",
-            TraceEvent::Reroute { .. } => "reroute",
-            TraceEvent::Failover { .. } => "failover",
-            TraceEvent::RerouteDamp { .. } => "damp",
-            TraceEvent::BackupAlarm { .. } => "alarm",
-            TraceEvent::TcpRto { .. } => "tcp_rto",
-            TraceEvent::TcpFastRetx { .. } => "tcp_retx",
-            TraceEvent::TcpCwnd { .. } => "tcp_cwnd",
-            TraceEvent::IncidentOpen { .. } => "incident_open",
-            TraceEvent::IncidentClear { .. } => "incident_clear",
-            TraceEvent::ChaosInject { .. } => "chaos",
-            TraceEvent::DegradedMode { .. } => "degraded",
-            TraceEvent::CacheHit { .. } => "cache_hit",
-            TraceEvent::Scrape { .. } => "scrape",
-        }
-    }
-
-    /// Event time in simulated nanoseconds.
-    pub fn time_ns(&self) -> u64 {
-        match self {
-            TraceEvent::PacketForward { t, .. }
-            | TraceEvent::PacketDrop { t, .. }
-            | TraceEvent::FsmTransition { t, .. }
-            | TraceEvent::CounterExchange { t, .. }
-            | TraceEvent::ZoomStep { t, .. }
-            | TraceEvent::Detection { t, .. }
-            | TraceEvent::Reroute { t, .. }
-            | TraceEvent::Failover { t, .. }
-            | TraceEvent::RerouteDamp { t, .. }
-            | TraceEvent::BackupAlarm { t, .. }
-            | TraceEvent::TcpRto { t, .. }
-            | TraceEvent::TcpFastRetx { t, .. }
-            | TraceEvent::TcpCwnd { t, .. }
-            | TraceEvent::IncidentOpen { t, .. }
-            | TraceEvent::IncidentClear { t, .. }
-            | TraceEvent::ChaosInject { t, .. }
-            | TraceEvent::DegradedMode { t, .. }
-            | TraceEvent::CacheHit { t, .. }
-            | TraceEvent::Scrape { t, .. } => *t,
-        }
-    }
-
     /// Encode as one JSONL line (no trailing newline). Optional fields
     /// are omitted when absent, never written as `null`.
     pub fn to_jsonl(&self) -> String {
         let mut line = String::new();
         self.write_jsonl(&mut line);
         line
-    }
-
-    /// Append the [`TraceEvent::to_jsonl`] line to `out` (a sink that
-    /// encodes every event keeps one buffer).
-    pub fn write_jsonl(&self, out: &mut String) {
-        let mut w = ObjectWriter::appending_to(std::mem::take(out));
-        w.str("ev", self.kind()).u64("t", self.time_ns());
-        match self {
-            TraceEvent::PacketForward {
-                link,
-                dir,
-                uid,
-                entry,
-                flow,
-                size,
-                ..
-            } => {
-                w.u64("link", *link).u64("dir", *dir).u64("uid", *uid);
-                w.u64("entry", *entry);
-                if let Some(flow) = flow {
-                    w.u64("flow", *flow);
-                }
-                w.u64("size", *size);
-            }
-            TraceEvent::PacketDrop {
-                cause,
-                node,
-                link,
-                dir,
-                uid,
-                entry,
-                flow,
-                size,
-                ..
-            } => {
-                w.str("cause", cause.name()).u64("node", *node);
-                if let Some(link) = link {
-                    w.u64("link", *link);
-                }
-                if let Some(dir) = dir {
-                    w.u64("dir", *dir);
-                }
-                w.u64("uid", *uid).u64("entry", *entry);
-                if let Some(flow) = flow {
-                    w.u64("flow", *flow);
-                }
-                w.u64("size", *size);
-            }
-            TraceEvent::FsmTransition {
-                node,
-                port,
-                role,
-                unit,
-                from,
-                to,
-                ..
-            } => {
-                w.u64("node", *node).u64("port", *port).str("role", role);
-                w.u64("unit", *unit).str("from", from).str("to", to);
-            }
-            TraceEvent::CounterExchange {
-                node,
-                port,
-                unit,
-                session,
-                body,
-                dir,
-                len,
-                ..
-            } => {
-                w.u64("node", *node).u64("port", *port).u64("unit", *unit);
-                w.u64("session", *session).str("body", body).str("dir", dir);
-                w.u64("len", *len);
-            }
-            TraceEvent::ZoomStep {
-                node,
-                port,
-                step,
-                path,
-                lost,
-                ..
-            } => {
-                w.u64("node", *node).u64("port", *port).str("step", step);
-                w.arr("path", path).u64("lost", *lost);
-            }
-            TraceEvent::Detection {
-                node,
-                port,
-                detector,
-                scope,
-                entry,
-                path,
-                ..
-            } => {
-                w.u64("node", *node).u64("port", *port);
-                w.str("detector", detector).str("scope", scope);
-                if let Some(entry) = entry {
-                    w.u64("entry", *entry);
-                }
-                if !path.is_empty() {
-                    w.arr("path", path);
-                }
-            }
-            TraceEvent::Reroute {
-                node,
-                entry,
-                primary,
-                backup,
-                ..
-            } => {
-                w.u64("node", *node).u64("entry", *entry);
-                w.u64("primary", *primary).u64("backup", *backup);
-            }
-            TraceEvent::Failover {
-                node,
-                entry,
-                primary,
-                from,
-                to,
-                rank,
-                ..
-            } => {
-                w.u64("node", *node).u64("entry", *entry);
-                w.u64("primary", *primary).u64("from", *from);
-                w.u64("to", *to).u64("rank", *rank);
-            }
-            TraceEvent::RerouteDamp {
-                node,
-                entry,
-                primary,
-                action,
-                ..
-            } => {
-                w.u64("node", *node).u64("entry", *entry);
-                w.u64("primary", *primary).str("action", action);
-            }
-            TraceEvent::BackupAlarm {
-                node,
-                entry,
-                primary,
-                ..
-            } => {
-                w.u64("node", *node).u64("entry", *entry);
-                w.u64("primary", *primary);
-            }
-            TraceEvent::TcpRto {
-                node,
-                flow,
-                seq,
-                rto_ns,
-                cwnd_mpkt,
-                ..
-            } => {
-                w.u64("node", *node).u64("flow", *flow).u64("seq", *seq);
-                w.u64("rto_ns", *rto_ns).u64("cwnd_mpkt", *cwnd_mpkt);
-            }
-            TraceEvent::TcpFastRetx {
-                node, flow, seq, ..
-            } => {
-                w.u64("node", *node).u64("flow", *flow).u64("seq", *seq);
-            }
-            TraceEvent::TcpCwnd {
-                node,
-                flow,
-                from_mpkt,
-                to_mpkt,
-                ..
-            } => {
-                w.u64("node", *node).u64("flow", *flow);
-                w.u64("from_mpkt", *from_mpkt).u64("to_mpkt", *to_mpkt);
-            }
-            TraceEvent::IncidentOpen {
-                node,
-                port,
-                severity,
-                ..
-            } => {
-                w.u64("node", *node).u64("port", *port);
-                w.str("severity", severity);
-            }
-            TraceEvent::IncidentClear {
-                node,
-                port,
-                detections,
-                ..
-            } => {
-                w.u64("node", *node).u64("port", *port);
-                w.u64("detections", *detections);
-            }
-            TraceEvent::ChaosInject {
-                link,
-                dir,
-                action,
-                uid,
-                control,
-                ..
-            } => {
-                w.u64("link", *link).u64("dir", *dir).str("action", action);
-                w.u64("uid", *uid).u64("control", *control);
-            }
-            TraceEvent::DegradedMode { node, port, on, .. } => {
-                w.u64("node", *node).u64("port", *port).u64("on", *on);
-            }
-            TraceEvent::CacheHit {
-                cell,
-                key_hi,
-                key_lo,
-                saved_events,
-                ..
-            } => {
-                w.u64("cell", *cell).u64("key_hi", *key_hi);
-                w.u64("key_lo", *key_lo).u64("saved_events", *saved_events);
-            }
-            TraceEvent::Scrape { seq, samples, .. } => {
-                w.u64("seq", *seq).u64("samples", *samples);
-            }
-        }
-        *out = w.finish();
-    }
-
-    /// Decode one JSONL line.
-    pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
-        let fields = parse_object(line)?;
-        let ev_name = fields
-            .iter()
-            .find(|(k, _)| k == "ev")
-            .and_then(|(_, v)| v.as_str())
-            .ok_or_else(|| ParseError::UnknownEvent(String::new()))?
-            .to_owned();
-        let kind: &'static str = match ev_name.as_str() {
-            "fwd" => "fwd",
-            "drop" => "drop",
-            "fsm" => "fsm",
-            "ctrl" => "ctrl",
-            "zoom" => "zoom",
-            "detect" => "detect",
-            "reroute" => "reroute",
-            "failover" => "failover",
-            "damp" => "damp",
-            "alarm" => "alarm",
-            "tcp_rto" => "tcp_rto",
-            "tcp_retx" => "tcp_retx",
-            "tcp_cwnd" => "tcp_cwnd",
-            "incident_open" => "incident_open",
-            "incident_clear" => "incident_clear",
-            "chaos" => "chaos",
-            "degraded" => "degraded",
-            "cache_hit" => "cache_hit",
-            "scrape" => "scrape",
-            _ => return Err(ParseError::UnknownEvent(ev_name)),
-        };
-        let f = Fields {
-            kind,
-            fields: &fields,
-        };
-        let t = f.u64("t")?;
-        Ok(match kind {
-            "fwd" => TraceEvent::PacketForward {
-                t,
-                link: f.u64("link")?,
-                dir: f.u64("dir")?,
-                uid: f.u64("uid")?,
-                entry: f.u64("entry")?,
-                flow: f.opt_u64("flow")?,
-                size: f.u64("size")?,
-            },
-            "drop" => TraceEvent::PacketDrop {
-                t,
-                cause: DropCause::from_name(&f.str("cause")?)
-                    .ok_or(ParseError::Field("drop", "cause"))?,
-                node: f.u64("node")?,
-                link: f.opt_u64("link")?,
-                dir: f.opt_u64("dir")?,
-                uid: f.u64("uid")?,
-                entry: f.u64("entry")?,
-                flow: f.opt_u64("flow")?,
-                size: f.u64("size")?,
-            },
-            "fsm" => TraceEvent::FsmTransition {
-                t,
-                node: f.u64("node")?,
-                port: f.u64("port")?,
-                role: f.str("role")?,
-                unit: f.u64("unit")?,
-                from: f.str("from")?,
-                to: f.str("to")?,
-            },
-            "ctrl" => TraceEvent::CounterExchange {
-                t,
-                node: f.u64("node")?,
-                port: f.u64("port")?,
-                unit: f.u64("unit")?,
-                session: f.u64("session")?,
-                body: f.str("body")?,
-                dir: f.str("dir")?,
-                len: f.u64("len")?,
-            },
-            "zoom" => TraceEvent::ZoomStep {
-                t,
-                node: f.u64("node")?,
-                port: f.u64("port")?,
-                step: f.str("step")?,
-                path: f.arr("path")?,
-                lost: f.u64("lost")?,
-            },
-            "detect" => TraceEvent::Detection {
-                t,
-                node: f.u64("node")?,
-                port: f.u64("port")?,
-                detector: f.str("detector")?,
-                scope: f.str("scope")?,
-                entry: f.opt_u64("entry")?,
-                path: match f.get("path") {
-                    None => Vec::new(),
-                    Some(_) => f.arr("path")?,
-                },
-            },
-            "reroute" => TraceEvent::Reroute {
-                t,
-                node: f.u64("node")?,
-                entry: f.u64("entry")?,
-                primary: f.u64("primary")?,
-                backup: f.u64("backup")?,
-            },
-            "failover" => TraceEvent::Failover {
-                t,
-                node: f.u64("node")?,
-                entry: f.u64("entry")?,
-                primary: f.u64("primary")?,
-                from: f.u64("from")?,
-                to: f.u64("to")?,
-                rank: f.u64("rank")?,
-            },
-            "damp" => TraceEvent::RerouteDamp {
-                t,
-                node: f.u64("node")?,
-                entry: f.u64("entry")?,
-                primary: f.u64("primary")?,
-                action: f.str("action")?,
-            },
-            "alarm" => TraceEvent::BackupAlarm {
-                t,
-                node: f.u64("node")?,
-                entry: f.u64("entry")?,
-                primary: f.u64("primary")?,
-            },
-            "tcp_rto" => TraceEvent::TcpRto {
-                t,
-                node: f.u64("node")?,
-                flow: f.u64("flow")?,
-                seq: f.u64("seq")?,
-                rto_ns: f.u64("rto_ns")?,
-                cwnd_mpkt: f.u64("cwnd_mpkt")?,
-            },
-            "tcp_retx" => TraceEvent::TcpFastRetx {
-                t,
-                node: f.u64("node")?,
-                flow: f.u64("flow")?,
-                seq: f.u64("seq")?,
-            },
-            "tcp_cwnd" => TraceEvent::TcpCwnd {
-                t,
-                node: f.u64("node")?,
-                flow: f.u64("flow")?,
-                from_mpkt: f.u64("from_mpkt")?,
-                to_mpkt: f.u64("to_mpkt")?,
-            },
-            "incident_open" => TraceEvent::IncidentOpen {
-                t,
-                node: f.u64("node")?,
-                port: f.u64("port")?,
-                severity: f.str("severity")?,
-            },
-            "incident_clear" => TraceEvent::IncidentClear {
-                t,
-                node: f.u64("node")?,
-                port: f.u64("port")?,
-                detections: f.u64("detections")?,
-            },
-            "chaos" => TraceEvent::ChaosInject {
-                t,
-                link: f.u64("link")?,
-                dir: f.u64("dir")?,
-                action: f.str("action")?,
-                uid: f.u64("uid")?,
-                control: f.u64("control")?,
-            },
-            "degraded" => TraceEvent::DegradedMode {
-                t,
-                node: f.u64("node")?,
-                port: f.u64("port")?,
-                on: f.u64("on")?,
-            },
-            "cache_hit" => TraceEvent::CacheHit {
-                t,
-                cell: f.u64("cell")?,
-                key_hi: f.u64("key_hi")?,
-                key_lo: f.u64("key_lo")?,
-                saved_events: f.u64("saved_events")?,
-            },
-            "scrape" => TraceEvent::Scrape {
-                t,
-                seq: f.u64("seq")?,
-                samples: f.u64("samples")?,
-            },
-            _ => unreachable!("kind validated above"),
-        })
     }
 }
 
@@ -960,6 +622,28 @@ mod tests {
                 flow: None,
                 size: 64,
             },
+            TraceEvent::PacketDrop {
+                t: 4,
+                cause: DropCause::Congestion,
+                node: 2,
+                link: Some(3),
+                dir: Some(1),
+                uid: 105,
+                entry: 9,
+                flow: None,
+                size: 1500,
+            },
+            TraceEvent::PacketDrop {
+                t: 4,
+                cause: DropCause::Control,
+                node: 2,
+                link: Some(3),
+                dir: None,
+                uid: 106,
+                entry: 0,
+                flow: Some(4),
+                size: 13,
+            },
             TraceEvent::FsmTransition {
                 t: 5,
                 node: 1,
@@ -987,6 +671,14 @@ mod tests {
                 path: vec![3, 0],
                 lost: 17,
             },
+            TraceEvent::ZoomStep {
+                t: 7,
+                node: 1,
+                port: 3,
+                step: "uniform".into(),
+                path: vec![],
+                lost: 0,
+            },
             TraceEvent::Detection {
                 t: 8,
                 node: 1,
@@ -1003,6 +695,24 @@ mod tests {
                 detector: "baseline:netseer".into(),
                 scope: "entry".into(),
                 entry: Some(7),
+                path: vec![],
+            },
+            TraceEvent::Detection {
+                t: 9,
+                node: 1,
+                port: 2,
+                detector: "dedicated".into(),
+                scope: "entry".into(),
+                entry: Some(7),
+                path: vec![5, 1],
+            },
+            TraceEvent::Detection {
+                t: 9,
+                node: 1,
+                port: 3,
+                detector: "uniform".into(),
+                scope: "uniform".into(),
+                entry: None,
                 path: vec![],
             },
             TraceEvent::Reroute {
@@ -1105,6 +815,110 @@ mod tests {
                 samples: 27,
             },
         ]
+    }
+
+    /// The wire bytes of [`samples`], one line each: every event kind,
+    /// every drop cause, and each optional field both present and absent.
+    const PINNED: &[&str] = &[
+        r#"{"ev":"fwd","t":1,"link":2,"dir":0,"uid":99,"entry":7,"flow":3,"size":1500}"#,
+        r#"{"ev":"fwd","t":2,"link":2,"dir":1,"uid":100,"entry":7,"size":64}"#,
+        r#"{"ev":"drop","t":3,"cause":"gray","node":1,"link":2,"dir":0,"uid":101,"entry":7,"flow":3,"size":1500}"#,
+        r#"{"ev":"drop","t":4,"cause":"noroute","node":1,"uid":102,"entry":9,"size":64}"#,
+        r#"{"ev":"drop","t":4,"cause":"congestion","node":2,"link":3,"dir":1,"uid":105,"entry":9,"size":1500}"#,
+        r#"{"ev":"drop","t":4,"cause":"control","node":2,"link":3,"uid":106,"entry":0,"flow":4,"size":13}"#,
+        r#"{"ev":"fsm","t":5,"node":1,"port":2,"role":"tx","unit":65535,"from":"idle","to":"wait_ack"}"#,
+        r#"{"ev":"ctrl","t":6,"node":1,"port":2,"unit":4,"session":12,"body":"start_ack","dir":"rx","len":13}"#,
+        r#"{"ev":"zoom","t":7,"node":1,"port":2,"step":"descend","path":[3,0],"lost":17}"#,
+        r#"{"ev":"zoom","t":7,"node":1,"port":3,"step":"uniform","path":[],"lost":0}"#,
+        r#"{"ev":"detect","t":8,"node":1,"port":2,"detector":"tree","scope":"path","path":[3,0,1]}"#,
+        r#"{"ev":"detect","t":9,"node":1,"port":2,"detector":"baseline:netseer","scope":"entry","entry":7}"#,
+        r#"{"ev":"detect","t":9,"node":1,"port":2,"detector":"dedicated","scope":"entry","entry":7,"path":[5,1]}"#,
+        r#"{"ev":"detect","t":9,"node":1,"port":3,"detector":"uniform","scope":"uniform"}"#,
+        r#"{"ev":"reroute","t":10,"node":1,"entry":7,"primary":2,"backup":3}"#,
+        r#"{"ev":"failover","t":10,"node":1,"entry":7,"primary":2,"from":3,"to":4,"rank":1}"#,
+        r#"{"ev":"damp","t":10,"node":1,"entry":7,"primary":2,"action":"retrip"}"#,
+        r#"{"ev":"alarm","t":10,"node":1,"entry":7,"primary":2}"#,
+        r#"{"ev":"drop","t":10,"cause":"nobackup","node":1,"uid":104,"entry":7,"flow":3,"size":1500}"#,
+        r#"{"ev":"tcp_rto","t":11,"node":0,"flow":3,"seq":41,"rto_ns":400000000,"cwnd_mpkt":12500}"#,
+        r#"{"ev":"tcp_retx","t":12,"node":0,"flow":3,"seq":42}"#,
+        r#"{"ev":"tcp_cwnd","t":13,"node":0,"flow":3,"from_mpkt":12500,"to_mpkt":1000}"#,
+        r#"{"ev":"incident_open","t":14,"node":1,"port":2,"severity":"entry_loss"}"#,
+        r#"{"ev":"incident_clear","t":15,"node":1,"port":2,"detections":6}"#,
+        r#"{"ev":"chaos","t":16,"link":2,"dir":0,"action":"dup","uid":103,"control":1}"#,
+        r#"{"ev":"degraded","t":17,"node":1,"port":2,"on":1}"#,
+        r#"{"ev":"cache_hit","t":18,"cell":5,"key_hi":16045690981293355021,"key_lo":81985529216486895,"saved_events":42000}"#,
+        r#"{"ev":"scrape","t":19,"seq":3,"samples":27}"#,
+    ];
+
+    #[test]
+    fn every_sample_encodes_to_its_pinned_line() {
+        let samples = samples();
+        assert_eq!(samples.len(), PINNED.len());
+        for (ev, want) in samples.iter().zip(PINNED) {
+            assert_eq!(ev.to_jsonl(), *want, "{ev:?}");
+        }
+    }
+
+    /// The keys a sample may leave out: absent, each reads back as the
+    /// same event without that field.
+    const OPTIONAL: &[(&str, &str)] = &[
+        ("fwd", "flow"),
+        ("drop", "link"),
+        ("drop", "dir"),
+        ("drop", "flow"),
+        ("detect", "entry"),
+        ("detect", "path"),
+    ];
+
+    /// Re-encode a parsed object with `key` dropped (`None`) or its value
+    /// replaced.
+    fn edited(fields: &[(String, JsonValue)], key: &str, value: Option<JsonValue>) -> String {
+        let mut w = ObjectWriter::new();
+        for (k, v) in fields {
+            let v = if k == key { value.as_ref() } else { Some(v) };
+            match v {
+                None => {}
+                Some(JsonValue::Int(i)) => {
+                    w.u128(k, *i);
+                }
+                Some(JsonValue::Str(s)) => {
+                    w.str(k, s);
+                }
+                Some(JsonValue::Arr(a)) => {
+                    w.arr(k, a);
+                }
+                Some(other) => panic!("no event field holds {other:?}"),
+            }
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn every_key_is_checked_by_name() {
+        for ev in samples() {
+            let line = ev.to_jsonl();
+            let fields = parse_object(&line).unwrap();
+            let kind = ev.kind();
+            for (key, value) in fields.iter().filter(|(k, _)| k != "ev") {
+                let names_key = |r: &Result<TraceEvent, ParseError>| matches!(r, Err(ParseError::Field(k, f)) if *k == kind && f == key);
+                let without = edited(&fields, key, None);
+                let parsed = TraceEvent::parse_line(&without);
+                if OPTIONAL.contains(&(kind, key.as_str())) {
+                    let back = parsed.unwrap_or_else(|e| panic!("{without}: {e}"));
+                    assert_eq!(back.to_jsonl(), without, "{kind}.{key} left out");
+                    assert_ne!(back, ev, "{kind}.{key} left out");
+                } else {
+                    assert!(names_key(&parsed), "{kind}.{key} left out: {parsed:?}");
+                }
+                let wrong = match value {
+                    JsonValue::Str(_) => JsonValue::Int(1),
+                    _ => JsonValue::Str("x".into()),
+                };
+                let mistyped = edited(&fields, key, Some(wrong));
+                let parsed = TraceEvent::parse_line(&mistyped);
+                assert!(names_key(&parsed), "{mistyped}: {parsed:?}");
+            }
+        }
     }
 
     #[test]

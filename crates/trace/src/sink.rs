@@ -76,12 +76,7 @@ impl RingRecorder {
 
     /// Serialize the held events as JSONL (one line each, oldest first).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.buf {
-            ev.write_jsonl(&mut out);
-            out.push('\n');
-        }
-        out
+        jsonl_lines(&self.buf)
     }
 }
 
@@ -163,6 +158,11 @@ pub fn merge_shard_streams(streams: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
 
 /// Serialize a merged stream as JSONL (one line per event).
 pub fn events_to_jsonl(events: &[TraceEvent]) -> String {
+    jsonl_lines(events)
+}
+
+/// One JSONL line per event, each newline-terminated, in one buffer.
+fn jsonl_lines<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> String {
     let mut out = String::new();
     for ev in events {
         ev.write_jsonl(&mut out);

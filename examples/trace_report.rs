@@ -40,7 +40,7 @@ fn render_file(path: &str) -> ExitCode {
     let events = match parse_jsonl(&text) {
         Ok(evs) => evs,
         Err((line, e)) => {
-            eprintln!("trace-report: {path}:{line}: {e:?}");
+            eprintln!("trace-report: {path}:{line}: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -112,7 +112,7 @@ fn selftest() -> ExitCode {
     let parsed = match profiler.time("parse", || parse_jsonl(&text)) {
         Ok(p) => p,
         Err((line, e)) => {
-            eprintln!("trace-report: self-trace line {line} failed to parse: {e:?}");
+            eprintln!("trace-report: self-trace line {line} failed to parse: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -148,7 +148,7 @@ fn selftest() -> ExitCode {
             return ExitCode::FAILURE;
         }
         Err((_, e)) => {
-            eprintln!("trace-report: synthetic cache_hit failed to parse: {e:?}");
+            eprintln!("trace-report: synthetic cache_hit failed to parse: {e}");
             return ExitCode::FAILURE;
         }
     }
@@ -168,7 +168,7 @@ fn selftest() -> ExitCode {
             return ExitCode::FAILURE;
         }
         Err((_, e)) => {
-            eprintln!("trace-report: synthetic scrape failed to parse: {e:?}");
+            eprintln!("trace-report: synthetic scrape failed to parse: {e}");
             return ExitCode::FAILURE;
         }
     }
@@ -220,10 +220,7 @@ fn selftest() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             Err((_, e)) => {
-                eprintln!(
-                    "trace-report: synthetic {} failed to parse: {e:?}",
-                    ev.kind()
-                );
+                eprintln!("trace-report: synthetic {} failed to parse: {e}", ev.kind());
                 return ExitCode::FAILURE;
             }
         }
