@@ -72,6 +72,11 @@ echo "== cache gate (cold -> warm round-trip, warm run executes 0 cells) =="
 cargo test -q --release -p fancy-bench --test cache_roundtrip
 
 echo "== trace-report smoke (JSONL round-trip, fails on schema drift) =="
+# A live scenario's trace must round-trip byte for byte and show a
+# failure onset and a detection. Kinds a live scenario does not emit
+# (cache hits, scrapes, failover/damping/alarm, no-backup drops) are
+# pinned line by line by the fancy-trace unit tests run in the metrics
+# gate below.
 cargo run -q --release --example trace_report
 
 echo "== metrics gate (golden Prometheus diff + merge determinism) =="
@@ -106,6 +111,8 @@ expect_exit() { # expect_exit CODE EXAMPLE ARGS...
     fi
 }
 expect_exit 2 isp_backbone -- --switches x
+expect_exit 2 isp_backbone -- --switches 1
+expect_exit 2 isp_backbone -- --switches 1 --fail 0 --multi 2
 expect_exit 2 metrics_report -- --golden
 expect_exit 2 metrics_report -- --write-golden
 expect_exit 2 trace_compile -- compile --scale

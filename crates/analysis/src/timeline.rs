@@ -432,22 +432,6 @@ pub fn describe(ev: &TraceEvent) -> String {
                 *to_mpkt as f64 / 1e3
             )
         }
-        TraceEvent::IncidentOpen {
-            node,
-            port,
-            severity,
-            ..
-        } => {
-            format!("INCIDENT n{node}:p{port} opened ({severity})")
-        }
-        TraceEvent::IncidentClear {
-            node,
-            port,
-            detections,
-            ..
-        } => {
-            format!("incident n{node}:p{port} cleared ({detections} detections)")
-        }
         TraceEvent::ChaosInject {
             link,
             dir,

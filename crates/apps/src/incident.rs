@@ -21,7 +21,6 @@ use fancy_net::Prefix;
 use fancy_sim::metrics::{Labels, MetricsHub};
 use fancy_sim::{
     DetectionRecord, DetectionScope, DetectorKind, NodeId, PortId, SimDuration, SimTime,
-    TraceEvent, TraceSink,
 };
 
 /// How bad an incident is, in escalating order.
@@ -127,37 +126,21 @@ impl IncidentTracker {
     /// Feed one detection. Call in time order (the simulator's record list
     /// already is, per link).
     pub fn observe(&mut self, rec: &DetectionRecord) {
-        self.observe_with(rec, None);
-    }
-
-    fn observe_with(&mut self, rec: &DetectionRecord, mut sink: Option<&mut dyn TraceSink>) {
-        self.expire_with(
-            rec.time,
-            sink.as_mut().map(|s| &mut **s as &mut dyn TraceSink),
-        );
-        let key = (rec.node, rec.port);
-        let created = !self.active.contains_key(&key);
-        if created {
-            if let Some(sink) = sink {
-                sink.record(&TraceEvent::IncidentOpen {
-                    t: rec.time.as_nanos(),
-                    node: rec.node as u64,
-                    port: rec.port as u64,
-                    severity: Self::severity_of(rec).name().into(),
-                });
-            }
-        }
-        let inc = self.active.entry(key).or_insert_with(|| Incident {
-            node: rec.node,
-            port: rec.port,
-            opened: rec.time,
-            last_seen: rec.time,
-            entries: Vec::new(),
-            hash_paths: Vec::new(),
-            severity: Severity::EntryLoss,
-            detections: 0,
-            cleared_at: None,
-        });
+        self.expire(rec.time);
+        let inc = self
+            .active
+            .entry((rec.node, rec.port))
+            .or_insert_with(|| Incident {
+                node: rec.node,
+                port: rec.port,
+                opened: rec.time,
+                last_seen: rec.time,
+                entries: Vec::new(),
+                hash_paths: Vec::new(),
+                severity: Severity::EntryLoss,
+                detections: 0,
+                cleared_at: None,
+            });
         inc.last_seen = rec.time;
         inc.detections += 1;
         inc.severity = inc.severity.max(Self::severity_of(rec));
@@ -174,10 +157,6 @@ impl IncidentTracker {
 
     /// Close incidents whose last detection is older than `clear_after`.
     pub fn expire(&mut self, now: SimTime) {
-        self.expire_with(now, None);
-    }
-
-    fn expire_with(&mut self, now: SimTime, sink: Option<&mut dyn TraceSink>) {
         let clear = self.cfg.clear_after;
         let mut expired: Vec<(NodeId, PortId)> = self
             .active
@@ -185,40 +164,28 @@ impl IncidentTracker {
             .filter(|(_, inc)| now.saturating_since(inc.last_seen) > clear)
             .map(|(&k, _)| k)
             .collect();
-        // HashMap iteration order is arbitrary: keep the trace stream (and
-        // history order for simultaneous clears) deterministic.
+        // HashMap iteration order is arbitrary: keep the history order of
+        // simultaneous clears deterministic.
         expired.sort_unstable();
-        let mut sink = sink;
         for k in expired {
             let mut inc = self.active.remove(&k).expect("key just listed");
             inc.cleared_at = Some(inc.last_seen + clear);
-            if let Some(sink) = sink.as_mut().map(|s| &mut **s as &mut dyn TraceSink) {
-                sink.record(&TraceEvent::IncidentClear {
-                    t: inc.cleared_at.expect("just set").as_nanos(),
-                    node: inc.node as u64,
-                    port: inc.port as u64,
-                    detections: inc.detections as u64,
-                });
-            }
             self.history.push(inc);
         }
     }
 
     /// Fold a whole record list (e.g. post-run) and close everything.
     pub fn ingest_all(&mut self, records: &[DetectionRecord], end: SimTime) -> Vec<Incident> {
-        self.ingest_inner(records, end, None)
-    }
-
-    /// [`IncidentTracker::ingest_all`], narrating incident lifecycle into
-    /// the flight recorder: one `incident_open` per incident creation, one
-    /// `incident_clear` when it times out.
-    pub fn ingest_all_traced(
-        &mut self,
-        records: &[DetectionRecord],
-        end: SimTime,
-        sink: &mut dyn TraceSink,
-    ) -> Vec<Incident> {
-        self.ingest_inner(records, end, Some(sink))
+        let mut recs: Vec<&DetectionRecord> = records.iter().collect();
+        recs.sort_by_key(|r| r.time);
+        for r in recs {
+            self.observe(r);
+        }
+        self.expire(end + self.cfg.clear_after + SimDuration::from_nanos(1));
+        let mut out = self.history.clone();
+        out.extend(self.active.values().cloned());
+        out.sort_by_key(|i| i.opened);
+        out
     }
 
     /// [`IncidentTracker::ingest_all`], additionally folding the incident
@@ -233,7 +200,7 @@ impl IncidentTracker {
         end: SimTime,
         hub: &MetricsHub,
     ) -> Vec<Incident> {
-        let out = self.ingest_inner(records, end, None);
+        let out = self.ingest_all(records, end);
         hub.with(|r| {
             for inc in &out {
                 let sev = Labels::new().with("severity", inc.severity.name());
@@ -252,27 +219,6 @@ impl IncidentTracker {
                 }
             }
         });
-        out
-    }
-
-    fn ingest_inner(
-        &mut self,
-        records: &[DetectionRecord],
-        end: SimTime,
-        mut sink: Option<&mut dyn TraceSink>,
-    ) -> Vec<Incident> {
-        let mut recs: Vec<&DetectionRecord> = records.iter().collect();
-        recs.sort_by_key(|r| r.time);
-        for r in recs {
-            self.observe_with(r, sink.as_mut().map(|s| &mut **s as &mut dyn TraceSink));
-        }
-        self.expire_with(
-            end + self.cfg.clear_after + SimDuration::from_nanos(1),
-            sink,
-        );
-        let mut out = self.history.clone();
-        out.extend(self.active.values().cloned());
-        out.sort_by_key(|i| i.opened);
         out
     }
 
@@ -437,56 +383,6 @@ mod tests {
         ];
         let incidents = t.ingest_all(&recs, SimTime(60_000_000_000));
         assert_eq!(incidents[0].severity, Severity::LinkDown);
-    }
-
-    #[test]
-    fn traced_ingest_narrates_open_and_clear() {
-        use fancy_sim::RingRecorder;
-        let mut t = IncidentTracker::new(IncidentConfig::default());
-        let recs = vec![
-            rec(
-                1000,
-                1,
-                2,
-                DetectionScope::Uniform,
-                DetectorKind::UniformCheck,
-            ),
-            rec(
-                1200,
-                1,
-                2,
-                DetectionScope::Entry(Prefix(7)),
-                DetectorKind::DedicatedCounter,
-            ),
-        ];
-        let mut ring = RingRecorder::new(16);
-        let incidents = t.ingest_all_traced(&recs, SimTime(60_000_000_000), &mut ring);
-        assert_eq!(incidents.len(), 1);
-        let events = ring.take();
-        assert_eq!(events.len(), 2);
-        match &events[0] {
-            TraceEvent::IncidentOpen {
-                t,
-                node,
-                port,
-                severity,
-            } => {
-                assert_eq!((*t, *node, *port), (1_000_000_000, 1, 2));
-                assert_eq!(severity, "uniform_loss");
-            }
-            other => panic!("expected incident_open, got {other:?}"),
-        }
-        match &events[1] {
-            TraceEvent::IncidentClear {
-                node,
-                port,
-                detections,
-                ..
-            } => {
-                assert_eq!((*node, *port, *detections), (1, 2, 2));
-            }
-            other => panic!("expected incident_clear, got {other:?}"),
-        }
     }
 
     #[test]

@@ -8,29 +8,23 @@
 //! * [`FancyTag`] — the 2-byte packet tag the upstream switch adds to every
 //!   counted packet (§4.1/§5.3 of the paper),
 //! * [`ControlMessage`] — the Start / Start-ACK / Stop / Report messages of
-//!   the counting protocol (Fig. 3/4),
-//! * [`Ipv4Header`] — a minimal IPv4 header view, enough to express the
-//!   header fields that gray failures match on (Table 1: IP ID, packet
-//!   size, prefixes).
+//!   the counting protocol (Fig. 3/4).
 //!
-//! All formats follow the smoltcp idiom: structured types with checked
-//! `parse` and infallible `emit`, and every format is round-trip tested.
+//! The tag and the control messages are the byte formats. Both follow the
+//! smoltcp idiom: structured types with checked `parse` and infallible
+//! `emit`, and both are round-trip tested.
 //! The simulator carries the structured forms for speed; the byte encodings
 //! exist so the protocol is a real, implementable wire protocol and so that
 //! overhead accounting (§5.3) is grounded in actual message sizes.
 
 pub mod control;
 pub mod error;
-pub mod ipv4;
 pub mod prefix;
-pub mod segment;
 pub mod tag;
 
 pub use control::{ControlBody, ControlKind, ControlMessage, SessionKind};
 pub use error::ParseError;
-pub use ipv4::Ipv4Header;
 pub use prefix::Prefix;
-pub use segment::Segment;
 pub use tag::FancyTag;
 
 /// Deterministic 64-bit mixer (splitmix64 finalizer).

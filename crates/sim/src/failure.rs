@@ -154,9 +154,9 @@ impl GrayFailure {
 // observes bursty, time-correlated loss, and a robust reproduction must
 // also survive faults aimed at the detector's own control plane. A
 // `FaultPlan` composes such adversarial behaviors on a link direction:
-// Gilbert–Elliott bursty loss, seeded-random flap schedules, packet
-// duplication and reordering on the wire, and a control-plane target
-// that picks out `PacketKind::FancyControl` messages specifically.
+// Gilbert–Elliott bursty loss, packet duplication and reordering on
+// the wire, and a control-plane target that picks out
+// `PacketKind::FancyControl` messages specifically.
 //
 // Every plan carries its *own* seeded RNG, so its decisions depend only
 // on (seed, packet sequence) — never on how much randomness background
@@ -217,25 +217,6 @@ pub enum LossProcess {
         /// Drop probability while Bad.
         loss_bad: f64,
     },
-    /// Seeded-random interface flaps: the stage alternates between
-    /// off-windows (no loss) and on-windows (total blackhole), each
-    /// window's length drawn uniformly from its `[min, max]` range.
-    /// Unlike [`FailureMatcher::Flap`], no two episodes are alike.
-    RandomFlap {
-        /// Blackhole episode length range `[min, max]`.
-        on: (SimDuration, SimDuration),
-        /// Quiet gap length range `[min, max]`.
-        off: (SimDuration, SimDuration),
-    },
-}
-
-/// Blackhole-window state of a [`LossProcess::RandomFlap`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct FlapState {
-    /// Are we inside an on (blackhole) window?
-    dropping: bool,
-    /// When the current window ends.
-    until: SimTime,
 }
 
 /// One composable fault behavior inside a [`FaultPlan`].
@@ -260,8 +241,6 @@ pub struct FaultStage {
     pub end: SimTime,
     /// Gilbert–Elliott chain state: currently Bad?
     ge_bad: bool,
-    /// Random-flap window state, created lazily at activation.
-    flap: Option<FlapState>,
 }
 
 impl FaultStage {
@@ -277,7 +256,6 @@ impl FaultStage {
             start: SimTime::ZERO,
             end: SimTime::FAR_FUTURE,
             ge_bad: false,
-            flap: None,
         }
     }
 
@@ -311,21 +289,6 @@ impl FaultStage {
             loss_good,
             loss_bad,
         };
-        self
-    }
-
-    /// Seeded-random flap schedule (see [`LossProcess::RandomFlap`]).
-    pub fn random_flap(
-        mut self,
-        on: (SimDuration, SimDuration),
-        off: (SimDuration, SimDuration),
-    ) -> Self {
-        assert!(
-            on.0 <= on.1 && off.0 <= off.1,
-            "flap ranges must be min <= max"
-        );
-        assert!(on.1.as_nanos() > 0, "on-window max must be positive");
-        self.loss = LossProcess::RandomFlap { on, off };
         self
     }
 
@@ -367,7 +330,7 @@ impl FaultStage {
     }
 
     /// Advance the loss process for one matched packet and decide a drop.
-    fn drops(&mut self, now: SimTime, rng: &mut SmallRng) -> bool {
+    fn drops(&mut self, rng: &mut SmallRng) -> bool {
         match &self.loss {
             LossProcess::None => false,
             LossProcess::Bernoulli(p) => *p >= 1.0 || rng.gen_bool(*p),
@@ -388,30 +351,6 @@ impl FaultStage {
                 }
                 let p = if self.ge_bad { loss_bad } else { loss_good };
                 p >= 1.0 || (p > 0.0 && rng.gen_bool(p))
-            }
-            LossProcess::RandomFlap { on, off } => {
-                let (on, off) = (*on, *off);
-                // First matched packet since activation: start with a
-                // quiet gap so the schedule is not trivially a blackhole
-                // at t = start.
-                if self.flap.is_none() {
-                    let gap = sample_duration(rng, off);
-                    self.flap = Some(FlapState {
-                        dropping: false,
-                        until: self.start + gap,
-                    });
-                }
-                let st = self.flap.as_mut().expect("initialized above");
-                while st.until <= now {
-                    st.dropping = !st.dropping;
-                    let span = if st.dropping {
-                        sample_duration(rng, on)
-                    } else {
-                        sample_duration(rng, off)
-                    };
-                    st.until += span;
-                }
-                st.dropping
             }
         }
     }
@@ -484,16 +423,6 @@ impl FaultPlan {
         FaultPlan::new(seed).stage(FaultStage::new(FaultTarget::Control(kinds)).bernoulli(p))
     }
 
-    /// Convenience: a Gilbert–Elliott bursty-loss plan over data packets.
-    pub fn bursty_loss(seed: u64, p_enter_bad: f64, p_exit_bad: f64, loss_bad: f64) -> Self {
-        FaultPlan::new(seed).stage(FaultStage::new(FaultTarget::Data).gilbert_elliott(
-            p_enter_bad,
-            p_exit_bad,
-            0.0,
-            loss_bad,
-        ))
-    }
-
     /// The plan's stages (inspection, reports).
     pub fn stages(&self) -> &[FaultStage] {
         &self.stages
@@ -508,7 +437,7 @@ impl FaultPlan {
             if !stage.active(now) || !stage.target.matches(pkt) {
                 continue;
             }
-            if stage.drops(now, &mut self.rng) {
+            if stage.drops(&mut self.rng) {
                 verdict.drop = true;
                 return verdict;
             }
@@ -694,7 +623,8 @@ mod tests {
     fn gilbert_elliott_loss_is_bursty() {
         // Mean burst length 1/p_exit = 20 packets; with memoryless loss at
         // the same average rate, runs of consecutive drops would be short.
-        let mut plan = FaultPlan::bursty_loss(99, 0.01, 0.05, 1.0);
+        let mut plan = FaultPlan::new(99)
+            .stage(FaultStage::new(FaultTarget::Data).gilbert_elliott(0.01, 0.05, 0.0, 1.0));
         let p = pkt(1, 100, 0);
         let outcomes: Vec<bool> = (0..20_000)
             .map(|i| plan.apply(&p, SimTime(i)).drop)
@@ -746,26 +676,6 @@ mod tests {
         let mut d = build();
         let diverged = (0..5_000).any(|i| c.apply(&p, SimTime(i)) != d.apply(&p, SimTime(i)));
         assert!(diverged);
-    }
-
-    #[test]
-    fn random_flap_starts_quiet_and_alternates() {
-        // Fixed-length windows (min == max) make the schedule exact:
-        // off 10ms, on 5ms, off 10ms, on 5ms, ... from the stage start.
-        let on = (SimDuration::from_millis(5), SimDuration::from_millis(5));
-        let off = (SimDuration::from_millis(10), SimDuration::from_millis(10));
-        let start = SimTime(2_000_000_000);
-        let mut plan = FaultPlan::new(1).stage(
-            FaultStage::new(FaultTarget::All)
-                .random_flap(on, off)
-                .starting(start),
-        );
-        let p = pkt(1, 100, 0);
-        let at = |ms: u64| start + SimDuration::from_millis(ms);
-        assert!(!plan.apply(&p, at(1)).drop); // first off-gap
-        assert!(plan.apply(&p, at(12)).drop); // first on-window
-        assert!(!plan.apply(&p, at(16)).drop); // second off-gap
-        assert!(plan.apply(&p, at(27)).drop); // second on-window
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::link::{Admission, Link, LinkConfig, RemoteEnd};
 use crate::packet::{Packet, PacketKind};
 use crate::pool::{PacketPool, PacketRef};
 use crate::record::{DetectionRecord, DetectionScope, DetectorKind, Records};
-use crate::telemetry::{TelemetryCounters, TelemetrySink, TelemetrySnapshot};
+use crate::telemetry::{TelemetryCounters, TelemetrySnapshot};
 use crate::time::{SimDuration, SimTime};
 
 /// Index of a link within the kernel.
@@ -49,6 +49,11 @@ pub struct OutMsg {
     pub pkt: Packet,
 }
 
+/// The `(uid, entry, flow)` a packet's trace events report.
+fn trace_ids(p: &Packet) -> (u64, u64, Option<u64>) {
+    (p.uid, u64::from(p.entry().0), p.flow())
+}
+
 /// The simulation kernel.
 pub struct Kernel {
     now: SimTime,
@@ -72,15 +77,11 @@ pub struct Kernel {
     rng: SmallRng,
     /// Experiment records (ground truth + detections).
     pub records: Records,
-    /// Gray drops of FANcY control messages (kept separate from per-entry
-    /// ground truth; the counting protocol must survive these).
-    pub control_drops: u64,
     /// Always-on runtime counters (events, queue depth, drop classes).
     /// Strictly observational: nothing here feeds back into simulation.
     pub telemetry: TelemetryCounters,
     /// Wall-clock time accumulated inside `run_until` loops.
     pub(crate) wall_elapsed: std::time::Duration,
-    pub(crate) sink: Option<Box<dyn TelemetrySink>>,
     /// Flight recorder. `None` (the default) keeps every emission site a
     /// single branch; see [`Kernel::trace`].
     pub(crate) tracer: Option<Box<dyn TraceSink>>,
@@ -108,10 +109,8 @@ impl Kernel {
             outbox_seq: 0,
             rng: SmallRng::seed_from_u64(seed),
             records: Records::default(),
-            control_drops: 0,
             telemetry: TelemetryCounters::default(),
             wall_elapsed: std::time::Duration::ZERO,
-            sink: None,
             tracer: None,
             metrics: None,
         }
@@ -173,18 +172,6 @@ impl Kernel {
         if let Some(hub) = self.metrics.as_ref() {
             hub.with(f);
         }
-    }
-
-    /// Attach a [`TelemetrySink`]; the network flushes a snapshot to it
-    /// after every completed `run_until`. Replaces any previous sink.
-    pub fn set_telemetry_sink(&mut self, sink: Box<dyn TelemetrySink>) {
-        self.sink = Some(sink);
-    }
-
-    /// Detach and return the current telemetry sink, if any (used by tests
-    /// to inspect a `MemorySink` after a run).
-    pub fn take_telemetry_sink(&mut self) -> Option<Box<dyn TelemetrySink>> {
-        self.sink.take()
     }
 
     /// A point-in-time snapshot of this kernel's telemetry.
@@ -309,91 +296,59 @@ impl Kernel {
         self.ports[self.current][port]
     }
 
-    /// Phase 1 of sending: try to admit `pkt` into the egress TM queue of
-    /// `port`. Returns an [`Admission`] on success; on failure the packet is
-    /// accounted as a congestion drop and the caller must discard it.
+    /// Try to admit `size` bytes into the egress TM queue of `port`. A
+    /// refusal is counted as a congestion drop and traced with the
+    /// packet's `(uid, entry, flow)`, which `ids` reads only when a
+    /// tracer is attached. The one admission path for [`Self::send`] and
+    /// [`Self::tm_admit_ref`].
+    fn admit(
+        &mut self,
+        port: PortId,
+        size: u64,
+        ids: impl FnOnce(&Self) -> (u64, u64, Option<u64>),
+    ) -> Option<Admission> {
+        let (lid, dir) = self.resolve(port);
+        let adm = self.links[lid].admit(lid, dir, size, self.now);
+        if adm.is_none() {
+            self.records.congestion_drops += 1;
+            self.telemetry.congestion_drops += 1;
+            if self.trace_enabled() {
+                let (uid, entry, flow) = ids(self);
+                let node = self.current as u64;
+                self.trace(|t| TraceEvent::PacketDrop {
+                    t,
+                    cause: DropCause::Congestion,
+                    node,
+                    link: Some(lid as u64),
+                    dir: Some(dir as u64),
+                    uid,
+                    entry,
+                    flow,
+                    size,
+                });
+            }
+        }
+        adm
+    }
+
+    /// Phase 1 of sending a packet already in the pool: try to admit it
+    /// into the egress TM queue of `port`. Returns an [`Admission`] on
+    /// success; on failure the packet is accounted as a congestion drop.
+    /// Does *not* consume the ref: on congestion the caller still holds
+    /// the packet (the dispatch loop reclaims it if the caller just
+    /// returns).
     ///
     /// Switch implementations that count packets (FANcY) call this first,
-    /// count/tag only admitted packets, then call [`Self::wire_send`] —
+    /// count/tag only admitted packets, then call [`Self::wire_forward`] —
     /// exactly the "after the upstream TM" counter placement of the paper.
-    pub fn tm_admit(&mut self, port: PortId, pkt: &Packet) -> Option<Admission> {
-        let (lid, dir) = self.resolve(port);
-        let now = self.now;
-        match self.links[lid].admit(lid, dir, u64::from(pkt.size), now) {
-            Some(a) => Some(a),
-            None => {
-                self.records.congestion_drops += 1;
-                self.telemetry.congestion_drops += 1;
-                if self.trace_enabled() {
-                    let node = self.current as u64;
-                    let (uid, entry, flow, size) = (
-                        pkt.uid,
-                        u64::from(pkt.entry().0),
-                        pkt.flow(),
-                        u64::from(pkt.size),
-                    );
-                    self.trace(|t| TraceEvent::PacketDrop {
-                        t,
-                        cause: DropCause::Congestion,
-                        node,
-                        link: Some(lid as u64),
-                        dir: Some(dir as u64),
-                        uid,
-                        entry,
-                        flow,
-                        size,
-                    });
-                }
-                None
-            }
-        }
-    }
-
-    /// [`Self::tm_admit`] for a packet already in the pool. Does *not*
-    /// consume the ref: on congestion the caller still holds the packet
-    /// (the dispatch loop reclaims it if the caller just returns).
     pub fn tm_admit_ref(&mut self, port: PortId, r: PacketRef) -> Option<Admission> {
         let size = u64::from(self.pool.get(r).size);
-        let (lid, dir) = self.resolve(port);
-        let now = self.now;
-        match self.links[lid].admit(lid, dir, size, now) {
-            Some(a) => Some(a),
-            None => {
-                self.records.congestion_drops += 1;
-                self.telemetry.congestion_drops += 1;
-                if self.trace_enabled() {
-                    let (uid, entry, flow) = {
-                        let p = self.pool.get(r);
-                        (p.uid, u64::from(p.entry().0), p.flow())
-                    };
-                    let node = self.current as u64;
-                    self.trace(|t| TraceEvent::PacketDrop {
-                        t,
-                        cause: DropCause::Congestion,
-                        node,
-                        link: Some(lid as u64),
-                        dir: Some(dir as u64),
-                        uid,
-                        entry,
-                        flow,
-                        size,
-                    });
-                }
-                None
-            }
-        }
+        self.admit(port, size, |k| trace_ids(k.pool.get(r)))
     }
 
-    /// Phase 2 of sending: put an admitted packet on the wire. Stamps and
-    /// checks the packet into the pool; the wire itself operates on refs.
-    pub fn wire_send(&mut self, pkt: Packet, adm: Admission) {
-        let r = self.check_in(pkt, self.now);
-        self.wire_pooled(r, adm);
-    }
-
-    /// Phase 2 for a packet already in the pool (pairs with
-    /// [`Self::tm_admit_ref`]). Consumes the ref: the packet rides the
-    /// next arrival event under a fresh generation, without being moved.
+    /// Phase 2: put a packet admitted by [`Self::tm_admit_ref`] on the
+    /// wire. Consumes the ref: the packet rides the next arrival event
+    /// under a fresh generation, without being moved.
     pub fn wire_forward(&mut self, r: PacketRef, adm: Admission) {
         let r = self.pool.rebrand(r);
         self.wire_pooled(r, adm);
@@ -479,7 +434,6 @@ impl Kernel {
             let pkt = self.pool.remove(r);
             let cause = match pkt.kind {
                 PacketKind::FancyControl(_) | PacketKind::NetSeerNack { .. } => {
-                    self.control_drops += 1;
                     self.telemetry.control_drops += 1;
                     DropCause::Control
                 }
@@ -492,7 +446,7 @@ impl Kernel {
             };
             if self.trace_enabled() {
                 let node = self.current as u64;
-                let (uid, entry, flow) = (pkt.uid, u64::from(pkt.entry().0), pkt.flow());
+                let (uid, entry, flow) = trace_ids(&pkt);
                 // The wire acts at the packet's departure time, which may
                 // trail `now` by the serialization backlog.
                 self.trace(|_| TraceEvent::PacketDrop {
@@ -511,10 +465,7 @@ impl Kernel {
         }
         self.telemetry.packets_forwarded += 1;
         if self.trace_enabled() {
-            let (uid, entry, flow) = {
-                let p = self.pool.get(r);
-                (p.uid, u64::from(p.entry().0), p.flow())
-            };
+            let (uid, entry, flow) = trace_ids(self.pool.get(r));
             self.trace(|_| TraceEvent::PacketForward {
                 t: when.as_nanos(),
                 link: adm.link as u64,
@@ -633,16 +584,17 @@ impl Kernel {
         self.queue.peek_time()
     }
 
-    /// Convenience: admit + wire-send in one call (hosts, simple switches).
-    /// Returns false if the packet was dropped by the TM (congestion).
+    /// Send a new packet out `port` (hosts, simple switches): TM
+    /// admission, then the wire. Returns false if the packet was dropped
+    /// by the TM (congestion). Only an admitted packet is stamped and
+    /// checked into the pool, so a refused one uses up no uid.
     pub fn send(&mut self, port: PortId, pkt: Packet) -> bool {
-        match self.tm_admit(port, &pkt) {
-            Some(adm) => {
-                self.wire_send(pkt, adm);
-                true
-            }
-            None => false,
-        }
+        let Some(adm) = self.admit(port, u64::from(pkt.size), |_| trace_ids(&pkt)) else {
+            return false;
+        };
+        let r = self.check_in(pkt, self.now);
+        self.wire_pooled(r, adm);
+        true
     }
 
     /// Forward a pooled packet out `port`: TM admission, then the wire.

@@ -92,9 +92,7 @@ pub mod prelude {
     pub use crate::shard::{ShardStats, ShardedNet};
     pub use crate::switch::{Bridge, Fib, PlainSwitch, PortTable};
     pub use crate::tap::{Capture, TraceTap};
-    pub use crate::telemetry::{
-        MemorySink, PrintSink, TelemetryCounters, TelemetrySink, TelemetrySnapshot,
-    };
+    pub use crate::telemetry::{TelemetryCounters, TelemetrySnapshot};
     pub use crate::time::{transmission_time, SimDuration, SimTime};
     pub use fancy_metrics::{Labels, MetricsHub, Snapshot};
     pub use fancy_trace::{

@@ -110,8 +110,7 @@ impl Network {
     /// `until`. Events scheduled exactly at `until` still fire.
     ///
     /// Updates the kernel's [`crate::telemetry::TelemetryCounters`] as it
-    /// dispatches and, if a sink is attached, flushes one cumulative
-    /// [`crate::telemetry::TelemetrySnapshot`] before returning.
+    /// dispatches.
     pub fn run_until(&mut self, until: SimTime) {
         let wall_start = std::time::Instant::now();
         self.start_if_needed();
@@ -159,10 +158,6 @@ impl Network {
         #[cfg(debug_assertions)]
         self.kernel.queue.audit();
         self.kernel.wall_elapsed += wall_start.elapsed();
-        if let Some(mut sink) = self.kernel.sink.take() {
-            sink.record(&self.kernel.telemetry_snapshot());
-            self.kernel.sink = Some(sink);
-        }
     }
 
     /// Run until the event queue is empty.

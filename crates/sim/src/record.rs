@@ -119,12 +119,6 @@ pub struct Records {
     pub detections: Vec<DetectionRecord>,
     /// Ground truth: gray drops per entry.
     pub gray_drops: FnvMap<Prefix, DropStats>,
-    /// Individual gray-drop timestamps per entry, kept only when
-    /// `log_drop_times` is set (some analyses need e.g. "were packets
-    /// dropped in three consecutive counting sessions").
-    pub drop_times: FnvMap<Prefix, Vec<SimTime>>,
-    /// Whether to keep `drop_times` (costs memory on long runs).
-    pub log_drop_times: bool,
     /// Total congestion (traffic-manager) drops — never gray failures.
     pub congestion_drops: u64,
     /// Total packets put on the wire across all links.
@@ -140,9 +134,6 @@ impl Records {
             .entry(entry)
             .or_default()
             .observe(now, bytes);
-        if self.log_drop_times {
-            self.drop_times.entry(entry).or_default().push(now);
-        }
     }
 
     /// Total gray drops across all entries.
@@ -187,16 +178,6 @@ mod tests {
         assert_eq!(r.total_gray_drops(), 2);
         assert_eq!(r.first_drop(e), Some(SimTime(100)));
         assert_eq!(r.first_drop(Prefix(1)), None);
-    }
-
-    #[test]
-    fn drop_times_only_kept_when_enabled() {
-        let mut r = Records::default();
-        r.gray_drop(Prefix(1), SimTime(5), 100);
-        assert!(r.drop_times.is_empty());
-        r.log_drop_times = true;
-        r.gray_drop(Prefix(1), SimTime(9), 100);
-        assert_eq!(r.drop_times[&Prefix(1)], vec![SimTime(9)]);
     }
 
     #[test]

@@ -38,24 +38,14 @@ pub struct Capture {
 /// A transparent 2-port capture node (port 0 ↔ port 1).
 #[derive(Debug, Default)]
 pub struct TraceTap {
-    /// Captured packets, in arrival order. Unbounded unless `limit` set.
+    /// Captured packets, in arrival order.
     pub captures: Vec<Capture>,
-    /// Stop recording (but keep forwarding) after this many captures.
-    pub limit: Option<usize>,
 }
 
 impl TraceTap {
-    /// A tap with unbounded capture.
+    /// A tap that records every packet crossing it.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A tap that records at most `limit` packets.
-    pub fn with_limit(limit: usize) -> Self {
-        TraceTap {
-            captures: Vec::new(),
-            limit: Some(limit),
-        }
     }
 
     fn kind_label(kind: &PacketKind) -> &'static str {
@@ -105,19 +95,17 @@ impl TraceTap {
 
 impl Node for TraceTap {
     fn on_packet(&mut self, ctx: &mut Kernel, port: usize, pkt: crate::pool::PacketRef) {
-        if self.limit.is_none_or(|l| self.captures.len() < l) {
-            let p = ctx.pkt(pkt);
-            self.captures.push(Capture {
-                time: ctx.now(),
-                port,
-                uid: p.uid,
-                src: p.src,
-                dst: p.dst,
-                size: p.size,
-                tag: p.tag,
-                kind: Self::kind_label(&p.kind),
-            });
-        }
+        let p = ctx.pkt(pkt);
+        self.captures.push(Capture {
+            time: ctx.now(),
+            port,
+            uid: p.uid,
+            src: p.src,
+            dst: p.dst,
+            size: p.size,
+            tag: p.tag,
+            kind: Self::kind_label(&p.kind),
+        });
         ctx.forward(1 - port, pkt);
     }
 
@@ -161,23 +149,5 @@ mod tests {
         let dump = t.dump();
         assert!(dump.contains("udp"), "dump: {dump}");
         assert!(dump.contains("00000022"));
-    }
-
-    #[test]
-    fn limit_caps_recording_not_forwarding() {
-        let mut net = Network::new(1);
-        let tap = net.add_node(Box::new(TraceTap::with_limit(2)));
-        let a = net.add_node(Box::new(SinkNode::default()));
-        let b = net.add_node(Box::new(SinkNode::default()));
-        let cfg = LinkConfig::new(1_000_000_000, SimDuration::from_micros(10));
-        net.connect(tap, a, cfg);
-        net.connect(tap, b, cfg);
-        for seq in 0..10u64 {
-            let pkt = PacketBuilder::new(1, 2, 100, PacketKind::Udp { flow: 1, seq }).build();
-            net.kernel.inject(tap, 0, pkt, SimTime(seq));
-        }
-        net.run_to_end();
-        assert_eq!(net.node::<TraceTap>(tap).captures.len(), 2);
-        assert_eq!(net.node::<SinkNode>(b).packets, 10);
     }
 }

@@ -8,15 +8,13 @@
 //! simulated second cost, and how many packets did the run actually
 //! push.
 //!
-//! Consumers either read [`crate::kernel::Kernel::telemetry`] directly
-//! after a run or attach a [`TelemetrySink`] to the kernel; the network
-//! flushes a [`TelemetrySnapshot`] to the sink every time a
-//! [`crate::network::Network::run_until`] call returns.
+//! Consumers read [`crate::kernel::Kernel::telemetry`] directly, or take
+//! a [`TelemetrySnapshot`] with
+//! [`crate::kernel::Kernel::telemetry_snapshot`], after a run.
 //!
 //! Telemetry is strictly observational: no counter feeds back into
-//! simulation behavior, so enabling a sink can never change results —
-//! the property the parallel sweep runner's bit-identical guarantee
-//! rests on.
+//! simulation behavior — the property the parallel sweep runner's
+//! bit-identical guarantee rests on.
 
 use std::time::Duration;
 
@@ -120,7 +118,7 @@ kernel_counters! {
     degraded_entries: sum,
 }
 
-/// A point-in-time view of a kernel's telemetry, as delivered to sinks.
+/// A point-in-time view of a kernel's telemetry.
 #[derive(Debug, Clone)]
 pub struct TelemetrySnapshot {
     /// Cumulative counters since the kernel was created.
@@ -176,52 +174,6 @@ impl TelemetrySnapshot {
             self.counters.chaos_control_faults,
             self.counters.degraded_entries,
         )
-    }
-}
-
-/// Where kernel telemetry is drained to.
-///
-/// Attached with [`crate::kernel::Kernel::set_telemetry_sink`]; the
-/// network calls [`TelemetrySink::record`] once per completed
-/// `run_until`, with cumulative counters. `Send` so scenarios carrying
-/// a sink can move between sweep worker threads.
-pub trait TelemetrySink: Send {
-    /// Receive a snapshot. Called after every completed `run_until`.
-    fn record(&mut self, snapshot: &TelemetrySnapshot);
-}
-
-/// Prints a labelled one-line summary to stderr per snapshot.
-#[derive(Debug, Clone)]
-pub struct PrintSink {
-    /// Prefix for every line (e.g. the experiment cell name).
-    pub label: String,
-}
-
-impl PrintSink {
-    /// A sink printing with the given label.
-    pub fn new(label: impl Into<String>) -> Self {
-        PrintSink {
-            label: label.into(),
-        }
-    }
-}
-
-impl TelemetrySink for PrintSink {
-    fn record(&mut self, snapshot: &TelemetrySnapshot) {
-        eprintln!("[telemetry {}] {}", self.label, snapshot.summary());
-    }
-}
-
-/// Keeps every snapshot in memory for later inspection (tests, reports).
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    /// All recorded snapshots, in order.
-    pub snapshots: Vec<TelemetrySnapshot>,
-}
-
-impl TelemetrySink for MemorySink {
-    fn record(&mut self, snapshot: &TelemetrySnapshot) {
-        self.snapshots.push(snapshot.clone());
     }
 }
 
@@ -371,18 +323,5 @@ mod tests {
             });
             assert_eq!(partial, None, "field {} missing", pairs[missing].0);
         }
-    }
-
-    #[test]
-    fn memory_sink_collects() {
-        let mut sink = MemorySink::default();
-        let snap = TelemetrySnapshot {
-            counters: TelemetryCounters::default(),
-            sim_elapsed: SimDuration::from_secs(1),
-            wall_elapsed: Duration::from_millis(1),
-        };
-        sink.record(&snap);
-        sink.record(&snap);
-        assert_eq!(sink.snapshots.len(), 2);
     }
 }

@@ -2,17 +2,15 @@
 //!
 //! A three-node scenario (two senders, one sink) with a fully
 //! deterministic schedule and an entry-scoped blackhole: every telemetry
-//! counter can be predicted exactly from the schedule, and the sink
-//! machinery must never change simulation results (telemetry is strictly
-//! observational).
+//! counter can be predicted exactly from the schedule, and taking
+//! snapshots between runs must never change simulation results
+//! (telemetry is strictly observational).
 
 use std::any::Any;
 
-use std::sync::{Arc, Mutex};
-
 use fancy_net::Prefix;
 use fancy_sim::prelude::*;
-use fancy_sim::telemetry::{TelemetrySink, TelemetrySnapshot};
+use fancy_sim::telemetry::TelemetrySnapshot;
 
 /// Sends a fixed UDP schedule out of port 0.
 struct Blaster {
@@ -129,46 +127,32 @@ fn counters_match_hand_counted_events() {
     assert_eq!(snap.counters, t);
 }
 
-/// A sink sharing its snapshot log with the test through an Arc.
-struct SharedSink(Arc<Mutex<Vec<TelemetrySnapshot>>>);
-
-impl TelemetrySink for SharedSink {
-    fn record(&mut self, snapshot: &TelemetrySnapshot) {
-        self.0.lock().unwrap().push(snapshot.clone());
-    }
-}
-
 #[test]
-fn sink_gets_one_snapshot_per_run_and_changes_nothing() {
+fn split_runs_snapshot_cumulatively_and_change_nothing() {
     let (mut plain, _) = three_node(40, 25);
     plain.run_until(SimTime::ZERO + SimDuration::from_secs(1));
 
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let (mut sunk, _) = three_node(40, 25);
-    sunk.kernel
-        .set_telemetry_sink(Box::new(SharedSink(Arc::clone(&log))));
     // Three run_until calls → three cumulative snapshots.
+    let (mut split, _) = three_node(40, 25);
+    let mut log: Vec<TelemetrySnapshot> = Vec::new();
     for horizon_ms in [200u64, 600, 1000] {
-        sunk.run_until(SimTime::ZERO + SimDuration::from_millis(horizon_ms));
+        split.run_until(SimTime::ZERO + SimDuration::from_millis(horizon_ms));
+        log.push(split.kernel.telemetry_snapshot());
     }
-    sunk.kernel
-        .take_telemetry_sink()
-        .expect("sink still attached");
 
-    let log = log.lock().unwrap();
     assert_eq!(log.len(), 3);
     // Snapshots are cumulative and the last one matches the kernel.
     for pair in log.windows(2) {
         assert!(pair[0].counters.events_dispatched <= pair[1].counters.events_dispatched);
         assert!(pair[0].sim_elapsed <= pair[1].sim_elapsed);
     }
-    assert_eq!(log[2].counters, sunk.kernel.telemetry);
+    assert_eq!(log[2].counters, split.kernel.telemetry);
     assert_eq!(log[2].sim_elapsed, SimDuration::from_secs(1));
 
-    // Attaching a sink never changes simulation results.
-    assert_eq!(sunk.kernel.telemetry, plain.kernel.telemetry);
+    // Splitting a run at snapshot points never changes simulation results.
+    assert_eq!(split.kernel.telemetry, plain.kernel.telemetry);
     assert_eq!(
-        sunk.kernel.records.total_gray_drops(),
+        split.kernel.records.total_gray_drops(),
         plain.kernel.records.total_gray_drops()
     );
 }

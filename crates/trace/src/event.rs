@@ -2,20 +2,18 @@
 //!
 //! Every event is a flat record: an `ev` discriminator, a `t` timestamp
 //! in simulated nanoseconds, and a handful of integer/string fields.
-//! Events come from four layers:
+//! Events come from three layers:
 //!
 //! * **wire** — [`TraceEvent::PacketForward`] / [`TraceEvent::PacketDrop`]
 //!   from the kernel's link admission path (drops carry their cause);
 //! * **FANcY data plane** — FSM transitions, counter exchanges, zoom-tree
 //!   steps, detections, and reroute decisions;
 //! * **transport** — TCP RTO firings, fast retransmits, cwnd collapses
-//!   (cwnd is encoded in *milli-packets* so the schema stays float-free);
-//! * **control plane** — incident open/clear from the operator-facing
-//!   aggregation layer.
+//!   (cwnd is encoded in *milli-packets* so the schema stays float-free).
 //!
 //! String fields drawn from a closed vocabulary (FSM roles and states,
-//! message bodies, zoom steps, detector and scope names, damping actions,
-//! severities) are `Cow<'static, str>`: an emission site passes its
+//! message bodies, zoom steps, detector and scope names, damping actions)
+//! are `Cow<'static, str>`: an emission site passes its
 //! literal (`role.into()`) and touches no allocator, the parser yields
 //! `Owned`, and the two compare and encode alike. Only a value made at
 //! run time (`baseline:<name>`) is owned at the source.
@@ -441,28 +439,6 @@ trace_events! {
         /// Window after, in milli-packets.
         to_mpkt: u64,
     }
-    /// The incident tracker opened an incident for a link.
-    IncidentOpen = "incident_open" {
-        /// First detection time.
-        t: u64,
-        /// Reporting switch.
-        node: u64,
-        /// Suffering port.
-        port: u64,
-        /// Initial severity (`"entry_loss"`, `"uniform_loss"`, `"link_down"`).
-        severity: Cow<'static, str>,
-    }
-    /// The incident tracker cleared an incident after silence.
-    IncidentClear = "incident_clear" {
-        /// Clear time.
-        t: u64,
-        /// Reporting switch.
-        node: u64,
-        /// Suffering port.
-        port: u64,
-        /// Detections folded into the incident over its lifetime.
-        detections: u64,
-    }
     /// The chaos layer acted on a wire packet (adversarial fault
     /// injection). Drops additionally ride [`TraceEvent::PacketDrop`]
     /// with their usual cause, so timeline analyses keep working.
@@ -776,18 +752,6 @@ mod tests {
                 from_mpkt: 12_500,
                 to_mpkt: 1_000,
             },
-            TraceEvent::IncidentOpen {
-                t: 14,
-                node: 1,
-                port: 2,
-                severity: "entry_loss".into(),
-            },
-            TraceEvent::IncidentClear {
-                t: 15,
-                node: 1,
-                port: 2,
-                detections: 6,
-            },
             TraceEvent::ChaosInject {
                 t: 16,
                 link: 2,
@@ -842,8 +806,6 @@ mod tests {
         r#"{"ev":"tcp_rto","t":11,"node":0,"flow":3,"seq":41,"rto_ns":400000000,"cwnd_mpkt":12500}"#,
         r#"{"ev":"tcp_retx","t":12,"node":0,"flow":3,"seq":42}"#,
         r#"{"ev":"tcp_cwnd","t":13,"node":0,"flow":3,"from_mpkt":12500,"to_mpkt":1000}"#,
-        r#"{"ev":"incident_open","t":14,"node":1,"port":2,"severity":"entry_loss"}"#,
-        r#"{"ev":"incident_clear","t":15,"node":1,"port":2,"detections":6}"#,
         r#"{"ev":"chaos","t":16,"link":2,"dir":0,"action":"dup","uid":103,"control":1}"#,
         r#"{"ev":"degraded","t":17,"node":1,"port":2,"on":1}"#,
         r#"{"ev":"cache_hit","t":18,"cell":5,"key_hi":16045690981293355021,"key_lo":81985529216486895,"saved_events":42000}"#,

@@ -5,8 +5,8 @@
 //! experiment that only reports end-of-run aggregates cannot explain a
 //! slow detection or a missed drop. This crate provides the replayable
 //! record: a stream of typed [`TraceEvent`]s emitted by the simulator,
-//! the FANcY data plane, the TCP model, and the incident layer, plus the
-//! sinks that capture them and the JSONL encoding that persists them.
+//! the FANcY data plane and the TCP model, plus the sinks that capture
+//! them and the JSONL encoding that persists them.
 //!
 //! Design rules, in priority order:
 //!

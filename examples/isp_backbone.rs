@@ -75,9 +75,18 @@ struct Args {
     dump: Option<String>,
 }
 
+/// A backbone needs an edge to fail, so at least two switches.
+const MIN_SWITCHES: usize = 2;
+
 fn parse_args() -> Result<Args, String> {
+    let switches = arg("--switches", 100)?;
+    if switches < MIN_SWITCHES {
+        return Err(format!(
+            "--switches must be at least {MIN_SWITCHES}, got {switches}"
+        ));
+    }
     Ok(Args {
-        switches: arg("--switches", 100)?,
+        switches,
         fail_n: arg("--fail", 6)?,
         multi: arg("--multi", 0)?,
         combos_n: arg("--combos", 3)?,

@@ -11,7 +11,7 @@
 
 use fancy::apps::{format_report, ScenarioError, ScenarioSpec};
 use fancy::prelude::*;
-use fancy::sim::{PrintSink, SimDuration};
+use fancy::sim::SimDuration;
 use fancy::traffic::{paper_traces, synthesize};
 
 fn main() -> Result<(), ScenarioError> {
@@ -33,11 +33,6 @@ fn main() -> Result<(), ScenarioError> {
         .flows(trace.flows.clone())
         .high_priority(dedicated.clone())
         .build()?;
-    // Print a kernel-telemetry line after each run_until.
-    sc.net
-        .kernel
-        .set_telemetry_sink(Box::new(PrintSink::new("isp_monitoring")));
-
     // Break one hot prefix (dedicated-covered), one mid-rank prefix
     // (tree-covered), and one cold prefix (tree-covered, little traffic).
     let victims = [
@@ -82,5 +77,8 @@ fn main() -> Result<(), ScenarioError> {
             Some(&trace.prefixes_by_rank),
         )
     );
+
+    // The kernel's telemetry counters over the whole run.
+    println!("\n{}", sc.net.kernel.telemetry_snapshot().summary());
     Ok(())
 }
