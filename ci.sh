@@ -113,6 +113,10 @@ expect_exit() { # expect_exit CODE EXAMPLE ARGS...
 expect_exit 2 isp_backbone -- --switches x
 expect_exit 2 isp_backbone -- --switches 1
 expect_exit 2 isp_backbone -- --switches 1 --fail 0 --multi 2
+expect_exit 2 isp_backbone -- --switches 12 --fail 2 --multi 2 --combos 0
+# One edge, no loop-free alternate: nothing is SPIDER-protected, so the
+# reroute check does not apply and the run passes on its other checks.
+expect_exit 0 isp_backbone -- --switches 2 --fail 0
 expect_exit 2 metrics_report -- --golden
 expect_exit 2 metrics_report -- --write-golden
 expect_exit 2 trace_compile -- compile --scale
@@ -134,8 +138,8 @@ echo "== shard gate (conservative-parallel DES, FANCY_SHARDS byte-identity) =="
 # the worker-thread count — so the merged reference-run trace, the
 # metrics plane, telemetry, and every per-edge outcome record must be
 # byte-identical at FANCY_SHARDS=1 and FANCY_SHARDS=4. The unit-level
-# contract (1/4/8 workers, serial == threaded) is pinned by
-# shard_determinism.
+# contract (1/4/8 workers through the executor's one window loop) is
+# pinned by shard_determinism.
 SHARD_DUMP_DIR="$(mktemp -d)"
 trap 'rm -rf "$SHARD_DUMP_DIR"' EXIT
 FANCY_SHARDS=1 cargo run -q --release --example isp_backbone -- \

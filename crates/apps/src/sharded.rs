@@ -40,7 +40,7 @@ use fancy_sim::{
 use fancy_topo::{Partition, Routes, Topology};
 
 use crate::spec::{
-    checked_connect, GraphPlan, ProtectedEdge, ScenarioError, ScenarioSpec, SpecKind,
+    checked_connect, GraphPlan, ProtectedEdge, ScenarioError, ScenarioSpec, SpecKind, EDGE_LINK,
 };
 
 /// Golden-ratio stride for per-shard kernel RNG seeds: shard 0 keeps the
@@ -238,7 +238,7 @@ pub(crate) fn materialize_sharded(
         let (_, lsend) = sender_loc[i];
         let (_, lrecv) = receiver_loc[i];
         let sname = format!("sender↔{}", plan.topo.switches[i].name);
-        let link = checked_connect(&mut nets[s], lsend, li, plan.edge_link, &sname)?;
+        let link = checked_connect(&mut nets[s], lsend, li, EDGE_LINK, &sname)?;
         edges.push(ShardEdge {
             name: sname,
             shard_a: s,
@@ -252,7 +252,7 @@ pub(crate) fn materialize_sharded(
             cut: false,
         });
         let rname = format!("{}↔receiver", plan.topo.switches[i].name);
-        let link = checked_connect(&mut nets[s], li, lrecv, plan.edge_link, &rname)?;
+        let link = checked_connect(&mut nets[s], li, lrecv, EDGE_LINK, &rname)?;
         edges.push(ShardEdge {
             name: rname,
             shard_a: s,

@@ -51,6 +51,10 @@ use crate::sharded::materialize_sharded;
 /// see [`switch_src_prefix`].)
 pub const SENDER_ADDR: u32 = 0x01_00_00_01;
 
+/// Every host ↔ switch link: 100 Gbps, 10 µs.
+pub(crate) const EDGE_LINK: LinkConfig =
+    LinkConfig::new(100_000_000_000, SimDuration::from_micros(10));
+
 /// Per-port counter memory given to every scenario switch. Generous on
 /// purpose: experiments size trees explicitly, the budget only guards
 /// against runaway configs.
@@ -369,7 +373,6 @@ pub struct ScenarioSpec {
     tree: Option<TreeParams>,
     timers: Option<TimerConfig>,
     core_link: Option<LinkConfig>,
-    edge_link: Option<LinkConfig>,
     flows: Arc<[ScheduledFlow]>,
     probes: Vec<ThroughputProbe>,
     udp: Option<UdpBackground>,
@@ -386,7 +389,6 @@ impl ScenarioSpec {
             tree: None,
             timers: None,
             core_link: None,
-            edge_link: None,
             flows: Arc::default(),
             probes: Vec::new(),
             udp: None,
@@ -450,12 +452,6 @@ impl ScenarioSpec {
     /// apply there.
     pub fn core_link(mut self, link: LinkConfig) -> Self {
         self.core_link = Some(link);
-        self
-    }
-
-    /// Host ↔ switch links (default: 100 Gbps, 10 µs).
-    pub fn edge_link(mut self, link: LinkConfig) -> Self {
-        self.edge_link = Some(link);
         self
     }
 
@@ -556,9 +552,6 @@ impl ScenarioSpec {
             .timers
             .unwrap_or_else(|| TimerConfig::paper_default().for_link_delay(core_link.delay));
         let tree = self.tree.unwrap_or_else(TreeParams::paper_default);
-        let edge_link = self
-            .edge_link
-            .unwrap_or_else(|| LinkConfig::new(100_000_000_000, SimDuration::from_micros(10)));
         let layout = Self::layout_input(&self.high_priority, tree, timers)?;
 
         let mut net = Network::new(self.seed);
@@ -586,7 +579,7 @@ impl ScenarioSpec {
         let receiver = net.add_node(Box::new(rx));
 
         let mut edges = Vec::with_capacity(3);
-        let l0 = checked_connect(&mut net, sender, s1, edge_link, "edge sender↔s1")?; // s1 port 0
+        let l0 = checked_connect(&mut net, sender, s1, EDGE_LINK, "edge sender↔s1")?; // s1 port 0
         edges.push(EdgeHandle {
             name: "edge sender↔s1".to_owned(),
             link: l0,
@@ -604,7 +597,7 @@ impl ScenarioSpec {
             port_a: 1,
             port_b: 0,
         });
-        let l2 = checked_connect(&mut net, s2, receiver, edge_link, "edge s2↔receiver")?; // s2 port 1
+        let l2 = checked_connect(&mut net, s2, receiver, EDGE_LINK, "edge s2↔receiver")?; // s2 port 1
         edges.push(EdgeHandle {
             name: "edge s2↔receiver".to_owned(),
             link: l2,
@@ -749,7 +742,6 @@ impl ScenarioSpec {
             tree,
             timers,
             core_link,
-            edge_link,
             flows,
             probes,
             udp,
@@ -793,8 +785,6 @@ impl ScenarioSpec {
         let timers =
             timers.unwrap_or_else(|| TimerConfig::paper_default().for_link_delay(max_delay));
         let tree = tree.unwrap_or_else(TreeParams::paper_default);
-        let edge_link = edge_link
-            .unwrap_or_else(|| LinkConfig::new(100_000_000_000, SimDuration::from_micros(10)));
         let layout = Self::layout_input(&high_priority, tree, timers)?;
 
         // Deterministic port plan mirroring the connect order of both
@@ -889,7 +879,6 @@ impl ScenarioSpec {
             layout,
             timers,
             seed,
-            edge_link,
             ports: plan_ports,
             reroutes,
             protected,
@@ -974,7 +963,6 @@ pub(crate) struct GraphPlan {
     pub layout: FancyLayout,
     pub timers: TimerConfig,
     pub seed: u64,
-    pub edge_link: LinkConfig,
     pub ports: PortPlan,
     pub reroutes: Vec<Option<Reroute>>,
     pub protected: Vec<ProtectedEdge>,

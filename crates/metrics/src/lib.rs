@@ -520,11 +520,6 @@ impl MetricsHub {
     pub fn series(&self) -> Vec<(u64, Snapshot)> {
         self.lock().series.clone()
     }
-
-    /// Number of scrapes recorded.
-    pub fn series_len(&self) -> usize {
-        self.lock().series.len()
-    }
 }
 
 impl fmt::Debug for MetricsHub {
@@ -744,6 +739,6 @@ mod tests {
         assert_eq!(series[1].1.counter("ticks", &Labels::new()), Some(2));
         // Clones share state.
         let other = hub.clone();
-        assert_eq!(other.series_len(), 2);
+        assert_eq!(other.series().len(), 2);
     }
 }

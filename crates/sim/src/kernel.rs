@@ -24,20 +24,21 @@ pub type LinkId = usize;
 /// packets never collide with locally-stamped ones: shard `s` allocates
 /// uids starting at `s << UID_LANE_SHIFT`. Shard 0 (and every
 /// non-sharded kernel) therefore keeps the legacy `1, 2, 3, …` sequence.
+/// Outbox seqs ([`OutMsg::seq`]) use the same lanes.
 pub const UID_LANE_SHIFT: u32 = 48;
 
 /// A packet leaving this shard over a cross-shard half-link, queued in
 /// the kernel's outbox until the executor's next barrier routes it.
 ///
-/// `(at, src_shard, seq)` is the canonical cross-shard ordering: the
-/// receiving shard sorts its incoming batch by that triple before
-/// delivery, making the merged schedule independent of worker-thread
-/// interleaving.
+/// `(at, seq)` is the canonical cross-shard ordering: the receiving shard
+/// sorts its incoming batch by that pair before delivery, making the
+/// merged schedule independent of worker-thread interleaving.
 #[derive(Debug)]
 pub struct OutMsg {
     /// Arrival time at the remote node (departure + propagation delay).
     pub at: SimTime,
-    /// Per-shard monotone sequence number (the shard's "seq lane").
+    /// The source shard's seq lane: `shard << UID_LANE_SHIFT` plus a
+    /// per-shard count, so `seq` orders by source shard, then send order.
     pub seq: u64,
     /// Receiving logical shard.
     pub dst_shard: usize,
@@ -72,8 +73,8 @@ pub struct Kernel {
     /// window barrier ([`Kernel::take_outbox`]). Always empty outside
     /// sharded runs.
     outbox: Vec<OutMsg>,
-    /// This shard's monotone seq lane for outbox messages.
-    outbox_seq: u64,
+    /// The seq the next outbox message gets (see [`OutMsg::seq`]).
+    next_out_seq: u64,
     rng: SmallRng,
     /// Experiment records (ground truth + detections).
     pub records: Records,
@@ -106,7 +107,7 @@ impl Kernel {
             current: 0,
             next_uid: ((shard as u64) << UID_LANE_SHIFT) + 1,
             outbox: Vec::new(),
-            outbox_seq: 0,
+            next_out_seq: (shard as u64) << UID_LANE_SHIFT,
             rng: SmallRng::seed_from_u64(seed),
             records: Records::default(),
             telemetry: TelemetryCounters::default(),
@@ -211,11 +212,6 @@ impl Kernel {
         self.current
     }
 
-    /// Number of ports attached on node `node`.
-    pub fn port_count(&self, node: NodeId) -> usize {
-        self.ports.get(node).map_or(0, Vec::len)
-    }
-
     /// Schedule a timer for the *current* node after `delay`.
     pub fn schedule_timer(&mut self, delay: SimDuration, token: TimerToken) {
         let node = self.current;
@@ -241,7 +237,9 @@ impl Kernel {
     }
 
     /// Deliver a packet directly to a node, bypassing any link — used by
-    /// experiment harnesses to inject traffic at a switch's ingress.
+    /// experiment harnesses to inject traffic at a switch's ingress, and
+    /// by the sharded executor for packets that crossed a cut (they keep
+    /// the uid stamped at their origin shard).
     pub fn inject(&mut self, node: NodeId, port: PortId, pkt: Packet, at: SimTime) {
         let r = self.check_in(pkt, at);
         self.queue.push_arrival(at, node, port, r);
@@ -544,8 +542,8 @@ impl Kernel {
     /// Queue a cross-shard message on the outbox, stamping this shard's
     /// next seq-lane value.
     fn outbox_push(&mut self, at: SimTime, re: RemoteEnd, pkt: Packet) {
-        let seq = self.outbox_seq;
-        self.outbox_seq += 1;
+        let seq = self.next_out_seq;
+        self.next_out_seq += 1;
         self.outbox.push(OutMsg {
             at,
             seq,
@@ -560,22 +558,6 @@ impl Kernel {
     /// window barrier).
     pub fn take_outbox(&mut self) -> Vec<OutMsg> {
         std::mem::take(&mut self.outbox)
-    }
-
-    /// Cross-shard messages emitted so far (the shard's seq lane height).
-    pub fn outbox_seq(&self) -> u64 {
-        self.outbox_seq
-    }
-
-    /// Deliver a packet that crossed a shard boundary: check it into this
-    /// shard's pool (its uid is preserved — it was stamped at origin) and
-    /// schedule its arrival. Only the sharded executor calls this, after
-    /// sorting the incoming batch by the canonical `(time, shard, seq)`
-    /// order.
-    pub fn deliver_remote(&mut self, at: SimTime, node: NodeId, port: PortId, pkt: Packet) {
-        debug_assert!(pkt.uid != 0, "cross-shard packet lost its uid");
-        let r = self.pool.insert(pkt);
-        self.queue.push_arrival(at, node, port, r);
     }
 
     /// The timestamp of the earliest pending event, if any — the shard's

@@ -28,7 +28,7 @@ pub struct LinkConfig {
 impl LinkConfig {
     /// A convenience constructor with a queue sized for 50 ms of traffic —
     /// a common ISP buffer provisioning rule.
-    pub fn new(bandwidth_bps: u64, delay: SimDuration) -> Self {
+    pub const fn new(bandwidth_bps: u64, delay: SimDuration) -> Self {
         LinkConfig {
             bandwidth_bps,
             delay,

@@ -100,12 +100,6 @@ impl Packet {
     pub fn is_control(&self) -> bool {
         matches!(self.kind, PacketKind::FancyControl(_))
     }
-
-    /// Is this a TCP retransmission?
-    #[inline]
-    pub fn is_retransmission(&self) -> bool {
-        matches!(self.kind, PacketKind::TcpData { retx: true, .. })
-    }
 }
 
 /// A builder for packets, used by hosts and switches.
@@ -184,7 +178,6 @@ mod tests {
         assert_eq!(p.dst, 6);
         assert_eq!(p.size, 640);
         assert_eq!(p.ip_id, 0xE000);
-        assert!(p.is_retransmission());
         assert!(!p.is_control());
     }
 }

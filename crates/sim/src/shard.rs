@@ -25,8 +25,9 @@
 //! `(time, source shard, source seq)` triple before delivery — so the
 //! entire schedule, and with it every trace/telemetry/metrics byte, is
 //! identical whether the shards are driven by one worker thread or eight.
-//! The worker count (`FANCY_SHARDS` at the harness level) only changes
-//! which OS thread happens to run a given shard's window.
+//! Every worker count runs the same rounds through the same loop; the
+//! worker count (`FANCY_SHARDS` at the harness level) only changes which
+//! OS thread happens to run a given shard's window.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -42,7 +43,7 @@ use crate::time::{SimDuration, SimTime};
 const T_NONE: u64 = u64::MAX;
 
 /// Per-shard execution statistics, accumulated across `run_until` calls.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Events dispatched by this shard's kernel (cumulative).
     pub events: u64,
@@ -117,11 +118,6 @@ impl ShardedNet {
         self.shards.len()
     }
 
-    /// The conservative lookahead bound, if any.
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        self.lookahead
-    }
-
     /// Borrow shard `i`.
     pub fn shard(&self, i: usize) -> &Network {
         &self.shards[i]
@@ -130,11 +126,6 @@ impl ShardedNet {
     /// Mutably borrow shard `i` (scenario wiring, failure injection).
     pub fn shard_mut(&mut self, i: usize) -> &mut Network {
         &mut self.shards[i]
-    }
-
-    /// All shards, in shard order.
-    pub fn shards(&self) -> &[Network] {
-        &self.shards
     }
 
     /// Per-shard execution statistics (valid after a run).
@@ -163,18 +154,10 @@ impl ShardedNet {
         for s in &mut self.shards {
             s.prime();
         }
-        // Start-time sends (`on_start`) may already have crossed a cut
-        // link. Those packets live in outboxes, invisible to every event
-        // queue — deliver them *before* the first window bound is
-        // computed, or the window could leap past their arrival times.
-        self.exchange_primed();
-        let workers = workers.clamp(1, self.shards.len());
         if self.shards.len() == 1 {
             self.shards[0].run_until(until);
-        } else if workers == 1 {
-            self.run_serial(until);
         } else {
-            self.run_threaded(until, workers);
+            self.run_windows(until, workers.clamp(1, self.shards.len()));
         }
         // Advance every clock to the horizon (mirrors `Network::run_until`
         // semantics for the single-kernel case) and refresh stats.
@@ -195,204 +178,116 @@ impl ShardedNet {
         self.run_until(SimTime::FAR_FUTURE, workers);
     }
 
-    /// Deliver cross-shard messages produced while priming (all clocks
-    /// still at the start time), so they are visible to the first window
-    /// computation. Runs identically for every worker count: it executes
-    /// before any thread is spawned.
-    fn exchange_primed(&mut self) {
+    /// The conservative window loop, one for every worker count. Shard
+    /// `i` belongs to lane `i % workers`; worker 0 is the caller, so one
+    /// worker starts no thread. A round: each lane runs its shards to the
+    /// window end and deposits their outboxes, one append per destination
+    /// (never a lock per message); barrier. Each lane delivers its
+    /// shards' inboxes and folds their next event times into `t_min`;
+    /// barrier. Worker 0 applies the window rule; barrier. Round 0 runs
+    /// no window: it only exchanges what `on_start` sent across a cut, so
+    /// those arrivals bound the first window.
+    fn run_windows(&mut self, until: SimTime, workers: usize) {
         let n = self.shards.len();
-        let mut inbox: Vec<Vec<(usize, OutMsg)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut any = false;
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            for m in shard.kernel.take_outbox() {
-                self.stats[i].msgs_sent += 1;
-                inbox[m.dst_shard].push((i, m));
-                any = true;
+        let barrier = SpinBarrier::new(workers);
+        // Each shard's inbox for the round.
+        let mailboxes: Vec<Mutex<Vec<OutMsg>>> = (0..n).map(|_| Mutex::default()).collect();
+        // The earliest next event time over all shards; worker 0 takes
+        // it (resetting it) once every lane has folded its shards in.
+        let t_min = AtomicU64::new(T_NONE);
+        // The next window end in ns, set by worker 0; `T_NONE` stops.
+        let window = AtomicU64::new(T_NONE);
+        // One worker's part of every round; returns the windows run
+        // (counted by worker 0 alone).
+        let run_lane = |mut lane: Vec<(usize, &mut Network, &mut ShardStats)>, lead: bool| {
+            let mut out: Vec<Vec<OutMsg>> = (0..n).map(|_| Vec::new()).collect();
+            let mut we = None; // round 0 runs no window
+            let mut windows = 0;
+            loop {
+                for (_, shard, stats) in &mut lane {
+                    if let Some(we) = we {
+                        let before = shard.kernel.telemetry.events_dispatched;
+                        shard.run_until(we);
+                        stats.windows += 1;
+                        if shard.kernel.telemetry.events_dispatched == before {
+                            stats.null_windows += 1;
+                        }
+                    }
+                    for m in shard.kernel.take_outbox() {
+                        stats.msgs_sent += 1;
+                        out[m.dst_shard].push(m);
+                    }
+                }
+                for (batch, mailbox) in out.iter_mut().zip(&mailboxes) {
+                    if !batch.is_empty() {
+                        let mut mailbox = mailbox.lock().expect("mailbox poisoned");
+                        // Hand the batch over whole when it is the first.
+                        if mailbox.is_empty() {
+                            std::mem::swap(&mut *mailbox, batch);
+                        } else {
+                            mailbox.append(batch);
+                        }
+                    }
+                }
+                barrier.wait(); // every outbox deposited
+                for (i, shard, stats) in &mut lane {
+                    let msgs =
+                        std::mem::take(&mut *mailboxes[*i].lock().expect("mailbox poisoned"));
+                    Self::deliver(shard, stats, msgs);
+                    let t = shard.next_event_time().map_or(T_NONE, SimTime::as_nanos);
+                    t_min.fetch_min(t, Ordering::AcqRel);
+                }
+                barrier.wait(); // every next event time folded in
+                if lead {
+                    let t = t_min.swap(T_NONE, Ordering::AcqRel);
+                    let next = window_end(self.lookahead, t, until);
+                    windows += u64::from(next != T_NONE);
+                    window.store(next, Ordering::Release);
+                }
+                barrier.wait(); // the next window published
+                match window.load(Ordering::Acquire) {
+                    T_NONE => return windows,
+                    next => we = Some(SimTime(next)),
+                }
             }
+        };
+        let mut lanes: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, (shard, stats)) in self.shards.iter_mut().zip(&mut self.stats).enumerate() {
+            lanes[i % workers].push((i, shard, stats));
         }
-        if any {
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                Self::deliver(shard, &mut self.stats[i], std::mem::take(&mut inbox[i]));
+        let mut lanes = lanes.into_iter();
+        let lane0 = lanes.next().expect("at least one worker");
+        let run_lane = &run_lane;
+        self.windows += std::thread::scope(|scope| {
+            for lane in lanes {
+                scope.spawn(move || run_lane(lane, false));
             }
-        }
-    }
-
-    /// The next conservative window end for a given global minimum event
-    /// time, or `None` when the run is complete.
-    fn window_end(&self, t_min: u64, until: SimTime) -> Option<SimTime> {
-        if t_min == T_NONE || t_min > until.as_nanos() {
-            return None;
-        }
-        Some(match self.lookahead {
-            Some(l) => SimTime(t_min.saturating_add(l.as_nanos())).min(until),
-            None => until,
-        })
-    }
-
-    /// One shard's share of a window: run to the window end, count null
-    /// windows, and drain the outbox.
-    fn run_shard_window(
-        shard: &mut Network,
-        stats: &mut ShardStats,
-        window_end: SimTime,
-    ) -> Vec<OutMsg> {
-        let before = shard.kernel.telemetry.events_dispatched;
-        shard.run_until(window_end);
-        stats.windows += 1;
-        if shard.kernel.telemetry.events_dispatched == before {
-            stats.null_windows += 1;
-        }
-        shard.kernel.take_outbox()
+            run_lane(lane0, true)
+        });
     }
 
     /// Deliver a batch of cross-shard messages into `shard` in the
-    /// canonical `(time, source shard, source seq)` order. The sort makes
+    /// canonical `(time, source shard, source seq)` order: `(at, seq)`,
+    /// as a seq carries its shard's lane in its high bits. The sort makes
     /// the receiving queue's insertion order — and with it every
     /// same-timestamp tiebreak — independent of which worker deposited
     /// which message first. The keys are unique (a shard's seq lane never
     /// repeats), so the unstable sort gives that one order too, without
-    /// the stable sort's scratch buffer.
-    fn deliver(shard: &mut Network, stats: &mut ShardStats, mut msgs: Vec<(usize, OutMsg)>) {
-        msgs.sort_unstable_by_key(|(sa, a)| (a.at, *sa, a.seq));
+    /// the stable sort's scratch buffer. Each packet keeps the uid it was
+    /// stamped with at origin: `inject` stamps only an unstamped one.
+    fn deliver(shard: &mut Network, stats: &mut ShardStats, mut msgs: Vec<OutMsg>) {
+        msgs.sort_unstable_by_key(|m| (m.at, m.seq));
         stats.msgs_received += msgs.len() as u64;
-        for (_, m) in msgs {
+        for m in msgs {
             debug_assert!(
                 m.at >= shard.kernel.now(),
                 "late cross-shard delivery: at={} now={}",
                 m.at.as_nanos(),
                 shard.kernel.now().as_nanos()
             );
-            shard
-                .kernel
-                .deliver_remote(m.at, m.dst_node, m.dst_port, m.pkt);
+            debug_assert!(m.pkt.uid != 0, "cross-shard packet lost its uid");
+            shard.kernel.inject(m.dst_node, m.dst_port, m.pkt, m.at);
         }
-    }
-
-    /// The single-worker reference loop: identical per-round calls, in
-    /// identical order, to what the threaded path performs — which is the
-    /// whole determinism argument, made structural.
-    fn run_serial(&mut self, until: SimTime) {
-        loop {
-            let t_min = self
-                .shards
-                .iter()
-                .filter_map(|s| s.next_event_time())
-                .map(SimTime::as_nanos)
-                .min()
-                .unwrap_or(T_NONE);
-            let Some(window_end) = self.window_end(t_min, until) else {
-                break;
-            };
-            let n = self.shards.len();
-            let mut inbox: Vec<Vec<(usize, OutMsg)>> = (0..n).map(|_| Vec::new()).collect();
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                for m in Self::run_shard_window(shard, &mut self.stats[i], window_end) {
-                    self.stats[i].msgs_sent += 1;
-                    inbox[m.dst_shard].push((i, m));
-                }
-            }
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                Self::deliver(shard, &mut self.stats[i], std::mem::take(&mut inbox[i]));
-            }
-            self.windows += 1;
-        }
-    }
-
-    /// The threaded loop: worker `w` owns shards `w, w + T, w + 2T, …`
-    /// and worker 0 doubles as the coordinator. Three barriers per round:
-    /// after window publication, after outbox deposit, after delivery +
-    /// horizon publication.
-    fn run_threaded(&mut self, until: SimTime, workers: usize) {
-        let n = self.shards.len();
-        let lookahead = self.lookahead;
-        let barrier = SpinBarrier::new(workers);
-        let window = AtomicU64::new(T_NONE);
-        let rounds = AtomicU64::new(0);
-        let next_times: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(T_NONE)).collect();
-        let mailboxes: Vec<Mutex<Vec<(usize, OutMsg)>>> =
-            (0..n).map(|_| Mutex::new(Vec::new())).collect();
-
-        // Seed the first window from the primed shards.
-        let t_min = self
-            .shards
-            .iter()
-            .filter_map(|s| s.next_event_time())
-            .map(SimTime::as_nanos)
-            .min()
-            .unwrap_or(T_NONE);
-        match self.window_end(t_min, until) {
-            Some(we) => window.store(we.as_nanos(), Ordering::Relaxed),
-            None => return,
-        }
-
-        // Partition shard ownership: worker w gets every T-th shard.
-        let mut lanes: Vec<Vec<(usize, &mut Network, &mut ShardStats)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (i, (shard, stats)) in self
-            .shards
-            .iter_mut()
-            .zip(self.stats.iter_mut())
-            .enumerate()
-        {
-            lanes[i % workers].push((i, shard, stats));
-        }
-
-        std::thread::scope(|scope| {
-            for (w, mut lane) in lanes.into_iter().enumerate() {
-                let barrier = &barrier;
-                let window = &window;
-                let rounds = &rounds;
-                let next_times = &next_times;
-                let mailboxes = &mailboxes;
-                scope.spawn(move || {
-                    loop {
-                        barrier.wait(); // A: window end published
-                        let we = window.load(Ordering::Acquire);
-                        if we == T_NONE {
-                            break;
-                        }
-                        let window_end = SimTime(we);
-                        for (i, shard, stats) in lane.iter_mut() {
-                            for m in Self::run_shard_window(shard, stats, window_end) {
-                                stats.msgs_sent += 1;
-                                mailboxes[m.dst_shard]
-                                    .lock()
-                                    .expect("mailbox poisoned")
-                                    .push((*i, m));
-                            }
-                        }
-                        barrier.wait(); // B: all outboxes deposited
-                        for (i, shard, stats) in lane.iter_mut() {
-                            let msgs = std::mem::take(&mut *mailboxes[*i].lock().expect("mailbox"));
-                            Self::deliver(shard, stats, msgs);
-                            let t = shard.next_event_time().map_or(T_NONE, |t| t.as_nanos());
-                            next_times[*i].store(t, Ordering::Release);
-                        }
-                        barrier.wait(); // C: all horizons published
-                        if w == 0 {
-                            rounds.fetch_add(1, Ordering::Relaxed);
-                            let t_min = next_times
-                                .iter()
-                                .map(|t| t.load(Ordering::Acquire))
-                                .min()
-                                .unwrap_or(T_NONE);
-                            let next = if t_min == T_NONE || t_min > until.as_nanos() {
-                                T_NONE
-                            } else {
-                                match lookahead {
-                                    Some(l) => {
-                                        t_min.saturating_add(l.as_nanos()).min(until.as_nanos())
-                                    }
-                                    None => until.as_nanos(),
-                                }
-                            };
-                            window.store(next, Ordering::Release);
-                        }
-                    }
-                });
-            }
-        });
-        self.windows += rounds.load(Ordering::Relaxed);
     }
 
     /// Export the per-shard `fancy_shard_*` gauges into each shard's
@@ -421,6 +316,19 @@ impl ShardedNet {
                 }
             });
         }
+    }
+}
+
+/// The conservative window rule: the next window ends `lookahead` past
+/// the earliest pending event `t_min`, clamped to `until`; `T_NONE` once
+/// nothing is pending at or before `until`.
+fn window_end(lookahead: Option<SimDuration>, t_min: u64, until: SimTime) -> u64 {
+    if t_min == T_NONE || t_min > until.as_nanos() {
+        return T_NONE;
+    }
+    match lookahead {
+        Some(l) => t_min.saturating_add(l.as_nanos()).min(until.as_nanos()),
+        None => until.as_nanos(),
     }
 }
 
@@ -466,7 +374,7 @@ impl SpinBarrier {
 mod tests {
     use super::*;
     use crate::failure::GrayFailure;
-    use crate::kernel::Kernel;
+    use crate::kernel::{Kernel, UID_LANE_SHIFT};
     use crate::link::{LinkConfig, RemoteEnd};
     use crate::node::{Node, SinkNode};
     use crate::packet::{PacketBuilder, PacketKind};
@@ -474,57 +382,44 @@ mod tests {
     use fancy_net::Prefix;
     use std::any::Any;
 
-    /// A sink that also remembers when the last packet arrived.
+    /// Sends `remaining` UDP packets out port 0, one per millisecond, the
+    /// first from `on_start` (before any window runs), and logs every
+    /// arrival as `(time, flow, seq)`. `pulser(0)` is a logging sink.
     #[derive(Default)]
-    struct TimedSink {
-        packets: u64,
-        last_arrival: SimTime,
-    }
-
-    impl Node for TimedSink {
-        fn on_packet(&mut self, ctx: &mut Kernel, _port: usize, _pkt: PacketRef) {
-            self.packets += 1;
-            self.last_arrival = ctx.now();
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    /// Sends one UDP packet per timer tick toward `dst` on port 0.
     struct Pulser {
-        dst: u32,
-        period: SimDuration,
         remaining: u64,
         sent: u64,
+        log: Vec<(SimTime, u64, u64)>,
+    }
+
+    fn pulser(remaining: u64) -> Box<Pulser> {
+        Box::new(Pulser {
+            remaining,
+            ..Pulser::default()
+        })
     }
 
     impl Node for Pulser {
         fn on_start(&mut self, ctx: &mut Kernel) {
-            ctx.schedule_timer(self.period, 0);
+            self.on_timer(ctx, 0);
         }
-        fn on_packet(&mut self, _ctx: &mut Kernel, _port: usize, _pkt: PacketRef) {}
+        fn on_packet(&mut self, ctx: &mut Kernel, _port: usize, pkt: PacketRef) {
+            if let PacketKind::Udp { flow, seq } = ctx.pkt(pkt).kind {
+                self.log.push((ctx.now(), flow, seq));
+            }
+        }
         fn on_timer(&mut self, ctx: &mut Kernel, _token: u64) {
             if self.remaining == 0 {
                 return;
             }
             self.remaining -= 1;
             self.sent += 1;
-            let pkt = PacketBuilder::new(
-                1,
-                self.dst,
-                1000,
-                PacketKind::Udp {
-                    flow: 1,
-                    seq: self.sent,
-                },
-            )
-            .build();
-            ctx.send(0, pkt);
-            ctx.schedule_timer(self.period, 0);
+            let kind = PacketKind::Udp {
+                flow: 1,
+                seq: self.sent,
+            };
+            ctx.send(0, PacketBuilder::new(1, 0x0A000001, 1000, kind).build());
+            ctx.schedule_timer(SimDuration::from_millis(1), 0);
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -539,12 +434,7 @@ mod tests {
     fn two_shard_net(n_packets: u64, failure: Option<GrayFailure>) -> ShardedNet {
         let cfg = LinkConfig::new(8_000_000, SimDuration::from_millis(5));
         let mut s0 = Network::for_shard(7, 0);
-        let tx = s0.add_node(Box::new(Pulser {
-            dst: 0x0A000001,
-            period: SimDuration::from_millis(1),
-            remaining: n_packets,
-            sent: 0,
-        }));
+        let tx = s0.add_node(pulser(n_packets));
         let mut s1 = Network::for_shard(7, 1);
         let rx = s1.add_node(Box::new(SinkNode::default()));
         let l0 = s0.connect_remote(
@@ -571,6 +461,28 @@ mod tests {
         ShardedNet::new(vec![s0, s1], Some(SimDuration::from_millis(5)))
     }
 
+    /// Three shards in a ring: shard `i`'s port 0 is a cut link to shard
+    /// `i + 1`'s port 1, with delays 5, 7 and 11 ms (lookahead 5 ms).
+    fn three_shard_ring() -> ShardedNet {
+        let link =
+            |i: usize| LinkConfig::new(8_000_000, SimDuration::from_millis([5, 7, 11][i % 3]));
+        let end = |shard: usize, port| RemoteEnd {
+            shard: shard % 3,
+            node: 0,
+            port,
+        };
+        let shards = (0..3)
+            .map(|i| {
+                let mut net = Network::for_shard(7, i);
+                let node = net.add_node(pulser(20));
+                net.connect_remote(node, link(i), end(i + 1, 1));
+                net.connect_remote(node, link(i + 2), end(i + 2, 0));
+                net
+            })
+            .collect();
+        ShardedNet::new(shards, Some(SimDuration::from_millis(5)))
+    }
+
     fn signature(net: &ShardedNet) -> (u64, u64, u64, u64, u64) {
         let t = net.merged_telemetry();
         (
@@ -594,30 +506,22 @@ mod tests {
 
     #[test]
     fn cross_shard_timing_matches_single_kernel() {
-        let pulser = || {
-            Box::new(Pulser {
-                dst: 0x0A000001,
-                period: SimDuration::from_millis(1),
-                remaining: 10,
-                sent: 0,
-            })
-        };
         let cfg = LinkConfig::new(8_000_000, SimDuration::from_millis(5));
 
         // Single-kernel reference: pulser → sink over one ordinary link.
         let mut reference = Network::new(7);
-        let tx = reference.add_node(pulser());
-        let rx = reference.add_node(Box::new(TimedSink::default()));
+        let tx = reference.add_node(pulser(10));
+        let rx = reference.add_node(pulser(0));
         reference.connect(tx, rx, cfg);
         reference.run_to_end();
-        let expect = reference.node::<TimedSink>(rx).last_arrival;
+        let expect = reference.node::<Pulser>(rx).log.last().map(|a| a.0);
 
         // Same wiring, split at the link: serialization + propagation must
         // behave identically across the shard boundary.
         let mut s0 = Network::for_shard(7, 0);
-        let tx = s0.add_node(pulser());
+        let tx = s0.add_node(pulser(10));
         let mut s1 = Network::for_shard(7, 1);
-        let rx = s1.add_node(Box::new(TimedSink::default()));
+        let rx = s1.add_node(pulser(0));
         s0.connect_remote(
             tx,
             cfg,
@@ -638,9 +542,9 @@ mod tests {
         );
         let mut net = ShardedNet::new(vec![s0, s1], Some(SimDuration::from_millis(5)));
         net.run_to_end(1);
-        let got = net.shard(1).node::<TimedSink>(0);
-        assert_eq!(got.packets, 10);
-        assert_eq!(got.last_arrival, expect);
+        let got = &net.shard(1).node::<Pulser>(0).log;
+        assert_eq!(got.len(), 10);
+        assert_eq!(got.last().map(|a| a.0), expect);
     }
 
     #[test]
@@ -658,11 +562,33 @@ mod tests {
         let run = |workers: usize| {
             let mut net = two_shard_net(50, None);
             net.run_until(SimTime::ZERO + SimDuration::from_millis(200), workers);
-            signature(&net)
+            (signature(&net), net.stats().to_vec(), net.windows())
         };
         let one = run(1);
         assert_eq!(one, run(2));
-        assert_eq!(one.1, 50);
+        assert_eq!(one, run(3));
+        assert_eq!(one.0 .1, 50);
+
+        // Every shard sends across a cut from `on_start`, and at two
+        // workers lane 0 owns shards 0 and 2.
+        let ring = |workers: usize| {
+            let mut net = three_shard_ring();
+            net.run_to_end(workers);
+            let logs: Vec<_> = (0..3)
+                .map(|i| net.shard(i).node::<Pulser>(0).log.clone())
+                .collect();
+            (net.stats().to_vec(), net.windows(), logs)
+        };
+        let one = ring(1);
+        assert_eq!(one, ring(2));
+        assert_eq!(one, ring(3));
+        for (st, log) in one.0.iter().zip(&one.2) {
+            assert_eq!((st.msgs_sent, st.msgs_received, log.len()), (20, 20, 20));
+        }
+        // The start-time packets arrive first: 1 ms on the wire plus the
+        // cut's delay (shard 0's comes from shard 2 over 11 ms).
+        assert_eq!(one.2[1][0], (SimTime(6_000_000), 1, 1));
+        assert_eq!(one.2[0][0], (SimTime(12_000_000), 1, 1));
     }
 
     #[test]
@@ -675,50 +601,30 @@ mod tests {
         assert!(net.shard(0).kernel.records.wire_packets == 3);
     }
 
-    /// Logs `(arrival time, source shard, source seq)` of every packet,
-    /// read back from what `barrier_batch` stamped into it.
-    #[derive(Default)]
-    struct ArrivalLog(Vec<(SimTime, u64, u64)>);
-
-    impl Node for ArrivalLog {
-        fn on_packet(&mut self, ctx: &mut Kernel, _port: usize, pkt: PacketRef) {
-            if let PacketKind::Udp { flow, seq } = ctx.pkt(pkt).kind {
-                self.0.push((ctx.now(), flow, seq));
-            }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
     /// 48 messages for node 0 of shard 2: eight from each of source
     /// shards 0 and 1 at each of three arrival times, in an order no
     /// worker would produce — latest time first, shards interleaved,
     /// seqs descending.
-    fn barrier_batch() -> Vec<(usize, OutMsg)> {
+    fn barrier_batch() -> Vec<OutMsg> {
         let mut msgs = Vec::new();
         for at_ms in [30, 20, 10] {
             for seq in (0..8u64).rev() {
-                for src in [1, 0] {
+                for src in [1u64, 0] {
                     let kind = PacketKind::Udp {
-                        flow: src as u64,
+                        flow: src,
                         seq: at_ms * 100 + seq,
                     };
                     let mut pkt = PacketBuilder::new(1, 0x0A000001, 100, kind).build();
                     pkt.uid = 1 + msgs.len() as u64;
                     let at = SimTime::ZERO + SimDuration::from_millis(at_ms);
-                    let msg = OutMsg {
+                    msgs.push(OutMsg {
                         at,
-                        seq: at_ms * 100 + seq,
+                        seq: (src << UID_LANE_SHIFT) + at_ms * 100 + seq,
                         dst_shard: 2,
                         dst_node: 0,
                         dst_port: 0,
                         pkt,
-                    };
-                    msgs.push((src, msg));
+                    });
                 }
             }
         }
@@ -729,29 +635,25 @@ mod tests {
     fn barrier_delivers_tied_times_in_source_shard_then_seq_order() {
         let batch = barrier_batch();
         assert!(batch.len() > 20, "past the small-sort cutoff");
+        let lane = |seq: u64| (seq >> UID_LANE_SHIFT, seq & ((1 << UID_LANE_SHIFT) - 1));
         let mut expect: Vec<_> = batch
             .iter()
-            .map(|(src, m)| (m.at, *src as u64, m.seq))
+            .map(|m| (m.at, lane(m.seq).0, lane(m.seq).1))
             .collect();
         expect.sort();
         let mut shard = Network::for_shard(7, 2);
-        shard.add_node(Box::new(ArrivalLog::default()));
+        shard.add_node(pulser(0));
         let mut stats = ShardStats::default();
         ShardedNet::deliver(&mut shard, &mut stats, batch);
         shard.run_until(SimTime::ZERO + SimDuration::from_millis(40));
         assert_eq!(stats.msgs_received, 48);
-        assert_eq!(shard.node::<ArrivalLog>(0).0, expect);
+        assert_eq!(shard.node::<Pulser>(0).log, expect);
     }
 
     #[test]
     fn single_shard_degenerates_to_plain_run() {
         let mut s0 = Network::new(7);
-        let tx = s0.add_node(Box::new(Pulser {
-            dst: 0x0A000001,
-            period: SimDuration::from_millis(1),
-            remaining: 5,
-            sent: 0,
-        }));
+        let tx = s0.add_node(pulser(5));
         let rx = s0.add_node(Box::new(SinkNode::default()));
         s0.connect(
             tx,
@@ -761,5 +663,15 @@ mod tests {
         let mut net = ShardedNet::new(vec![s0], None);
         net.run_to_end(4);
         assert_eq!(net.shard(0).node::<SinkNode>(1).packets, 5);
+        // A lone region runs the plain kernel loop: no window, no message.
+        let st = net.stats()[0];
+        assert!(st.events > 0 && st.sim_nanos > 0);
+        let only_clock = ShardStats {
+            events: st.events,
+            sim_nanos: st.sim_nanos,
+            ..ShardStats::default()
+        };
+        assert_eq!(st, only_clock);
+        assert_eq!(net.windows(), 0);
     }
 }

@@ -273,14 +273,6 @@ impl Topology {
         }
     }
 
-    /// First edge between `a` and `b`, if any.
-    pub fn edge_between(&self, a: SwitchIdx, b: SwitchIdx) -> Option<EdgeIdx> {
-        self.adjacency[a]
-            .iter()
-            .copied()
-            .find(|&e| self.other_end(e, a) == b)
-    }
-
     /// Edge lookup by name ("a↔b", as produced by the builder).
     pub fn edge_by_name(&self, name: &str) -> Option<EdgeIdx> {
         self.edges.iter().position(|e| e.name == name)
@@ -328,7 +320,6 @@ mod tests {
         let t = b.build().unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.index_of("y"), Some(1));
-        assert_eq!(t.edge_between(0, 1), Some(0));
         assert_eq!(t.other_end(0, 0), 1);
         assert_eq!(t.edge_by_name("x↔y"), Some(0));
     }

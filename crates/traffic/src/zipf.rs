@@ -56,19 +56,6 @@ impl Zipf {
     pub fn top_share(&self, k: usize) -> f64 {
         self.weights.iter().take(k).sum()
     }
-
-    /// Smallest `k` such that the top `k` ranks carry at least `share` of
-    /// the traffic.
-    pub fn ranks_for_share(&self, share: f64) -> usize {
-        let mut acc = 0.0;
-        for (i, w) in self.weights.iter().enumerate() {
-            acc += w;
-            if acc >= share {
-                return i + 1;
-            }
-        }
-        self.weights.len()
-    }
 }
 
 #[cfg(test)]
@@ -96,14 +83,6 @@ mod tests {
         assert!(top10k > 0.80, "top-10K share {top10k}");
         let top500 = z.top_share(500);
         assert!(top500 > 0.5, "top-500 share {top500}");
-    }
-
-    #[test]
-    fn ranks_for_share_is_inverse_of_top_share() {
-        let z = Zipf::new(10_000, 1.0);
-        let k = z.ranks_for_share(0.5);
-        assert!(z.top_share(k) >= 0.5);
-        assert!(z.top_share(k - 1) < 0.5);
     }
 
     #[test]

@@ -85,11 +85,21 @@ fn parse_args() -> Result<Args, String> {
             "--switches must be at least {MIN_SWITCHES}, got {switches}"
         ));
     }
+    // `--multi 0` sweeps no overlapping failures; a combo needs at
+    // least two members, and a sweep at least one combo.
+    let multi = arg("--multi", 0)?;
+    if multi == 1 {
+        return Err("--multi must be 0 or at least 2, got 1".to_owned());
+    }
+    let combos_n = arg("--combos", 3)?;
+    if multi >= 2 && combos_n == 0 {
+        return Err("--combos must be at least 1 with --multi".to_owned());
+    }
     Ok(Args {
         switches,
         fail_n: arg("--fail", 6)?,
-        multi: arg("--multi", 0)?,
-        combos_n: arg("--combos", 3)?,
+        multi,
+        combos_n,
         seed: arg("--seed", 0x15B0)? as u64,
         dump: arg_str("--dump")?,
     })
@@ -408,7 +418,9 @@ fn main() -> ExitCode {
         eprintln!("isp_backbone: coverage below 100%");
         return ExitCode::FAILURE;
     }
-    if report.reroutes_measured == 0 {
+    if !report.outcomes.iter().any(|o| o.protected) {
+        println!("no swept edge is SPIDER-protected: the reroute check does not apply");
+    } else if report.reroutes_measured == 0 {
         eprintln!("isp_backbone: no SPIDER-protected edge measured a reroute");
         return ExitCode::FAILURE;
     }
@@ -432,13 +444,15 @@ fn main() -> ExitCode {
             eprintln!("isp_backbone: the recovery verifier found violations in a combo");
             return ExitCode::FAILURE;
         }
-        let measured = mr
+        let protected: Vec<_> = mr
             .outcomes
             .iter()
             .flat_map(|o| o.edges.iter())
-            .filter(|e| e.protected && e.reroute_s >= 0.0)
-            .count();
-        if measured == 0 {
+            .filter(|e| e.protected)
+            .collect();
+        if protected.is_empty() {
+            println!("no combo member is SPIDER-protected: the reroute check does not apply");
+        } else if protected.iter().all(|e| e.reroute_s < 0.0) {
             eprintln!("isp_backbone: no protected combo member measured a reroute");
             return ExitCode::FAILURE;
         }
