@@ -21,8 +21,12 @@ echo "== allocation gate (warm hot paths, reported by name) =="
 # run in the workspace tests above; this stage names the regression.
 cargo test -q --release -p fancy-sim --test zero_alloc
 cargo test -q --release -p fancy-core --test zero_alloc_hop --test zero_alloc_hooks
+# A warm FANcY pair holds one tree counter array per side: the receiver
+# answers a repeated Stop from its registers, not from a second copy.
+cargo test -q --release -p fancy-core --test tree_array_memory
 # A TCP sender's peak heap grows with the flows running at once, not with
-# the length of its schedule (at most 16 B per extra scheduled flow).
+# the length of its schedule (at most 16 B per extra scheduled flow); a
+# receiver holds one word per flow (at most 32 B with its key and slack).
 cargo test -q --release -p fancy-tcp --test live_flow_memory
 
 echo "== clippy (all targets, warnings are errors) =="
@@ -114,6 +118,8 @@ expect_exit 2 isp_backbone -- --switches x
 expect_exit 2 isp_backbone -- --switches 1
 expect_exit 2 isp_backbone -- --switches 1 --fail 0 --multi 2
 expect_exit 2 isp_backbone -- --switches 12 --fail 2 --multi 2 --combos 0
+# One traffic-carrying edge cannot make a combo of two overlapping failures.
+expect_exit 2 isp_backbone -- --switches 2 --fail 0 --multi 2 --combos 1
 # One edge, no loop-free alternate: nothing is SPIDER-protected, so the
 # reroute check does not apply and the run passes on its other checks.
 expect_exit 0 isp_backbone -- --switches 2 --fail 0

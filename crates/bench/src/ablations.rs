@@ -267,7 +267,7 @@ pub fn run_stop_and_wait(loss: f64, rounds: u32, seed: u64) -> ProtocolResult {
                             to_s.push((r.session_id, b));
                         }
                     }
-                    ReceiverAction::EmitReport | ReceiverAction::ResendReport => {
+                    ReceiverAction::EmitReport | ReceiverAction::ResendReport { .. } => {
                         if !rng.gen_bool(loss) {
                             to_s.push((r.session_id, fancy_net::ControlBody::Report(vec![0])));
                         }

@@ -58,7 +58,7 @@ use fancy_sim::metrics::{Histogram, Labels, MetricsHub, Snapshot};
 use fancy_sim::trace::{merge_shard_streams, DropCause};
 use fancy_sim::{
     FaultPlan, FaultStage, FaultTarget, GrayFailure, ShardStats, SimDuration, SimTime, TraceEvent,
-    TraceSink,
+    TraceKind, TraceSink,
 };
 use fancy_tcp::FlowConfig;
 use fancy_topo::{BackupPlan, Routes, Topology};
@@ -70,7 +70,8 @@ use crate::runner::{CellCtx, Sweep};
 /// A flight recorder that keeps only the causal chain of a failure
 /// episode — gray drops, detections, reroute decisions — so no amount
 /// of background packet traffic can evict the events the latency
-/// verification needs (a plain ring would).
+/// verification needs (a plain ring would). It wants only the kinds it
+/// keeps, so the kernel never builds the rest.
 #[derive(Debug, Clone, Default)]
 struct FlightFilter(Arc<Mutex<Vec<TraceEvent>>>);
 
@@ -81,19 +82,25 @@ impl FlightFilter {
 }
 
 impl TraceSink for FlightFilter {
+    fn wants(&self, kind: TraceKind) -> bool {
+        matches!(
+            kind,
+            TraceKind::Reroute
+                | TraceKind::Detection
+                | TraceKind::Failover
+                | TraceKind::RerouteDamp
+                | TraceKind::BackupAlarm
+                | TraceKind::PacketDrop
+        )
+    }
+
     fn record(&mut self, ev: &TraceEvent) {
-        let keep = matches!(
-            ev,
-            TraceEvent::Reroute { .. }
-                | TraceEvent::Detection { .. }
-                | TraceEvent::Failover { .. }
-                | TraceEvent::RerouteDamp { .. }
-                | TraceEvent::BackupAlarm { .. }
-                | TraceEvent::PacketDrop {
-                    cause: DropCause::Gray | DropCause::NoBackup,
-                    ..
-                }
-        );
+        let keep = match ev {
+            TraceEvent::PacketDrop { cause, .. } => {
+                matches!(cause, DropCause::Gray | DropCause::NoBackup)
+            }
+            other => self.wants(other.trace_kind()),
+        };
         if keep {
             self.0
                 .lock()

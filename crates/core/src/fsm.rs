@@ -5,8 +5,9 @@
 //! runs a counting phase, and is closed with Stop → Report. Start and Stop
 //! are retransmitted on a `T_rtx` timeout; after `X` fruitless attempts the
 //! sender declares a hard link failure. The receiver keeps counting for
-//! `T_wait` after a Stop to absorb in-flight tagged packets, and caches its
-//! last report so a duplicated Stop (lost Report) can be answered again.
+//! `T_wait` after a Stop to absorb in-flight tagged packets, and remembers
+//! which session it last reported so a duplicated Stop (lost Report) can
+//! be answered again from its counters, frozen until the next Start.
 //!
 //! The FSMs here are *pure*: they hold no counters and perform no I/O.
 //! Every input (message, timer) returns an [`Actions`] list of
@@ -323,12 +324,18 @@ pub enum ReceiverAction {
     Send(ControlBody),
     /// Zero the local counters for the new session.
     ResetCounters,
-    /// Snapshot the local counters and send them as the session's Report;
-    /// the switch must also cache the report for duplicate Stops.
+    /// Send the local counters as the session's Report. The FSM is `Idle`
+    /// afterwards and counts nothing until the next Start resets them.
     EmitReport,
-    /// Re-send the cached report of the last completed session
-    /// (a duplicated Stop means our Report was lost).
-    ResendReport,
+    /// A duplicated Stop for `session_id`, the last session reported:
+    /// our Report was lost, so send the local counters again, tagged with
+    /// that session. Until the next Start they are the lost Report bit
+    /// for bit; after one, the sender has moved on to a newer session and
+    /// drops the reply by its id.
+    ResendReport {
+        /// The session the duplicated Stop closed.
+        session_id: u32,
+    },
     /// Arm the FSM timer (epoch-guarded, like the sender's).
     ArmTimer {
         /// Delay from now.
@@ -430,7 +437,7 @@ impl ReceiverFsm {
                     Actions::of([self.arm(self.timers.twait)])
                 } else if Some(session_id) == self.last_reported {
                     // Our Report was lost; serve it again.
-                    Actions::of([ReceiverAction::ResendReport])
+                    Actions::of([ReceiverAction::ResendReport { session_id }])
                 } else {
                     Actions::none()
                 }
@@ -604,7 +611,47 @@ mod tests {
         let _ = r.on_timer(r_epoch_of(&ra)); // Report emitted (and lost).
                                              // Upstream retransmits Stop for session 7.
         let ra = r.on_message(7, &ControlBody::Stop);
-        assert_eq!(*ra, [ReceiverAction::ResendReport]);
+        assert_eq!(*ra, [ReceiverAction::ResendReport { session_id: 7 }]);
+    }
+
+    #[test]
+    fn stale_stop_after_newer_start_gets_a_report_the_sender_ignores() {
+        let (mut s, mut r) = (sender(), receiver());
+        // Session 1 runs to its Report; a wire copy of its Stop lingers.
+        s.open();
+        let old = s.session_id;
+        r.on_message(old, &ControlBody::Start);
+        let a = s.on_message(old, &ControlBody::StartAck);
+        r.on_tagged_packet();
+        let _ = s.on_timer(epoch_of(&a)); // Stop sent (and duplicated).
+        let ra = r.on_message(old, &ControlBody::Stop);
+        assert_eq!(*r.on_timer(r_epoch_of(&ra)), [ReceiverAction::EmitReport]);
+        assert_eq!(
+            *s.on_message(old, &ControlBody::Report(vec![5])),
+            [SenderAction::Deliver]
+        );
+
+        // Session 2 opens and the receiver resets for it.
+        s.open();
+        let new = s.session_id;
+        let ra = r.on_message(new, &ControlBody::Start);
+        assert!(ra.contains(&ReceiverAction::ResetCounters));
+        let a = s.on_message(new, &ControlBody::StartAck);
+
+        // The stale Stop arrives now: the receiver answers for session 1,
+        // and stays in session 2.
+        let ra = r.on_message(old, &ControlBody::Stop);
+        assert_eq!(*ra, [ReceiverAction::ResendReport { session_id: old }]);
+        assert_eq!((r.session_id, r.state), (new, ReceiverState::Ready));
+
+        // The sender drops that Report by its session id, while counting
+        // and while waiting for session 2's own Report alike.
+        assert!(s.on_message(old, &ControlBody::Report(vec![7])).is_empty());
+        assert_eq!(s.state, SenderState::Counting);
+        let _ = s.on_timer(epoch_of(&a));
+        assert!(s.on_message(old, &ControlBody::Report(vec![7])).is_empty());
+        assert_eq!(s.state, SenderState::WaitReport);
+        assert_eq!(s.sessions_completed, 1);
     }
 
     #[test]

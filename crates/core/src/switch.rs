@@ -32,7 +32,7 @@ use fancy_net::{ControlBody, ControlMessage, FancyTag, FnvMap, Prefix, SessionKi
 use fancy_sim::metrics::Labels;
 use fancy_sim::{
     DetectionScope, DetectorKind, DropCause, Kernel, Node, PacketKind, PacketRef, PortId,
-    PortTable, TimerToken, TraceEvent, UNIT_TREE,
+    PortTable, TimerToken, TraceEvent, TraceKind, UNIT_TREE,
 };
 
 use crate::config::{FancyLayout, TimerConfig};
@@ -121,7 +121,7 @@ fn trace_fsm(
             );
         });
     }
-    if ctx.trace_enabled() {
+    if ctx.tracing(TraceKind::FsmTransition) {
         let node = ctx.self_id() as u64;
         ctx.trace(|t| TraceEvent::FsmTransition {
             t,
@@ -138,7 +138,7 @@ fn trace_fsm(
 /// Trace a data packet the switch drops itself (no route, or no healthy
 /// backup left).
 fn trace_drop(ctx: &mut Kernel, pkt: PacketRef, cause: DropCause) {
-    if ctx.trace_enabled() {
+    if ctx.tracing(TraceKind::PacketDrop) {
         let node = ctx.self_id() as u64;
         let p = ctx.pkt(pkt);
         let (uid, entry, flow, size) = (p.uid, u64::from(p.entry().0), p.flow(), u64::from(p.size));
@@ -260,12 +260,13 @@ impl UpstreamPort {
 }
 
 /// One receiver FSM and the counters its sessions fill: one for a
-/// dedicated entry, `slot_count × width` for the tree.
+/// dedicated entry, `slot_count × width` for the tree. The counters are
+/// also what a duplicated Stop is answered from: after `T_wait` the FSM
+/// is `Idle` and nothing touches them until the next Start resets them,
+/// the way a Tofino answers from its frozen registers.
 struct ReceiverUnit {
     fsm: ReceiverFsm,
     counters: Vec<u32>,
-    /// The last Report sent, kept to answer a duplicated Stop.
-    cached: Vec<u32>,
 }
 
 impl ReceiverUnit {
@@ -273,7 +274,6 @@ impl ReceiverUnit {
         ReceiverUnit {
             fsm: ReceiverFsm::new(timers),
             counters: vec![0; len],
-            cached: vec![0; len],
         }
     }
 }
@@ -503,7 +503,7 @@ impl FancySwitch {
         let size = msg.frame_len() as u32;
         self.stats.control_sent += 1;
         self.stats.control_bytes += u64::from(size);
-        if ctx.trace_enabled() {
+        if ctx.tracing(TraceKind::CounterExchange) {
             let node = ctx.self_id() as u64;
             let body = body_label(&msg.body);
             ctx.trace(|t| TraceEvent::CounterExchange {
@@ -619,17 +619,18 @@ impl FancySwitch {
                 .get_mut(port)
                 .and_then(|d| d.receiver(kind))
                 .expect("stepped above");
-            let body = match action {
-                ReceiverAction::Send(body) => body,
+            let (session_id, body) = match action {
+                ReceiverAction::Send(body) => (session_id, body),
                 ReceiverAction::ResetCounters => {
                     rx.counters.fill(0);
                     continue;
                 }
                 ReceiverAction::EmitReport => {
-                    rx.cached.clone_from(&rx.counters);
-                    ControlBody::Report(rx.cached.clone())
+                    (session_id, ControlBody::Report(rx.counters.clone()))
                 }
-                ReceiverAction::ResendReport => ControlBody::Report(rx.cached.clone()),
+                ReceiverAction::ResendReport { session_id } => {
+                    (session_id, ControlBody::Report(rx.counters.clone()))
+                }
                 ReceiverAction::ArmTimer { delay, epoch } => {
                     ctx.schedule_timer(delay, make_token(ROLE_RECEIVER, port, kind, epoch));
                     continue;
@@ -680,7 +681,7 @@ impl FancySwitch {
             return; // malformed report; drop it, session just restarts
         }
         let outcomes = up.zoom.end_session(counters);
-        if ctx.trace_enabled() || ctx.metrics_enabled() {
+        if ctx.tracing(TraceKind::ZoomStep) || ctx.metrics_enabled() {
             // Drain the zooming steps before emitting detections so a
             // timeline reader sees first-suspicion before detect at
             // equal timestamps.
@@ -700,7 +701,7 @@ impl FancySwitch {
                         r.observe("fancy_zoom_depth", Labels::new().with("step", label), depth);
                     });
                 }
-                if ctx.trace_enabled() {
+                if ctx.tracing(TraceKind::ZoomStep) {
                     let path: Vec<u64> = path.iter().map(|&b| u64::from(b)).collect();
                     ctx.trace(|t| TraceEvent::ZoomStep {
                         t,
@@ -739,7 +740,7 @@ impl FancySwitch {
                 None => return,
             },
         };
-        if ctx.trace_enabled() {
+        if ctx.tracing(TraceKind::CounterExchange) {
             let node = ctx.self_id() as u64;
             let body = body_label(&msg.body);
             let len = msg.frame_len() as u64;
@@ -933,8 +934,10 @@ mod tests {
     use super::*;
     use crate::config::{FancyInput, TimerConfig};
     use crate::tree::TreeParams;
+    use fancy_net::ControlKind;
     use fancy_sim::{
-        DetectionScope, DetectorKind, GrayFailure, LinkConfig, Network, SimDuration, SimTime,
+        DetectionScope, DetectorKind, FaultPlan, FaultStage, FaultTarget, GrayFailure, LinkConfig,
+        Network, SimDuration, SimTime,
     };
     use fancy_tcp::{ReceiverHost, ScheduledFlow, SenderHost};
 
@@ -960,6 +963,19 @@ mod tests {
         tree: TreeParams,
         flows: Vec<ScheduledFlow>,
         seed: u64,
+    ) -> (Network, usize, usize, usize, usize) {
+        fancy_pair_via(high_priority, tree, flows, seed, None)
+    }
+
+    /// [`fancy_pair`], optionally with a two-port `tap` between the
+    /// monitored link and S2: `S1 — link — tap — S2`. The tap is the last
+    /// node added, right after the receiver.
+    fn fancy_pair_via(
+        high_priority: Vec<Prefix>,
+        tree: TreeParams,
+        flows: Vec<ScheduledFlow>,
+        seed: u64,
+        tap: Option<Box<dyn Node>>,
     ) -> (Network, usize, usize, usize, usize) {
         let mut input = FancyInput {
             high_priority,
@@ -997,7 +1013,15 @@ mod tests {
         let edge = LinkConfig::new(10_000_000_000, SimDuration::from_micros(10));
         let core = LinkConfig::new(10_000_000_000, SimDuration::from_millis(10));
         net.connect(host, s1, edge); // host port 0 / s1 port 0
-        let link = net.connect(s1, s2, core); // s1 port 1 / s2 port 0
+        let link = match tap {
+            None => net.connect(s1, s2, core), // s1 port 1 / s2 port 0
+            Some(tap) => {
+                let tap = net.add_node(tap);
+                let link = net.connect(s1, tap, core);
+                net.connect(tap, s2, edge);
+                link
+            }
+        };
         net.connect(s2, rx, edge); // s2 port 1 / rx port 0
         (net, s1, s2, link, rx)
     }
@@ -1010,6 +1034,106 @@ mod tests {
                 cfg: fancy_tcp::FlowConfig::for_rate(rate, 1.0),
             })
             .collect()
+    }
+
+    /// A transparent two-port node that records every tree Report
+    /// crossing it: `(time, session, counters)`.
+    #[derive(Default)]
+    struct ReportTap(Vec<(SimTime, u32, Vec<u32>)>);
+
+    impl Node for ReportTap {
+        fn on_packet(&mut self, ctx: &mut Kernel, port: PortId, pkt: PacketRef) {
+            if let PacketKind::FancyControl(msg) = &ctx.pkt(pkt).kind {
+                if let (SessionKind::Tree, ControlBody::Report(counters)) = (msg.kind, &msg.body) {
+                    self.0.push((ctx.now(), msg.session_id, counters.clone()));
+                }
+            }
+            ctx.forward(1 - port, pkt);
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// What a tree-only pair `S1 — tap — S2` did by 8 s, with a gray
+    /// failure on one entry from 1 s and, if `drop_until` is set, every
+    /// Report lost on the wire before then.
+    struct TappedRun {
+        reports: Vec<(SimTime, u32, Vec<u32>)>,
+        detections: Vec<(DetectorKind, DetectionScope)>,
+        tree_sessions: u64,
+        control_losses: u64,
+    }
+
+    fn tapped_run(drop_until: Option<SimTime>) -> TappedRun {
+        let entry = Prefix::from_addr(0x0B_00_00_07);
+        let flows = steady_flows(0x0B_00_00_07, 2_000_000, 30, 150);
+        let tap = Box::new(ReportTap::default());
+        let (mut net, s1, _s2, link, rx) = fancy_pair_via(
+            Vec::new(),
+            TreeParams::paper_default(),
+            flows,
+            13,
+            Some(tap),
+        );
+        let tap = rx + 1;
+        let fail_at = SimTime::ZERO + SimDuration::from_secs(1);
+        net.kernel
+            .add_failure(link, s1, GrayFailure::single_entry(entry, 0.5, fail_at));
+        if let Some(end) = drop_until {
+            let reports = FaultTarget::Control(Some(vec![ControlKind::Report]));
+            let stage = FaultStage::new(reports)
+                .bernoulli(1.0)
+                .window(SimTime::ZERO, end);
+            net.kernel
+                .add_fault_plan(link, tap, FaultPlan::new(1).stage(stage));
+        }
+        net.run_until(SimTime::ZERO + SimDuration::from_secs(8));
+        let detections = net
+            .kernel
+            .records
+            .detections
+            .iter()
+            .map(|d| (d.detector, d.scope.clone()))
+            .collect();
+        TappedRun {
+            reports: std::mem::take(&mut net.node_mut::<ReportTap>(tap).0),
+            detections,
+            tree_sessions: net.node::<FancySwitch>(s1).sessions_completed(1).1,
+            control_losses: net.kernel.telemetry.control_drops,
+        }
+    }
+
+    #[test]
+    fn lost_tree_report_is_resent_bit_for_bit() {
+        let clean = tapped_run(None);
+        let (first_at, session, ref first) = clean.reports[0];
+        // Lose the first tree Report on the wire back to S1, and only it:
+        // the repeated Stop comes a T_rtx later.
+        let lossy = tapped_run(Some(first_at + SimDuration::from_millis(1)));
+        assert_eq!(lossy.control_losses, 1);
+        let [(_, lost_session, lost), (_, resent_session, resent), ..] = &lossy.reports[..] else {
+            panic!("{} tree Reports", lossy.reports.len());
+        };
+        assert_eq!((lost_session, lost), (&session, first));
+        assert_eq!((resent_session, resent), (&session, first));
+        assert!(
+            lost.iter().any(|&c| c > 0),
+            "the first session counted nothing"
+        );
+        // The session completes from the re-sent Report, and the run
+        // finds what the clean run found.
+        assert!(
+            lossy.tree_sessions > 10,
+            "{} tree sessions",
+            lossy.tree_sessions
+        );
+        assert!(!clean.detections.is_empty());
+        assert_eq!(lossy.detections, clean.detections);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 
 use fancy_net::{FnvMap, Prefix};
 use fancy_sim::metrics::Labels;
-use fancy_sim::{DetectionScope, DetectorKind, DropCause, Kernel, PacketRef, PortId, TraceEvent};
+use fancy_sim::{
+    DetectionScope, DetectorKind, DropCause, Kernel, PacketRef, PortId, TraceEvent, TraceKind,
+};
 
 use super::{trace_drop, FancySwitch};
 
@@ -186,7 +188,7 @@ impl FancySwitch {
         let (traced_entry, primary) = (u64::from(entry.0), out as u64);
         let Some((backup, rank)) = self.pick_backup(out, entry) else {
             self.stats.alarm_drops += 1;
-            if (ctx.trace_enabled() || ctx.metrics_enabled())
+            if (ctx.tracing(TraceKind::BackupAlarm) || ctx.metrics_enabled())
                 && self.alarmed.insert((out, entry), ()).is_none()
             {
                 count_reroute_transition(ctx, "alarm");
@@ -323,7 +325,7 @@ impl FancySwitch {
             }
         };
         count_reroute_transition(ctx, action);
-        if ctx.trace_enabled() {
+        if ctx.tracing(TraceKind::RerouteDamp) {
             let node = ctx.self_id() as u64;
             let entry = u64::from(entry.0);
             ctx.trace(|t| TraceEvent::RerouteDamp {

@@ -81,7 +81,7 @@ impl Harness {
         }
     }
 
-    fn apply_receiver(&mut self, reply_session: u32, actions: Actions<ReceiverAction>) {
+    fn apply_receiver(&mut self, actions: Actions<ReceiverAction>) {
         for a in actions {
             match a {
                 ReceiverAction::Send(body) => {
@@ -95,11 +95,11 @@ impl Harness {
                             .push((self.receiver.session_id, ControlBody::Report(vec![0, 1, 2])));
                     }
                 }
-                ReceiverAction::ResendReport => {
-                    // The cached report answers the *stale* Stop's session.
+                ReceiverAction::ResendReport { session_id } => {
+                    // The re-sent report answers the *stale* Stop's session.
                     if self.r2s.len() < CHANNEL_CAP {
                         self.r2s
-                            .push((reply_session, ControlBody::Report(vec![0, 1, 2])));
+                            .push((session_id, ControlBody::Report(vec![0, 1, 2])));
                     }
                 }
                 ReceiverAction::ArmTimer { epoch, .. } => self.receiver_timer = Some(epoch),
@@ -114,7 +114,7 @@ impl Harness {
         }
         let (sid, body) = self.s2r.remove(0);
         let actions = self.receiver.on_message(sid, &body);
-        self.apply_receiver(sid, actions);
+        self.apply_receiver(actions);
     }
 
     fn deliver_to_sender(&mut self) {
@@ -136,7 +136,7 @@ impl Harness {
     fn fire_receiver_timer(&mut self) {
         if let Some(epoch) = self.receiver_timer.take() {
             let actions = self.receiver.on_timer(epoch);
-            self.apply_receiver(self.receiver.session_id, actions);
+            self.apply_receiver(actions);
         }
     }
 

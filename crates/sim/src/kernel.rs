@@ -4,7 +4,7 @@
 //! the `ctx` handle passed to every [`crate::node::Node`] callback.
 
 use fancy_metrics::{Labels, MetricsHub, Registry};
-use fancy_trace::{DropCause, TraceEvent, TraceSink};
+use fancy_trace::{DropCause, TraceEvent, TraceKind, TraceSink};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -86,6 +86,8 @@ pub struct Kernel {
     /// Flight recorder. `None` (the default) keeps every emission site a
     /// single branch; see [`Kernel::trace`].
     pub(crate) tracer: Option<Box<dyn TraceSink>>,
+    /// The [`TraceKind::mask`] of what `tracer` wants; 0 without one.
+    trace_mask: u64,
     /// Metrics plane. Same contract as the tracer: `None` (the default)
     /// keeps every instrumentation site a single branch, and nothing
     /// recorded here can influence the schedule; see [`Kernel::metrics`].
@@ -113,34 +115,41 @@ impl Kernel {
             telemetry: TelemetryCounters::default(),
             wall_elapsed: std::time::Duration::ZERO,
             tracer: None,
+            trace_mask: 0,
             metrics: None,
         }
     }
 
     /// Attach a [`TraceSink`]; every subsequent kernel- and node-level
-    /// trace emission lands in it. Replaces any previous sink. Like
-    /// telemetry, tracing is strictly observational — the sink cannot
-    /// influence the schedule, so traces are identical run-to-run.
+    /// trace emission of a kind it [wants](TraceSink::wants) lands in it.
+    /// Replaces any previous sink. Like telemetry, tracing is strictly
+    /// observational — the sink cannot influence the schedule, so traces
+    /// are identical run-to-run.
     pub fn set_tracer(&mut self, tracer: Box<dyn TraceSink>) {
+        self.trace_mask = TraceKind::mask(|k| tracer.wants(k));
         self.tracer = Some(tracer);
     }
 
-    /// Is a trace sink attached? Instrumentation sites with non-trivial
-    /// event preparation (cloning a path, reading state twice) check this
-    /// first so the disabled path stays a single branch.
+    /// Does the attached sink want events of `kind`? Emission sites check
+    /// this before preparing an event (reading the packet, cloning a
+    /// path), so with no sink, or one that declines the kind, the site
+    /// costs one mask test.
     #[inline]
-    pub fn trace_enabled(&self) -> bool {
-        self.tracer.is_some()
+    pub fn tracing(&self, kind: TraceKind) -> bool {
+        self.trace_mask & kind.bit() != 0
     }
 
     /// Emit a trace event. The closure receives the current time in
-    /// nanoseconds and is only invoked when a sink is attached, so the
-    /// disabled cost is one `Option` discriminant check.
+    /// nanoseconds and is only invoked when a sink is attached; the event
+    /// reaches the sink only if it wants the event's kind.
     #[inline]
     pub fn trace(&mut self, make: impl FnOnce(u64) -> TraceEvent) {
         let t = self.now.as_nanos();
         if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.record(&make(t));
+            let ev = make(t);
+            if self.trace_mask & ev.trace_kind().bit() != 0 {
+                tr.record(&ev);
+            }
         }
     }
 
@@ -159,7 +168,7 @@ impl Kernel {
 
     /// Is a metrics hub attached? Instrumentation sites with non-trivial
     /// preparation (label building, latency lookups) check this first so
-    /// the disabled path stays a single branch — the `trace_enabled`
+    /// the disabled path stays a single branch — the [`Kernel::tracing`]
     /// contract, applied to metrics.
     #[inline]
     pub fn metrics_enabled(&self) -> bool {
@@ -310,7 +319,7 @@ impl Kernel {
         if adm.is_none() {
             self.records.congestion_drops += 1;
             self.telemetry.congestion_drops += 1;
-            if self.trace_enabled() {
+            if self.tracing(TraceKind::PacketDrop) {
                 let (uid, entry, flow) = ids(self);
                 let node = self.current as u64;
                 self.trace(|t| TraceEvent::PacketDrop {
@@ -414,7 +423,7 @@ impl Kernel {
             if is_control {
                 self.telemetry.chaos_control_faults += 1;
             }
-            if self.trace_enabled() {
+            if self.tracing(TraceKind::ChaosInject) {
                 let uid = self.pool.get(r).uid;
                 self.trace(|_| TraceEvent::ChaosInject {
                     t: when.as_nanos(),
@@ -442,7 +451,7 @@ impl Kernel {
                     DropCause::Gray
                 }
             };
-            if self.trace_enabled() {
+            if self.tracing(TraceKind::PacketDrop) {
                 let node = self.current as u64;
                 let (uid, entry, flow) = trace_ids(&pkt);
                 // The wire acts at the packet's departure time, which may
@@ -462,7 +471,7 @@ impl Kernel {
             return;
         }
         self.telemetry.packets_forwarded += 1;
-        if self.trace_enabled() {
+        if self.tracing(TraceKind::PacketForward) {
             let (uid, entry, flow) = trace_ids(self.pool.get(r));
             self.trace(|_| TraceEvent::PacketForward {
                 t: when.as_nanos(),
@@ -496,7 +505,7 @@ impl Kernel {
             if is_control {
                 self.telemetry.chaos_control_faults += 1;
             }
-            if self.trace_enabled() {
+            if self.tracing(TraceKind::ChaosInject) {
                 self.trace(|_| TraceEvent::ChaosInject {
                     t: when.as_nanos(),
                     link: adm.link as u64,
@@ -513,7 +522,7 @@ impl Kernel {
                 if is_control {
                     self.telemetry.chaos_control_faults += 1;
                 }
-                if self.trace_enabled() {
+                if self.tracing(TraceKind::ChaosInject) {
                     let uid = self.pool.get(r).uid;
                     self.trace(|_| TraceEvent::ChaosInject {
                         t: when.as_nanos(),
@@ -631,7 +640,7 @@ impl Kernel {
                 }
             });
         }
-        if self.trace_enabled() {
+        if self.tracing(TraceKind::Detection) {
             let node = self.current as u64;
             let (scope_name, entry, path) = match &scope {
                 DetectionScope::Entry(p) => ("entry", Some(u64::from(p.0)), Vec::new()),

@@ -96,7 +96,8 @@ pub mod prelude {
     pub use crate::time::{transmission_time, SimDuration, SimTime};
     pub use fancy_metrics::{Labels, MetricsHub, Snapshot};
     pub use fancy_trace::{
-        DropCause, JsonlWriter, RingRecorder, SharedRecorder, TraceEvent, TraceSink, UNIT_TREE,
+        DropCause, JsonlWriter, RingRecorder, SharedRecorder, TraceEvent, TraceKind, TraceSink,
+        UNIT_TREE,
     };
 }
 

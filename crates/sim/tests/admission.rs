@@ -7,7 +7,8 @@
 //! and size of the refused packet, counted once in telemetry and once in
 //! the records. The refused by-value packet was never stamped, so it
 //! must not use up a uid: the next accepted by-value packet gets the uid
-//! it would have had without the refusal.
+//! it would have had without the refusal. The same run traced into a
+//! sink that wants only drops hands it exactly those two events.
 
 use std::any::Any;
 
@@ -54,8 +55,9 @@ impl Node for Relay {
     }
 }
 
-#[test]
-fn by_value_and_by_ref_refusals_share_one_admission_path() {
+/// Relay (node 0) → sink (node 1) over link 0, traced into `tracer`,
+/// run to the end.
+fn run(tracer: Box<dyn TraceSink>) -> Network {
     let mut net = Network::new(1);
     let relay = net.add_node(Box::new(Relay::default()));
     let sink = net.add_node(Box::new(SinkNode::default()));
@@ -63,9 +65,8 @@ fn by_value_and_by_ref_refusals_share_one_admission_path() {
     // takes only one of them.
     let cfg = LinkConfig::new(1_000_000, SimDuration::from_millis(1))
         .with_tm_capacity(u64::from(SIZE) + 500);
-    let link = net.connect(relay, sink, cfg);
-    let recorder = SharedRecorder::new(64);
-    net.kernel.set_tracer(Box::new(recorder.clone()));
+    net.connect(relay, sink, cfg);
+    net.kernel.set_tracer(tracer);
     // Stamped now (uid 1), forwarded by ref 1 µs in, while the queue is full.
     net.kernel.inject(
         relay,
@@ -74,6 +75,14 @@ fn by_value_and_by_ref_refusals_share_one_admission_path() {
         SimTime::ZERO + SimDuration::from_micros(1),
     );
     net.run_to_end();
+    net
+}
+
+#[test]
+fn by_value_and_by_ref_refusals_share_one_admission_path() {
+    let recorder = SharedRecorder::new(64);
+    let net = run(Box::new(recorder.clone()));
+    let (relay, sink, link) = (0, 1, 0);
 
     assert_eq!(
         net.node::<Relay>(relay).accepted,
@@ -142,4 +151,32 @@ fn by_value_and_by_ref_refusals_share_one_admission_path() {
         })
         .collect();
     assert_eq!(forwarded, [(2, Some(1)), (3, Some(3))]);
+}
+
+/// Wants only drops; records what it is handed.
+struct DropsOnly(SharedRecorder);
+
+impl TraceSink for DropsOnly {
+    fn wants(&self, kind: TraceKind) -> bool {
+        kind == TraceKind::PacketDrop
+    }
+    fn record(&mut self, event: &TraceEvent) {
+        self.0.record(event);
+    }
+}
+
+#[test]
+fn a_sink_is_handed_only_the_kinds_it_wants() {
+    let all = SharedRecorder::new(64);
+    run(Box::new(all.clone()));
+    let drops = SharedRecorder::new(64);
+    run(Box::new(DropsOnly(drops.clone())));
+    let all = all.snapshot();
+    let want: Vec<_> = all
+        .iter()
+        .filter(|e| e.trace_kind() == TraceKind::PacketDrop)
+        .cloned()
+        .collect();
+    assert_eq!((want.len(), all.len() > want.len()), (2, true));
+    assert_eq!(drops.snapshot(), want);
 }

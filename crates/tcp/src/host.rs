@@ -41,7 +41,7 @@ use fancy_net::{FnvMap, Prefix};
 use fancy_sim::metrics::Labels;
 use fancy_sim::{
     FlowId, Kernel, Node, PacketBuilder, PacketKind, PacketRef, PortId, SimDuration, SimTime,
-    TimerToken, TraceEvent,
+    TimerToken, TraceEvent, TraceKind,
 };
 
 use crate::flow::{FlowAction, FlowConfig, TcpFlow};
@@ -357,7 +357,7 @@ impl Node for SenderHost {
             if retx {
                 ctx.metrics(|r| r.inc("fancy_tcp_fast_retx_total", Labels::new()));
             }
-            if retx && ctx.trace_enabled() {
+            if retx && (ctx.tracing(TraceKind::TcpFastRetx) || ctx.tracing(TraceKind::TcpCwnd)) {
                 let node = ctx.self_id() as u64;
                 ctx.trace(|t| TraceEvent::TcpFastRetx { t, node, flow, seq });
                 if cwnd_after < cwnd_before {
@@ -406,7 +406,7 @@ impl Node for SenderHost {
                 let wire = (s.dst, s.flow.cfg.pkt_size);
                 if let FlowAction::Send { seq, retx } = action {
                     ctx.metrics(|r| r.inc("fancy_tcp_rto_total", Labels::new()));
-                    if ctx.trace_enabled() {
+                    if ctx.tracing(TraceKind::TcpRto) || ctx.tracing(TraceKind::TcpCwnd) {
                         let node = ctx.self_id() as u64;
                         ctx.trace(|t| TraceEvent::TcpRto {
                             t,
@@ -440,12 +440,6 @@ impl Node for SenderHost {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-}
-
-#[derive(Debug, Default)]
-struct RecvFlow {
-    rcv_next: u64,
-    out_of_order: BTreeSet<u64>,
 }
 
 /// A throughput probe: byte counts per fixed time bucket for a set of
@@ -515,11 +509,21 @@ pub struct EntryCount {
 /// The universal receiver: accepts data for any destination address, sends
 /// cumulative ACKs back toward the packet's source, and tracks per-entry
 /// byte counts.
+///
+/// Per flow it keeps one word, the next in-order segment it expects. The
+/// segments received past a hole live in a second map only while that
+/// flow has a hole, so a flow that never saw loss or reordering costs one
+/// map slot, and an in-order segment costs one lookup while no flow has a
+/// hole.
 #[derive(Default)]
 pub struct ReceiverHost {
-    /// Keyed by `(source address, flow id)`: flow ids are only unique per
-    /// sender, and a receiver can serve many senders at once.
-    recv: FnvMap<(u32, FlowId), RecvFlow>,
+    /// Next expected segment, keyed by `(source address, flow id)`: flow
+    /// ids are only unique per sender, and a receiver can serve many
+    /// senders at once.
+    rcv_next: FnvMap<(u32, FlowId), u64>,
+    /// Segments received above `rcv_next`, for the flows that have a hole
+    /// (never an empty set: a flow leaves when its last hole fills).
+    holes: FnvMap<(u32, FlowId), BTreeSet<u64>>,
     /// Bytes and packets received per entry.
     pub entries: FnvMap<Prefix, EntryCount>,
     /// Optional throughput probes.
@@ -552,25 +556,26 @@ impl Node for ReceiverHost {
         match p.kind {
             PacketKind::TcpData { flow, seq, .. } => {
                 self.note(ctx.now(), entry, size);
-                let st = self.recv.entry((src, flow)).or_default();
-                if seq == st.rcv_next {
-                    st.rcv_next += 1;
-                    while st.out_of_order.remove(&st.rcv_next) {
-                        st.rcv_next += 1;
+                let key = (src, flow);
+                let next = self.rcv_next.entry(key).or_default();
+                if seq == *next {
+                    *next += 1;
+                    if !self.holes.is_empty() {
+                        if let Some(above) = self.holes.get_mut(&key) {
+                            while above.remove(next) {
+                                *next += 1;
+                            }
+                            if above.is_empty() {
+                                self.holes.remove(&key);
+                            }
+                        }
                     }
-                } else if seq > st.rcv_next {
-                    st.out_of_order.insert(seq);
+                } else if seq > *next {
+                    self.holes.entry(key).or_default().insert(seq);
                 }
-                let ack = PacketBuilder::new(
-                    dst,
-                    src,
-                    ACK_SIZE,
-                    PacketKind::TcpAck {
-                        flow,
-                        ack: st.rcv_next,
-                    },
-                )
-                .build();
+                let ack =
+                    PacketBuilder::new(dst, src, ACK_SIZE, PacketKind::TcpAck { flow, ack: *next })
+                        .build();
                 ctx.send(port, ack);
             }
             PacketKind::Udp { .. } => {
@@ -959,6 +964,78 @@ mod tests {
         probe.observe(SimTime(0), Prefix(1), 100);
         probe.observe(SimTime(0), Prefix(2), 100);
         assert_eq!(probe.series, vec![100]);
+    }
+
+    /// Logs every cumulative ACK it is sent: `(to, flow, ack)`.
+    #[derive(Default)]
+    struct AckLog(Vec<(u32, FlowId, u64)>);
+
+    impl Node for AckLog {
+        fn on_packet(&mut self, ctx: &mut Kernel, _port: PortId, pkt: PacketRef) {
+            let p = ctx.pkt(pkt);
+            if let PacketKind::TcpAck { flow, ack } = p.kind {
+                self.0.push((p.dst, flow, ack));
+            }
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    proptest::proptest! {
+        /// The receiver's cumulative ACK is, segment by segment, the
+        /// smallest sequence number of that `(source, flow)` not yet
+        /// received, as a `BTreeSet` of everything received computes it:
+        /// over in-order, duplicate, reordered and gap-filling segments,
+        /// from two sources that use the same flow ids. Once every gap
+        /// is filled, no flow is left in the holes map.
+        #[test]
+        fn cumulative_acks_match_a_set_of_received_segments(
+            words in proptest::collection::vec(0u64..2 * 3 * 12, 0..80),
+        ) {
+            const SOURCES: [u32; 2] = [0x0100_0001, 0x0200_0001];
+            // One word is a segment: source (2), flow (3), seq (12).
+            let segments: Vec<(u32, FlowId, u64)> =
+                words.iter().map(|&w| ((w % 2) as u32, w / 2 % 3, w / 6)).collect();
+            let mut net = Network::new(3);
+            let rx = net.add_node(Box::new(ReceiverHost::new()));
+            let log = net.add_node(Box::new(AckLog::default()));
+            net.connect(rx, log, LinkConfig::new(1_000_000_000, SimDuration::from_micros(1)));
+
+            // Fill phase: every (source, flow) seen gets all of 0..=max.
+            let mut top = std::collections::BTreeMap::new();
+            for &(s, flow, seq) in &segments {
+                let max = top.entry((s, flow)).or_insert(seq);
+                *max = (*max).max(seq);
+            }
+            let fill = top.iter().flat_map(|(&(s, flow), &max)| (0..=max).map(move |q| (s, flow, q)));
+            let all: Vec<_> = segments.iter().copied().chain(fill).collect();
+
+            let mut received: std::collections::BTreeMap<(u32, FlowId), BTreeSet<u64>> =
+                Default::default();
+            let mut want = Vec::new();
+            for (i, &(s, flow, seq)) in all.iter().enumerate() {
+                let src = SOURCES[s as usize];
+                let got = received.entry((src, flow)).or_default();
+                got.insert(seq);
+                want.push((src, flow, (0..).find(|n| !got.contains(n)).expect("finite set")));
+                let kind = PacketKind::TcpData { flow, seq, retx: false };
+                let pkt = PacketBuilder::new(src, 0x0A00_0001, 1500, kind).build();
+                let at = SimTime::ZERO + SimDuration::from_micros(100) * i as u64;
+                net.kernel.inject(rx, 0, pkt, at);
+                net.run_until(at + SimDuration::from_micros(50));
+                let host: &ReceiverHost = net.node(rx);
+                proptest::prop_assert!(host.holes.values().all(|h| !h.is_empty()));
+            }
+            proptest::prop_assert_eq!(&net.node::<AckLog>(log).0, &want);
+            let host: &ReceiverHost = net.node(rx);
+            proptest::prop_assert!(host.holes.is_empty(), "{:?}", host.holes);
+            proptest::prop_assert_eq!(host.rcv_next.len(), received.len());
+        }
     }
 
     #[test]

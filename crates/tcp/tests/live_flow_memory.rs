@@ -1,10 +1,17 @@
-//! A sender's TCP state grows with the flows running at once, not with
-//! the flows it was given. One `SenderHost` runs `n` short flows back to
+//! TCP host state, measured with a counting `#[global_allocator]` at two
+//! flow counts; the difference is what one more flow costs.
+//!
+//! A sender's state grows with the flows running at once, not with the
+//! flows it was given. One `SenderHost` runs `n` short flows back to
 //! back, never more than 50 at once, against a node that echoes an ACK
 //! for every segment and remembers nothing, so the sender holds the only
-//! per-flow state. The heap's peak while the host is built and run is
-//! measured with a counting `#[global_allocator]` at two schedule
-//! lengths; the difference is what one more scheduled flow costs.
+//! per-flow state; the heap's peak while the host is built and run is
+//! what is compared.
+//!
+//! A receiver keeps one word per flow it has seen: the next segment it
+//! expects. Every flow here arrives with a hole that then fills, so the
+//! heap the receiver still holds afterwards shows that a filled hole
+//! leaves nothing behind.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
@@ -13,9 +20,9 @@ use std::sync::Arc;
 
 use fancy_sim::{
     Kernel, LinkConfig, Network, Node, PacketBuilder, PacketKind, PacketRef, PortId, SimDuration,
-    SimTime,
+    SimTime, SinkNode,
 };
-use fancy_tcp::{FlowConfig, ScheduledFlow, SenderHost, ACK_SIZE};
+use fancy_tcp::{FlowConfig, ReceiverHost, ScheduledFlow, SenderHost, ACK_SIZE};
 
 thread_local! {
     // Per-thread so the libtest harness's own threads cannot perturb the
@@ -137,5 +144,64 @@ fn sender_peak_heap_grows_with_live_flows_not_scheduled_ones() {
         per_flow <= 16.0,
         "peak heap grows {per_flow:.1} B per scheduled flow \
          ({small} flows: {p_small} B, {large} flows: {p_large} B)"
+    );
+}
+
+/// Flows fed to the receiver per batch; at most this many have a hole at
+/// once, and the event queue and packet pool never hold more than a
+/// batch's segments.
+const BATCH: u64 = 64;
+
+/// Feed one `ReceiverHost` segments 0, 2, 1, 3 of each of `n` flows (a
+/// hole opened and filled), a batch of flows at a time; returns how far
+/// the live heap stands above where it stood before, with the host and
+/// its network still alive.
+fn receiver_growth(n: u64) -> i64 {
+    let base = LIVE.with(Cell::get);
+    let mut net = Network::new(7);
+    let rx = net.add_node(Box::new(ReceiverHost::new()));
+    let acks = net.add_node(Box::new(SinkNode::default()));
+    net.connect(
+        rx,
+        acks,
+        LinkConfig::new(1_000_000_000, SimDuration::from_micros(1)),
+    );
+    let step = SimDuration::from_micros(1);
+    for first in (0..n).step_by(BATCH as usize) {
+        let mut at = net.kernel.now() + step;
+        for flow in first..(first + BATCH).min(n) {
+            for seq in [0, 2, 1, 3] {
+                let kind = PacketKind::TcpData {
+                    flow,
+                    seq,
+                    retx: false,
+                };
+                let pkt = PacketBuilder::new(0x0100_0001, 0x0A00_0001, 1500, kind).build();
+                net.kernel.inject(rx, 0, pkt, at);
+                at += step;
+            }
+        }
+        net.run_until(at + SimDuration::from_millis(1));
+    }
+    assert_eq!(net.node::<ReceiverHost>(rx).data_packets, 4 * n);
+    assert_eq!(net.node::<SinkNode>(acks).packets, 4 * n);
+    LIVE.with(Cell::get) - base
+}
+
+#[test]
+fn receiver_heap_holds_one_word_per_flow() {
+    // Both counts fill the std hash table to its most entries per bucket
+    // (7/8 of 2^11 and 2^14 buckets), so the difference is what an entry
+    // costs, not how much head-room the last doubling left.
+    let (small, large) = (1_792, 14_336);
+    let (g_small, g_large) = (receiver_growth(small), receiver_growth(large));
+    let per_flow = (g_large - g_small) as f64 / (large - small) as f64;
+    // A 16 B `(source, flow)` key, the 8 B next-expected segment and a
+    // control byte, at 7/8 load: 28.6 B. A second word per flow, or a
+    // hole that leaves its set behind, does not fit.
+    assert!(
+        per_flow <= 32.0,
+        "the receiver holds {per_flow:.1} B per flow \
+         ({small} flows: {g_small} B, {large} flows: {g_large} B)"
     );
 }

@@ -137,7 +137,8 @@ impl Wire for DropCause {
 
 /// Declares [`TraceEvent`] from one list of `Variant = "ev" { t: u64,
 /// field: Type, … }` entries, fields in wire order after the timestamp:
-/// the enum, [`TraceEvent::kind`], [`TraceEvent::time_ns`],
+/// the enum, its field-less twin [`TraceKind`], [`TraceEvent::kind`],
+/// [`TraceEvent::trace_kind`], [`TraceEvent::time_ns`],
 /// [`TraceEvent::write_jsonl`] and [`TraceEvent::parse_line`] all come
 /// from it, so the writer and the parser cannot drift apart. A field's
 /// key is its name and its [`Wire`] impl says how it is spelled;
@@ -179,11 +180,48 @@ macro_rules! trace_events {
             },)*
         }
 
+        /// Which [`TraceEvent`] variant, without its fields: what a
+        /// [`crate::TraceSink`] names in [`crate::TraceSink::wants`] and an
+        /// emission site asks about before it builds the event.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum TraceKind {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl TraceKind {
+            /// Every kind, in declaration order.
+            pub const ALL: &'static [TraceKind] = &[$(TraceKind::$variant,)*];
+
+            /// This kind's bit in a [`TraceKind::mask`].
+            #[inline]
+            pub const fn bit(self) -> u64 {
+                1 << self as u32
+            }
+
+            /// The bitmask of the kinds `wants` accepts.
+            pub fn mask(wants: impl Fn(TraceKind) -> bool) -> u64 {
+                TraceKind::ALL
+                    .iter()
+                    .filter(|&&k| wants(k))
+                    .fold(0, |m, k| m | k.bit())
+            }
+        }
+
+        // One bit per kind must fit a `u64` mask.
+        const _: () = assert!(TraceKind::ALL.len() <= 64);
+
         impl TraceEvent {
             /// Stable discriminator, as written to the `ev` field.
             pub fn kind(&self) -> &'static str {
                 match self {
                     $(TraceEvent::$variant { .. } => $ev,)*
+                }
+            }
+
+            /// The event's [`TraceKind`].
+            pub fn trace_kind(&self) -> TraceKind {
+                match self {
+                    $(TraceEvent::$variant { .. } => TraceKind::$variant,)*
                 }
             }
 

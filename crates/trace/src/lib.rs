@@ -29,7 +29,7 @@ pub mod json;
 pub mod profile;
 pub mod sink;
 
-pub use event::{parse_jsonl, DropCause, ParseError, TraceEvent, UNIT_TREE};
+pub use event::{parse_jsonl, DropCause, ParseError, TraceEvent, TraceKind, UNIT_TREE};
 pub use profile::Profiler;
 pub use sink::{
     events_to_jsonl, merge_shard_streams, JsonlWriter, NullTraceSink, RingRecorder, SharedRecorder,

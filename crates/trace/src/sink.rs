@@ -11,7 +11,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::event::TraceEvent;
+use crate::event::{TraceEvent, TraceKind};
 
 /// Receives trace events. `Send` so a sink can ride inside a sweep cell
 /// that runs on a worker thread.
@@ -19,6 +19,14 @@ pub trait TraceSink: Send {
     /// Record one event. Events arrive in emission order, which is the
     /// kernel's deterministic dispatch order.
     fn record(&mut self, event: &TraceEvent);
+
+    /// Does this sink want events of `kind` at all? Asked once, when the
+    /// sink is attached; events of a kind it declines are never built. A
+    /// sink that keeps only some events of a kind still filters those in
+    /// [`TraceSink::record`].
+    fn wants(&self, _kind: TraceKind) -> bool {
+        true
+    }
 }
 
 /// Swallows everything (useful to measure tracing overhead itself).

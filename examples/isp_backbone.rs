@@ -202,6 +202,34 @@ fn main() -> ExitCode {
         topo.fingerprint(),
     );
 
+    // The edges an overlapping-failure combo can draw from: those that
+    // carry a victim entry. A combo of fewer than `--multi` edges is not
+    // the overlap asked for, so too few of them is a usage error, found
+    // before any sweep runs.
+    let carrying: Vec<usize> = if multi >= 2 {
+        let routes = match Routes::compute(&topo) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("isp_backbone: routes: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        let carrying: Vec<usize> = (0..topo.edges.len())
+            .filter(|&e| directed_victim(&topo, &routes, e).is_some())
+            .collect();
+        if carrying.len() < multi {
+            eprintln!(
+                "isp_backbone: --multi {multi} needs {multi} traffic-carrying edges, \
+                 the backbone has {}\n{USAGE}",
+                carrying.len()
+            );
+            return ExitCode::from(2);
+        }
+        carrying
+    } else {
+        Vec::new()
+    };
+
     // Deterministic spread of failed edges over the edge list.
     let edges: Option<Vec<usize>> = (fail_n > 0).then(|| {
         let m = fail_n.min(topo.edges.len());
@@ -296,23 +324,12 @@ fn main() -> ExitCode {
     // Overlapping-failure sweep: `--combos N` combinations of `--multi K`
     // simultaneously failed edges, chaos on the first member of each.
     let multi_report = if multi >= 2 {
-        let routes = match Routes::compute(&topo) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("isp_backbone: routes: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let carrying: Vec<usize> = (0..topo.edges.len())
-            .filter(|&e| directed_victim(&topo, &routes, e).is_some())
-            .collect();
-        let per = multi.min(carrying.len());
-        let want = (combos_n * per).min(carrying.len());
+        let want = (combos_n * multi).min(carrying.len());
         let step = (carrying.len() / want.max(1)).max(1);
         let picked: Vec<usize> = (0..want).map(|i| carrying[i * step]).collect();
         let combos: Vec<Vec<MultiFault>> = picked
-            .chunks(per)
-            .filter(|c| c.len() == per)
+            .chunks(multi)
+            .filter(|c| c.len() == multi)
             .map(|c| {
                 c.iter()
                     .enumerate()
@@ -333,7 +350,7 @@ fn main() -> ExitCode {
         println!(
             "\noverlapping failures: {} combo(s), {} edges failed simultaneously each:",
             mr.outcomes.len(),
-            per,
+            multi,
         );
         println!(
             "{:<6} {:<16} {:<6} {:>8} {:>10} {:>10} {:>10} {:>9} {:>6}",

@@ -97,7 +97,7 @@ fn run_fsm_pair(drop_pattern: &[bool], rounds: usize) -> (u64, u64) {
                         to_sender.push((receiver.session_id, body));
                     }
                 }
-                ReceiverAction::EmitReport | ReceiverAction::ResendReport => {
+                ReceiverAction::EmitReport | ReceiverAction::ResendReport { .. } => {
                     if !*drop_iter.next().unwrap() {
                         to_sender.push((
                             receiver.session_id,
@@ -123,7 +123,7 @@ fn run_fsm_pair(drop_pattern: &[bool], rounds: usize) -> (u64, u64) {
             let acts = receiver.on_timer(e);
             for a in acts {
                 match a {
-                    ReceiverAction::EmitReport | ReceiverAction::ResendReport => {
+                    ReceiverAction::EmitReport | ReceiverAction::ResendReport { .. } => {
                         if !*drop_iter.next().unwrap() {
                             to_sender.push((
                                 receiver.session_id,
