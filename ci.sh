@@ -34,6 +34,8 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 
 echo "== benches compile =="
 cargo build --benches --release --workspace
+# The one bench that runs in seconds: the IBF and wire-format unit costs.
+cargo bench -q -p fancy-bench --bench micro
 
 echo "== ledger still compiles (benchmark/ against the harness API) =="
 # benchmark/ is a separate package that path-depends on this workspace;
@@ -103,8 +105,9 @@ echo "== network-wide gate (small ISP backbone, FANcY on every edge) =="
 cargo run -q --release --example isp_backbone -- --switches 12 --fail 4
 cargo test -q --release -p fancy-bench --test netwide_determinism
 # Malformed CLI input is a usage error (exit 2), never a panic; so is a
-# flag missing its path. An input file that cannot be read is a plain
-# failure (exit 1) with the I/O error, never a panic.
+# flag missing its path, and an argument the example does not know. An
+# input file that cannot be read is a plain failure (exit 1) with the
+# I/O error, never a panic.
 expect_exit() { # expect_exit CODE EXAMPLE ARGS...
     local want=$1 rc=0 err
     shift
@@ -123,8 +126,13 @@ expect_exit 2 isp_backbone -- --switches 2 --fail 0 --multi 2 --combos 1
 # One edge, no loop-free alternate: nothing is SPIDER-protected, so the
 # reroute check does not apply and the run passes on its other checks.
 expect_exit 0 isp_backbone -- --switches 2 --fail 0
+expect_exit 2 isp_backbone -- --switch 12
 expect_exit 2 metrics_report -- --golden
 expect_exit 2 metrics_report -- --write-golden
+# An unknown flag, or both golden flags, would let the metrics gate pass
+# without reading its golden.
+expect_exit 2 metrics_report -- --golde tests/golden/metrics_report.prom
+expect_exit 2 metrics_report -- --golden a --write-golden b
 expect_exit 2 trace_compile -- compile --scale
 expect_exit 2 trace_compile -- compile --scale abc
 expect_exit 2 trace_compile -- compile --scale 2
@@ -132,6 +140,7 @@ expect_exit 1 trace_compile -- verify --file /nonexistent/missing.events
 # A trace that cannot be read, or names an unknown event kind, fails
 # typed (exit 1, the parse error printed), never with a panic.
 expect_exit 1 trace_report -- /nonexistent/missing.jsonl
+expect_exit 2 trace_report -- a b
 WARP_TRACE="$(mktemp)"
 trap 'rm -f "$WARP_TRACE"' EXIT
 echo '{"ev":"warp","t":1}' >"$WARP_TRACE"

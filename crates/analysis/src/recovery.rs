@@ -193,12 +193,6 @@ pub fn verify(events: &[TraceEvent], contract: &RecoveryContract) -> RecoveryVer
     v
 }
 
-/// Verify many contracts against one merged stream; verdicts come back in
-/// contract order.
-pub fn verify_all(events: &[TraceEvent], contracts: &[RecoveryContract]) -> Vec<RecoveryVerdict> {
-    contracts.iter().map(|c| verify(events, c)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,25 +322,5 @@ mod tests {
         let v = verify(&[], &c);
         assert_eq!(v.onset_ns, Some(5_000));
         assert!(!v.latency_ok, "onset with no reroute must fail");
-    }
-
-    #[test]
-    fn verify_all_keeps_contract_order() {
-        let events = vec![
-            gray(1_000, 1),
-            reroute(2_000, 1),
-            gray(1_000, 2),
-            reroute(900_000, 2),
-        ];
-        let vs = verify_all(
-            &events,
-            &[
-                RecoveryContract::new(1, 100_000, 10_000),
-                RecoveryContract::new(2, 100_000, 10_000),
-            ],
-        );
-        assert_eq!(vs.len(), 2);
-        assert!(vs[0].pass());
-        assert!(!vs[1].pass());
     }
 }

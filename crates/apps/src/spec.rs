@@ -260,6 +260,31 @@ pub(crate) fn checked_connect(
     Ok(net.connect(a, b, cfg))
 }
 
+/// Connect each `(a, b, link, name)` in order: the edge handles of a
+/// hand-wired shape. A node's port on a link is the number of links it
+/// already has, which is the port [`Network::connect`] assigns, since
+/// every link of these shapes is connected here.
+fn wire(
+    net: &mut Network,
+    links: &[(NodeId, NodeId, LinkConfig, &str)],
+) -> Result<Vec<EdgeHandle>, ScenarioError> {
+    let mut edges: Vec<EdgeHandle> = Vec::with_capacity(links.len());
+    for &(a, b, cfg, name) in links {
+        let port = |n: NodeId| edges.iter().filter(|e| e.a == n || e.b == n).count();
+        let (port_a, port_b) = (port(a), port(b));
+        let link = checked_connect(net, a, b, cfg, name)?;
+        edges.push(EdgeHandle {
+            name: name.to_owned(),
+            link,
+            a,
+            b,
+            port_a,
+            port_b,
+        });
+    }
+    Ok(edges)
+}
+
 /// One TCP flow between two switches of a graph scenario: from `src`'s
 /// sender host to `dst`'s service address.
 #[derive(Debug, Clone)]
@@ -578,34 +603,14 @@ impl ScenarioSpec {
         rx.probes = self.probes;
         let receiver = net.add_node(Box::new(rx));
 
-        let mut edges = Vec::with_capacity(3);
-        let l0 = checked_connect(&mut net, sender, s1, EDGE_LINK, "edge sender↔s1")?; // s1 port 0
-        edges.push(EdgeHandle {
-            name: "edge sender↔s1".to_owned(),
-            link: l0,
-            a: sender,
-            b: s1,
-            port_a: 0,
-            port_b: 0,
-        });
-        let l1 = checked_connect(&mut net, s1, s2, core_link, "core s1↔s2")?; // s1 port 1, s2 port 0
-        edges.push(EdgeHandle {
-            name: "core s1↔s2".to_owned(),
-            link: l1,
-            a: s1,
-            b: s2,
-            port_a: 1,
-            port_b: 0,
-        });
-        let l2 = checked_connect(&mut net, s2, receiver, EDGE_LINK, "edge s2↔receiver")?; // s2 port 1
-        edges.push(EdgeHandle {
-            name: "edge s2↔receiver".to_owned(),
-            link: l2,
-            a: s2,
-            b: receiver,
-            port_a: 1,
-            port_b: 0,
-        });
+        let edges = wire(
+            &mut net,
+            &[
+                (sender, s1, EDGE_LINK, "edge sender↔s1"),
+                (s1, s2, core_link, "core s1↔s2"),
+                (s2, receiver, EDGE_LINK, "edge s2↔receiver"),
+            ],
+        )?;
 
         Ok(Scenario {
             net,
@@ -684,33 +689,19 @@ impl ScenarioSpec {
         rx.probes = self.probes;
         let receiver = net.add_node(Box::new(rx));
 
-        let mut edges = Vec::with_capacity(7);
-        let wire = |net: &mut Network,
-                    a: NodeId,
-                    b: NodeId,
-                    pa: PortId,
-                    pb: PortId,
-                    name: &str,
-                    edges: &mut Vec<EdgeHandle>|
-         -> Result<usize, ScenarioError> {
-            let link = checked_connect(net, a, b, hw, name)?;
-            edges.push(EdgeHandle {
-                name: name.to_owned(),
-                link,
-                a,
-                b,
-                port_a: pa,
-                port_b: pb,
-            });
-            Ok(edges.len() - 1)
-        };
-        wire(&mut net, sender, s1, 0, 0, "sender↔s1", &mut edges)?; // s1 port 0
-        wire(&mut net, s1, link_switch, 1, 0, "primary s1↔ls", &mut edges)?; // s1 port 1 ↔ ls port 0
-        let fault = wire(&mut net, link_switch, s2, 1, 0, "primary ls↔s2", &mut edges)?; // ls port 1 ↔ s2 port 0
-        wire(&mut net, s1, link_switch, 2, 2, "backup s1↔ls", &mut edges)?; // s1 port 2 ↔ ls port 2
-        wire(&mut net, link_switch, s2, 3, 1, "backup ls↔s2", &mut edges)?; // ls port 3 ↔ s2 port 1
-        wire(&mut net, s2, receiver, 2, 0, "s2↔receiver", &mut edges)?; // s2 port 2
-        wire(&mut net, udp_node, s1, 0, 3, "udp↔s1", &mut edges)?; // s1 port 3
+        // Connect order gives the port numbers above.
+        let edges = wire(
+            &mut net,
+            &[
+                (sender, s1, hw, "sender↔s1"),
+                (s1, link_switch, hw, "primary s1↔ls"),
+                (link_switch, s2, hw, "primary ls↔s2"),
+                (s1, link_switch, hw, "backup s1↔ls"),
+                (link_switch, s2, hw, "backup ls↔s2"),
+                (s2, receiver, hw, "s2↔receiver"),
+                (udp_node, s1, hw, "udp↔s1"),
+            ],
+        )?;
 
         Ok(Scenario {
             net,
@@ -724,7 +715,7 @@ impl ScenarioSpec {
             bridges: vec![link_switch],
             edges,
             monitored: vec![1],
-            fault_edge: Some(fault),
+            fault_edge: Some(2), // primary ls↔s2
             protected: Vec::new(),
             topology: None,
             routes: None,
@@ -1200,6 +1191,57 @@ mod tests {
         assert_eq!(core.port_a, 1);
         assert_eq!(sc.monitored_edge().name, "core s1↔s2");
         assert_eq!(sc.fault().name, "core s1↔s2");
+    }
+
+    /// Every edge handle as `(name, link, a, b, port_a, port_b)`.
+    fn edge_rows(sc: &Scenario) -> Vec<(&str, LinkId, NodeId, NodeId, PortId, PortId)> {
+        let rows = sc.edges.iter();
+        rows.map(|e| (e.name.as_str(), e.link, e.a, e.b, e.port_a, e.port_b))
+            .collect()
+    }
+
+    /// Switches, senders, receivers, UDP sources, bridges, then the
+    /// monitored edge indices.
+    fn roles(sc: &Scenario) -> [&[usize]; 6] {
+        [
+            &sc.switches,
+            &sc.senders,
+            &sc.receivers,
+            &sc.udp_sources,
+            &sc.bridges,
+            &sc.monitored,
+        ]
+    }
+
+    #[test]
+    fn hand_wired_shapes_pin_every_edge_handle() {
+        let sc = ScenarioSpec::linear().build().unwrap();
+        assert_eq!(
+            edge_rows(&sc),
+            [
+                ("edge sender↔s1", 0, 0, 1, 0, 0),
+                ("core s1↔s2", 1, 1, 2, 1, 0),
+                ("edge s2↔receiver", 2, 2, 3, 1, 0),
+            ]
+        );
+        let want: [&[usize]; 6] = [&[1, 2], &[0], &[3], &[], &[], &[1]];
+        assert_eq!((roles(&sc), sc.fault_edge), (want, Some(1)));
+
+        let sc = ScenarioSpec::case_study().build().unwrap();
+        assert_eq!(
+            edge_rows(&sc),
+            [
+                ("sender↔s1", 0, 0, 2, 0, 0),
+                ("primary s1↔ls", 1, 2, 3, 1, 0),
+                ("primary ls↔s2", 2, 3, 4, 1, 0),
+                ("backup s1↔ls", 3, 2, 3, 2, 2),
+                ("backup ls↔s2", 4, 3, 4, 3, 1),
+                ("s2↔receiver", 5, 4, 5, 2, 0),
+                ("udp↔s1", 6, 1, 2, 0, 3),
+            ]
+        );
+        let want: [&[usize]; 6] = [&[2, 4], &[0], &[5], &[1], &[3], &[1]];
+        assert_eq!((roles(&sc), sc.fault_edge), (want, Some(2)));
     }
 
     #[test]

@@ -1,176 +1,98 @@
-//! Criterion microbenchmarks of the hot data-plane paths.
+//! Unit costs of the hot data-plane paths the perf ledger has no row for
+//! yet: LossRadar's IBF and the wire formats.
 //!
-//! These measure what the Tofino does per packet/per session: tree
-//! counting + tagging, zoom-session comparison, IBF insertion and peeling,
-//! FSM transitions, wire-format encode/decode, and the raw simulator event
-//! loop. They bound the software simulator's fidelity budget rather than
-//! claim hardware numbers.
+//! Each cost is timed with the ledger's estimator (`Loop::ns_per_op` in
+//! `benchmark/src/layers.rs`): a one-eighth warm-up, then the floor over
+//! five batches of ns per call. Inputs a call consumes are built before
+//! its batch's clock starts. One line per cost is printed.
+//!
+//! The other groups this bench once timed are ledger rows now:
+//!
+//! | group | ledger row |
+//! |---|---|
+//! | hash tree `tag_and_count` | `core.zoom.tag_and_count_ns` |
+//! | hash tree `end_session_no_loss` | `core.zoom.end_session_ns` |
+//! | counting FSM `full_session` | `core.fsm.session_roundtrip_ns` |
+//! | simulator `event_queue_push_pop` | `sim.event.push_pop_near_ns` |
+//! | trace synthesis `caida_1pct_10s` | `traffic.caida.synthesize_s` |
+//!
+//! The IBF and wire groups go too once the ledger has rows for them.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+use std::time::Instant;
 
 use fancy_baselines::LossRadarMeter;
-use fancy_core::{TimerConfig, TreeParams, ZoomEngine};
-use fancy_net::{ControlBody, ControlMessage, FancyTag, Prefix, SessionKind};
-use fancy_sim::event::Event;
-use fancy_sim::{SimDuration, SimTime};
+use fancy_net::{ControlBody, ControlMessage, FancyTag, SessionKind};
 
-fn bench_tree(c: &mut Criterion) {
-    let mut g = c.benchmark_group("hash_tree");
-    g.throughput(Throughput::Elements(1));
-    let mut engine = ZoomEngine::new(TreeParams::paper_default(), 7);
-    engine.begin_session();
-    let mut i = 0u32;
-    g.bench_function("tag_and_count", |b| {
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            black_box(engine.tag_and_count(Prefix(i % 250_000)))
-        })
-    });
+/// Timed batches per cost; the floor is reported.
+const SAMPLES: usize = 5;
 
-    // Session comparison over a full report (7 × 190 counters).
-    let width = usize::from(engine.params().width);
-    let report = vec![0u32; engine.slot_count() * width];
-    g.bench_function("end_session_no_loss", |b| {
-        b.iter_batched(
-            || {
-                let mut e = ZoomEngine::new(TreeParams::paper_default(), 7);
-                e.begin_session();
-                for k in 0..1000u32 {
-                    e.tag_and_count(Prefix(k));
-                }
-                e.local_report() // the downstream saw everything
-            },
-            |remote| {
-                let mut e = ZoomEngine::new(TreeParams::paper_default(), 7);
-                e.begin_session();
-                black_box(e.end_session(&remote))
-            },
-            criterion::BatchSize::SmallInput,
-        )
-    });
-    let _ = report;
-    g.finish();
+/// Prints the floor, over [`SAMPLES`] batches of `iters` calls, of ns per
+/// `run` call, after `iters / 8` warm-up calls. Every call's input comes
+/// from `setup`, all of a batch's inputs before its clock starts.
+fn report_batched<S>(name: &str, iters: u64, mut setup: impl FnMut() -> S, mut run: impl FnMut(S)) {
+    for _ in 0..iters / 8 {
+        run(setup());
+    }
+    let mut best = f64::INFINITY;
+    for _ in 0..SAMPLES {
+        let inputs: Vec<S> = (0..iters).map(|_| setup()).collect();
+        let start = Instant::now();
+        for input in inputs {
+            run(input);
+        }
+        best = best.min(start.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    println!("{name:<40} {best:>12.1} ns");
 }
 
-fn bench_ibf(c: &mut Criterion) {
-    let mut g = c.benchmark_group("lossradar_ibf");
-    g.throughput(Throughput::Elements(1));
+/// [`report_batched`] for a call that takes no input.
+fn report(name: &str, iters: u64, mut run: impl FnMut()) {
+    report_batched(name, iters, || (), |()| run());
+}
+
+fn main() {
     let mut meter = LossRadarMeter::new(2048, 3, 1);
     let mut k = 0u64;
-    g.bench_function("insert", |b| {
-        b.iter(|| {
-            k += 1;
-            meter.on_upstream(black_box(k));
-            meter.on_downstream(black_box(k));
-        })
+    report("lossradar_ibf/insert", 1_000_000, || {
+        k += 1;
+        meter.on_upstream(black_box(k));
+        meter.on_downstream(black_box(k));
     });
-    g.bench_function("rotate_decode_100_losses", |b| {
-        b.iter_batched(
-            || {
-                let mut m = LossRadarMeter::new(2048, 3, 2);
-                for k in 0..50_000u64 {
-                    m.on_upstream(k);
-                    if k >= 100 {
-                        m.on_downstream(k);
-                    }
-                }
-                m
-            },
-            |mut m| black_box(m.rotate()),
-            criterion::BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
+    let lossy = || {
+        let mut m = LossRadarMeter::new(2048, 3, 2);
+        for k in 0..50_000u64 {
+            m.on_upstream(k);
+            if k >= 100 {
+                m.on_downstream(k);
+            }
+        }
+        m
+    };
+    report_batched(
+        "lossradar_ibf/rotate_decode_100_losses",
+        32,
+        lossy,
+        |mut m| {
+            let _ = black_box(m.rotate());
+        },
+    );
 
-fn bench_fsm(c: &mut Criterion) {
-    let mut g = c.benchmark_group("counting_fsm");
-    g.bench_function("full_session", |b| {
-        b.iter(|| {
-            let timers = TimerConfig::paper_default();
-            let mut s = fancy_core::SenderFsm::new(SimDuration::from_millis(50), timers);
-            let a = s.open();
-            let epoch = a
-                .iter()
-                .find_map(|x| match x {
-                    fancy_core::fsm::SenderAction::ArmTimer { epoch, .. } => Some(*epoch),
-                    _ => None,
-                })
-                .unwrap();
-            let _ = epoch;
-            let a = s.on_message(s.session_id, &ControlBody::StartAck);
-            let epoch = a
-                .iter()
-                .find_map(|x| match x {
-                    fancy_core::fsm::SenderAction::ArmTimer { epoch, .. } => Some(*epoch),
-                    _ => None,
-                })
-                .unwrap();
-            s.on_timer(epoch);
-            black_box(s.on_message(s.session_id, &ControlBody::Report(vec![42])))
-        })
-    });
-    g.finish();
-}
-
-fn bench_wire(c: &mut Criterion) {
-    let mut g = c.benchmark_group("wire_formats");
-    g.throughput(Throughput::Elements(1));
     let msg = ControlMessage {
         kind: SessionKind::Tree,
         session_id: 9,
         body: ControlBody::Report(vec![0u32; 7 * 190]),
     };
     let bytes = msg.to_bytes();
-    g.bench_function("report_emit_5330B", |b| {
-        b.iter(|| black_box(msg.to_bytes()))
+    report("wire_formats/report_emit_5330B", 20_000, || {
+        black_box(msg.to_bytes());
     });
-    g.bench_function("report_parse_5330B", |b| {
-        b.iter(|| black_box(ControlMessage::parse(&bytes).unwrap()))
+    report("wire_formats/report_parse_5330B", 20_000, || {
+        black_box(ControlMessage::parse(black_box(&bytes)).unwrap());
     });
     let mut buf = [0u8; 2];
-    g.bench_function("tag_emit_parse", |b| {
-        b.iter(|| {
-            FancyTag::Tree { slot: 3, index: 42 }.emit(&mut buf);
-            black_box(FancyTag::parse(&buf).unwrap())
-        })
+    report("wire_formats/tag_emit_parse", 1_000_000, || {
+        black_box(FancyTag::Tree { slot: 3, index: 42 }).emit(&mut buf);
+        black_box(FancyTag::parse(black_box(&buf)).unwrap());
     });
-    g.finish();
 }
-
-fn bench_event_queue(c: &mut Criterion) {
-    let mut g = c.benchmark_group("simulator");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("event_queue_push_pop", |b| {
-        let mut q = fancy_sim::event::EventQueue::new();
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 13;
-            q.push(SimTime(t % 1_000_000), Event::Timer { node: 0, token: t });
-            black_box(q.pop())
-        })
-    });
-    g.finish();
-}
-
-fn bench_trace_gen(c: &mut Criterion) {
-    let mut g = c.benchmark_group("trace_synthesis");
-    g.bench_function("caida_1pct_10s", |b| {
-        b.iter(|| {
-            black_box(fancy_traffic::synthesize(
-                fancy_traffic::paper_traces()[0],
-                SimDuration::from_secs(10),
-                0.01,
-                black_box(3),
-            ))
-        })
-    });
-    g.finish();
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_tree, bench_ibf, bench_fsm, bench_wire, bench_event_queue, bench_trace_gen
-}
-criterion_main!(benches);

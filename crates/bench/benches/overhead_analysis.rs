@@ -50,6 +50,10 @@ fn main() -> Result<(), ScenarioError> {
     sc.net.run_until(SimTime::ZERO + duration);
     let sw: &FancySwitch = sc.net.node(sc.switches[0]);
     let secs = duration.as_secs_f64();
+    let kernel = &sc.net.kernel;
+    let wire_bytes: u64 = (0..kernel.link_count())
+        .map(|l| kernel.link(l).tx_bytes(0) + kernel.link(l).tx_bytes(1))
+        .sum();
     println!("\nMeasured on a live simulation ({secs:.0} s, 1 dedicated entry + tree):");
     println!(
         "  control: {} frames, {} bytes → {:.1} kbps of control traffic",
@@ -61,8 +65,7 @@ fn main() -> Result<(), ScenarioError> {
         "  tagging: {} packets tagged → {} bytes of tags ({:.3}% of data bytes)",
         sw.stats.tagged_packets,
         sw.stats.tagged_packets * 2,
-        sw.stats.tagged_packets as f64 * 2.0 * 100.0
-            / (sc.net.kernel.records.wire_bytes as f64).max(1.0)
+        sw.stats.tagged_packets as f64 * 2.0 * 100.0 / (wire_bytes as f64).max(1.0)
     );
     let (ded_sessions, tree_sessions) = sw.sessions_completed(sc.monitored_edge().port_a);
     println!(

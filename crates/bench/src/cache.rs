@@ -307,11 +307,6 @@ impl Record {
         self.put(key, JsonValue::Str(v.to_owned()));
     }
 
-    /// Set an integer-array field.
-    pub fn put_arr(&mut self, key: &str, v: &[u64]) {
-        self.put(key, JsonValue::Arr(v.to_vec()));
-    }
-
     /// Read an integer field.
     pub fn u64(&self, key: &str) -> Option<u64> {
         self.get(key).and_then(JsonValue::as_u64)
@@ -325,11 +320,6 @@ impl Record {
     /// Read a string field.
     pub fn str(&self, key: &str) -> Option<&str> {
         self.get(key).and_then(JsonValue::as_str)
-    }
-
-    /// Read an integer-array field.
-    pub fn arr(&self, key: &str) -> Option<&[u64]> {
-        self.get(key).and_then(JsonValue::as_arr)
     }
 
     /// Encode as one JSONL line (no trailing newline).
@@ -549,7 +539,6 @@ mod tests {
         result.put_f64("avg_detection_s", 0.412);
         result.put_u64("reps", 3);
         result.put_str("note", "quote \" and \\ newline \n survive");
-        result.put_arr("path", &[3, 0, 7]);
         CachedCell {
             telemetry: TelemetryCounters {
                 events_dispatched: 123_456,
@@ -696,7 +685,6 @@ mod tests {
         assert_eq!(back.f64("tpr"), Some(0.9375));
         assert_eq!(back.u64("reps"), Some(3));
         assert_eq!(back.str("note"), Some("quote \" and \\ newline \n survive"));
-        assert_eq!(back.arr("path"), Some(&[3u64, 0, 7][..]));
         assert_eq!(back.u64("missing"), None);
         assert_eq!(Record::from_jsonl("not json"), None);
     }

@@ -54,7 +54,7 @@ pub mod prelude {
     pub use crate::output::{FlagArray, OutputBloom};
     pub use crate::strawman::{StrawmanReceiver, StrawmanSender};
     pub use crate::switch::{CongestionGuard, FancySwitch, Reroute, SwitchStats};
-    pub use crate::tree::{format_path, TreeHasher, TreeParams};
+    pub use crate::tree::{TreeHasher, TreeParams};
     pub use crate::zoom::{SelectionPolicy, ZoomEngine, ZoomOutcome, ZoomStep};
 }
 

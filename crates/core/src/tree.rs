@@ -156,16 +156,6 @@ impl TreeHasher {
         (0..self.params.depth).map(move |l| self.index(l, entry))
     }
 
-    /// `format_path` plus a completeness marker: partial paths (still
-    /// being zoomed) render with a trailing `/…`.
-    pub fn describe_path(&self, path: &[u8]) -> String {
-        let mut s = format_path(path);
-        if path.len() < usize::from(self.params.depth) {
-            s.push_str("/…");
-        }
-        s
-    }
-
     /// Does `entry`'s hash path start with `prefix`?
     pub fn matches_prefix(&self, entry: Prefix, prefix: &[u8]) -> bool {
         prefix.iter().enumerate().all(|(l, &idx)| {
@@ -190,28 +180,9 @@ impl TreeHasher {
     }
 }
 
-/// Render a (partial or full) hash path as `root/idx/idx`, the notation
-/// used in trace timelines and reports. The empty path is the root, `·`.
-pub fn format_path(path: &[u8]) -> String {
-    if path.is_empty() {
-        return "·".to_owned();
-    }
-    path.iter().map(u8::to_string).collect::<Vec<_>>().join("/")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paths_format_with_slashes_and_completeness_marker() {
-        assert_eq!(format_path(&[]), "·");
-        assert_eq!(format_path(&[7]), "7");
-        assert_eq!(format_path(&[3, 0, 12]), "3/0/12");
-        let h = TreeHasher::new(TreeParams::paper_default(), 1);
-        assert_eq!(h.describe_path(&[3, 0, 12]), "3/0/12");
-        assert_eq!(h.describe_path(&[3]), "3/…");
-    }
 
     #[test]
     fn paper_default_matches_evaluation_setup() {

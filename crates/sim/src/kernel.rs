@@ -416,8 +416,6 @@ impl Kernel {
             }
             delay = link.cfg.delay;
         }
-        self.records.wire_packets += 1;
-        self.records.wire_bytes += size;
         if verdict.drop {
             self.telemetry.chaos_drops += 1;
             if is_control {

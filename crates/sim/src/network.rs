@@ -239,7 +239,7 @@ mod tests {
         let sink: &SinkNode = net.node(rx);
         assert_eq!(sink.packets, 10);
         assert_eq!(sink.bytes, 10_000);
-        assert_eq!(net.kernel.records.wire_packets, 10);
+        assert_eq!(net.kernel.link(0).tx_packets(0), 10);
     }
 
     #[test]

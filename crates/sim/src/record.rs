@@ -121,10 +121,6 @@ pub struct Records {
     pub gray_drops: FnvMap<Prefix, DropStats>,
     /// Total congestion (traffic-manager) drops — never gray failures.
     pub congestion_drops: u64,
-    /// Total packets put on the wire across all links.
-    pub wire_packets: u64,
-    /// Total bytes put on the wire across all links.
-    pub wire_bytes: u64,
 }
 
 impl Records {

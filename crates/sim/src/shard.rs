@@ -598,7 +598,7 @@ mod tests {
         // Shard 0 stamped uids in lane 0 (1, 2, 3). Shard 1 never stamps
         // (it only receives), but its lane base is reserved anyway.
         assert_eq!(net.stats()[0].msgs_sent, 3);
-        assert!(net.shard(0).kernel.records.wire_packets == 3);
+        assert_eq!(net.shard(0).kernel.link(0).tx_packets(0), 3);
     }
 
     /// 48 messages for node 0 of shard 2: eight from each of source

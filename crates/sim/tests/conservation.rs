@@ -99,7 +99,7 @@ proptest! {
         // Byte-level ground truth is consistent with packet counts.
         let gray_bytes: u64 = net.kernel.records.gray_drops.values().map(|s| s.bytes).sum();
         let rx_bytes = net.node::<SinkNode>(rx).bytes;
-        prop_assert_eq!(net.kernel.records.wire_bytes, gray_bytes + rx_bytes);
+        prop_assert_eq!(net.kernel.link(link).tx_bytes(0), gray_bytes + rx_bytes);
     }
 
     #[test]

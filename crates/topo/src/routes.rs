@@ -119,26 +119,6 @@ impl Routes {
         out
     }
 
-    /// Does the selected path for `(src, dst, flow_key)` traverse `edge`?
-    pub fn uses_edge(
-        &self,
-        topo: &Topology,
-        src: SwitchIdx,
-        dst: SwitchIdx,
-        flow_key: u64,
-        edge: EdgeIdx,
-    ) -> bool {
-        let mut at = src;
-        while at != dst {
-            let e = self.next_edge(at, dst, flow_key);
-            if e == edge {
-                return true;
-            }
-            at = topo.other_end(e, at);
-        }
-        false
-    }
-
     /// A stable 64-bit fingerprint over every ECMP group and cost. Two
     /// identical topologies produce identical fingerprints in any process
     /// at any thread count — the determinism witness used by tests and
@@ -242,8 +222,6 @@ mod tests {
         assert_eq!(p.first(), Some(&0));
         assert_eq!(p.last(), Some(&2));
         assert_eq!(p.len(), 3);
-        assert!(r.uses_edge(&t, 0, 2, 7, r.next_edge(0, 2, 7)));
-        assert!(!r.uses_edge(&t, 0, 2, 7, 4), "the 5 ms edge is never used");
     }
 
     #[test]

@@ -32,6 +32,5 @@ pub mod sink;
 pub use event::{parse_jsonl, DropCause, ParseError, TraceEvent, TraceKind, UNIT_TREE};
 pub use profile::Profiler;
 pub use sink::{
-    events_to_jsonl, merge_shard_streams, JsonlWriter, NullTraceSink, RingRecorder, SharedRecorder,
-    TraceSink,
+    events_to_jsonl, merge_shard_streams, JsonlWriter, RingRecorder, SharedRecorder, TraceSink,
 };

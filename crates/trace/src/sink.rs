@@ -29,14 +29,6 @@ pub trait TraceSink: Send {
     }
 }
 
-/// Swallows everything (useful to measure tracing overhead itself).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullTraceSink;
-
-impl TraceSink for NullTraceSink {
-    fn record(&mut self, _event: &TraceEvent) {}
-}
-
 /// A bounded in-memory flight recorder. When full, the *oldest* events
 /// are discarded — after an experiment you usually care about the most
 /// recent window before the interesting moment.

@@ -21,8 +21,9 @@
 //!
 //! `--golden` diffs the Prometheus text against the committed file and
 //! exits non-zero on any drift (schema-drift guard, same spirit as the
-//! `trace_report` self-test). A flag without its path is a usage error
-//! (exit 2), caught before the scenario runs.
+//! `trace_report` self-test). Any other argument, a flag given twice or
+//! without its path, or both flags together is a usage error (exit 2),
+//! caught before the scenario runs.
 
 use std::process::ExitCode;
 
@@ -33,24 +34,27 @@ use fancy_bench::netwide::directed_victim;
 
 const USAGE: &str = "usage: metrics_report [--golden PATH | --write-golden PATH]";
 
-/// The path following `name` on the command line, if `name` is given.
-fn flag(name: &str) -> Result<Option<String>, String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args
-                .next()
-                .map(Some)
-                .ok_or_else(|| format!("{name} needs a path"));
+/// The one optional `(flag, path)`, from one walk over the command line.
+fn parse_args() -> Result<Option<(String, String)>, String> {
+    let mut args = std::env::args().skip(1);
+    let mut found: Option<(String, String)> = None;
+    while let Some(flag) = args.next() {
+        if flag != "--golden" && flag != "--write-golden" {
+            return Err(format!("unknown argument '{flag}'"));
         }
+        let path = args.next().ok_or_else(|| format!("{flag} needs a path"))?;
+        if let Some((first, _)) = &found {
+            return Err(format!("{flag} after {first}: give one flag, once"));
+        }
+        found = Some((flag, path));
     }
-    Ok(None)
+    Ok(found)
 }
 
 fn main() -> ExitCode {
-    let (golden, write_golden) = match (flag("--golden"), flag("--write-golden")) {
-        (Ok(golden), Ok(write)) => (golden, write),
-        (Err(e), _) | (_, Err(e)) => {
+    let golden = match parse_args() {
+        Ok(golden) => golden,
+        Err(e) => {
             eprintln!("metrics_report: {e}\n{USAGE}");
             return ExitCode::from(2);
         }
@@ -135,9 +139,9 @@ fn main() -> ExitCode {
     let snap = hub.snapshot();
     let prom = snap.to_prometheus();
 
-    match (golden, write_golden) {
-        (Some(path), _) => {
-            let want = match std::fs::read_to_string(&path) {
+    match golden.as_ref().map(|(flag, path)| (flag.as_str(), path)) {
+        Some(("--golden", path)) => {
+            let want = match std::fs::read_to_string(path) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("metrics_report: cannot read golden {path}: {e}");
@@ -167,14 +171,14 @@ fn main() -> ExitCode {
                 prom.lines().count()
             );
         }
-        (None, Some(path)) => {
-            if let Err(e) = std::fs::write(&path, &prom) {
+        Some((_, path)) => {
+            if let Err(e) = std::fs::write(path, &prom) {
                 eprintln!("metrics_report: cannot write golden {path}: {e}");
                 return ExitCode::FAILURE;
             }
             println!("\nwrote {} lines to {path}", prom.lines().count());
         }
-        (None, None) => {
+        None => {
             println!("\nfinal snapshot — Prometheus text exposition:\n{prom}");
             println!(
                 "final snapshot — JSONL ({} samples, {} bytes)",

@@ -24,9 +24,14 @@ use fancy::sim::trace::{parse_jsonl, JsonlWriter, Profiler};
 const PREVIEW_LINES: usize = 40;
 
 fn main() -> ExitCode {
-    match std::env::args().nth(1) {
-        Some(path) => render_file(&path),
-        None => selftest(),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [path] => render_file(path),
+        [] => selftest(),
+        _ => {
+            eprintln!("usage: trace_report [FILE.jsonl]");
+            ExitCode::from(2)
+        }
     }
 }
 
