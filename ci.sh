@@ -21,9 +21,14 @@ echo "== allocation gate (warm hot paths, reported by name) =="
 # run in the workspace tests above; this stage names the regression.
 cargo test -q --release -p fancy-sim --test zero_alloc
 cargo test -q --release -p fancy-core --test zero_alloc_hop --test zero_alloc_hooks
-# A warm FANcY pair holds one tree counter array per side: the receiver
+# A warm idle FANcY pair holds one root node per side (2/7 of a tree
+# counter array), and a zooming pair at most one array per side: both
+# sides hold only the zoom slots a path has used, and the receiver
 # answers a repeated Stop from its registers, not from a second copy.
 cargo test -q --release -p fancy-core --test tree_array_memory
+# `Routes` for the 100-switch backbone holds at most 24 B per ordered
+# pair: one flat table, no heap block per ECMP group.
+cargo test -q --release -p fancy-topo --test route_table_memory
 # A TCP sender's peak heap grows with the flows running at once, not with
 # the length of its schedule (at most 16 B per extra scheduled flow); a
 # receiver holds one word per flow (at most 32 B with its key and slack).

@@ -257,22 +257,49 @@ impl UpstreamPort {
     }
 }
 
-/// One receiver FSM and the counters its sessions fill: one for a
-/// dedicated entry, `slot_count × width` for the tree. The counters are
-/// also what a duplicated Stop is answered from: after `T_wait` the FSM
-/// is `Idle` and nothing touches them until the next Start resets them,
-/// the way a Tofino answers from its frozen registers.
+/// One receiver FSM and the counters its sessions fill. A Report carries
+/// `len` counters: one for a dedicated entry, `slot_count × width` for
+/// the tree. The unit holds one node (`node` counters) from the start and
+/// grows to a zoom slot's node on the first tag into it, so a tree no
+/// path explores holds only its root; the counters it does not hold read
+/// 0. They are also what a duplicated Stop is answered from: after
+/// `T_wait` the FSM is `Idle` and nothing touches them until the next
+/// Start resets them, the way a Tofino answers from its frozen registers.
 struct ReceiverUnit {
     fsm: ReceiverFsm,
     counters: Vec<u32>,
+    node: usize,
+    len: usize,
 }
 
 impl ReceiverUnit {
-    fn new(timers: TimerConfig, len: usize) -> Self {
+    fn new(timers: TimerConfig, node: usize, len: usize) -> Self {
         ReceiverUnit {
             fsm: ReceiverFsm::new(timers),
-            counters: vec![0; len],
+            counters: vec![0; node],
+            node,
+            len,
         }
+    }
+
+    /// Count one tagged packet at counter `i`, growing to hold its node;
+    /// an index at or past `len` is ignored.
+    fn count(&mut self, i: usize) {
+        if i >= self.len {
+            return;
+        }
+        if i >= self.counters.len() {
+            self.counters.resize((i / self.node + 1) * self.node, 0);
+        }
+        self.counters[i] = self.counters[i].wrapping_add(1);
+    }
+
+    /// The counters in the shape of a Report: all `len` of them.
+    fn report(&self) -> ControlBody {
+        let mut report = Vec::with_capacity(self.len);
+        report.extend_from_slice(&self.counters);
+        report.resize(self.len, 0);
+        ControlBody::Report(report)
     }
 }
 
@@ -286,14 +313,14 @@ struct DownstreamPort {
 
 impl DownstreamPort {
     fn new(layout: &FancyLayout) -> Self {
-        let tree_len = layout.tree.slot_count() * usize::from(layout.tree.width);
+        let width = usize::from(layout.tree.width);
         DownstreamPort {
             dedicated: layout
                 .high_priority
                 .iter()
-                .map(|_| ReceiverUnit::new(layout.timers, 1))
+                .map(|_| ReceiverUnit::new(layout.timers, 1, 1))
                 .collect(),
-            tree: ReceiverUnit::new(layout.timers, tree_len),
+            tree: ReceiverUnit::new(layout.timers, width, layout.tree.slot_count() * width),
             reply_to: 0,
         }
     }
@@ -622,12 +649,8 @@ impl FancySwitch {
                     rx.counters.fill(0);
                     continue;
                 }
-                ReceiverAction::EmitReport => {
-                    (session_id, ControlBody::Report(rx.counters.clone()))
-                }
-                ReceiverAction::ResendReport { session_id } => {
-                    (session_id, ControlBody::Report(rx.counters.clone()))
-                }
+                ReceiverAction::EmitReport => (session_id, rx.report()),
+                ReceiverAction::ResendReport { session_id } => (session_id, rx.report()),
                 ReceiverAction::ArmTimer { delay, epoch } => {
                     ctx.schedule_timer(delay, make_token(ROLE_RECEIVER, port, kind, epoch));
                     continue;
@@ -798,9 +821,7 @@ impl FancySwitch {
             return;
         };
         if rx.fsm.accepts_counts() {
-            if let Some(c) = rx.counters.get_mut(i) {
-                *c = c.wrapping_add(1);
-            }
+            rx.count(i);
             let before = rx.fsm.state.name();
             rx.fsm.on_tagged_packet();
             trace_fsm(ctx, port, kind, "rx", before, rx.fsm.state.name());
@@ -1740,6 +1761,99 @@ mod tests {
         assert!(sw.flagged_entries(1).is_empty());
         let (dedicated, tree) = sw.sessions_completed(1);
         assert!(dedicated > 10 && tree > 2, "sessions: {dedicated}, {tree}");
+    }
+
+    #[test]
+    fn root_only_tree_report_carries_the_full_array() {
+        let flows = steady_flows(0x0B_00_00_07, 2_000_000, 10, 100);
+        let tap = Box::new(ReportTap::default());
+        let tree = TreeParams::paper_default();
+        let (mut net, _s1, _s2, _link, rx) = fancy_pair_via(Vec::new(), tree, flows, 21, Some(tap));
+        net.run_until(SimTime::ZERO + SimDuration::from_secs(2));
+        let width = usize::from(tree.width);
+        let reports = &net.node::<ReportTap>(rx + 1).0;
+        assert!(reports.len() > 2, "{} tree Reports", reports.len());
+        assert!(reports
+            .iter()
+            .any(|(_, _, c)| c[..width].iter().any(|&n| n > 0)));
+        for (_, session_id, counters) in reports {
+            // Nothing zoomed, yet the Report has every slot: the frame on
+            // the wire is the paper's 5330 B.
+            assert_eq!(counters.len(), tree.slot_count() * width);
+            assert!(counters[width..].iter().all(|&n| n == 0));
+            let msg = ControlMessage {
+                kind: SessionKind::Tree,
+                session_id: *session_id,
+                body: ControlBody::Report(counters.clone()),
+            };
+            assert_eq!(msg.frame_len(), 5330);
+        }
+    }
+
+    #[test]
+    fn tree_tag_past_the_array_is_ignored_and_grows_nothing() {
+        let tree = TreeParams::paper_default();
+        let layout = FancyInput {
+            high_priority: Vec::new(),
+            memory_bytes_per_port: 1 << 20,
+            tree,
+            timers: TimerConfig::paper_default().for_link_delay(SimDuration::from_millis(1)),
+        }
+        .translate()
+        .unwrap();
+        let mut net = Network::new(26);
+        let mut fib = fancy_sim::Fib::new();
+        fib.default_route(0);
+        let s1 = net.add_node(Box::new(FancySwitch::new(fib, layout, Vec::new(), 9)));
+        let sink = net.add_node(Box::new(fancy_sim::SinkNode::default()));
+        net.connect(
+            s1,
+            sink,
+            LinkConfig::new(1_000_000_000, SimDuration::from_micros(10)),
+        );
+        let ms = |n: u64| SimTime::ZERO + SimDuration::from_millis(n);
+        let start = ControlMessage {
+            kind: SessionKind::Tree,
+            session_id: 1,
+            body: ControlBody::Start,
+        };
+        let start = fancy_sim::PacketBuilder::new(9, 0, 64, PacketKind::FancyControl(start));
+        net.kernel.inject(s1, 0, start.build(), ms(1));
+        net.run_until(ms(2));
+        let held = |net: &Network| {
+            let sw: &FancySwitch = net.node(s1);
+            sw.downstream.get(0).expect("started").tree.counters.clone()
+        };
+        let before = held(&net);
+
+        // Every tag below lands at or past `slot_count × width`; the last
+        // one is the root's first counter.
+        let (slots, width) = (tree.slot_count() as u8, tree.width as u8);
+        let tags = [
+            (slots, 0),
+            (u8::MAX, u8::MAX),
+            (slots - 1, width + 10),
+            (0, 0),
+        ];
+        for (i, (slot, index)) in tags.into_iter().enumerate() {
+            let kind = PacketKind::Udp {
+                flow: 0,
+                seq: i as u64,
+            };
+            let mut pkt = fancy_sim::PacketBuilder::new(9, 0x0B_00_00_01, 500, kind).build();
+            pkt.tag = Some(FancyTag::Tree { slot, index });
+            net.kernel
+                .inject(s1, 0, pkt, ms(2) + SimDuration::from_micros(i as u64));
+        }
+        net.run_until(ms(3));
+        let after = held(&net);
+        assert_eq!(
+            after.len(),
+            before.len(),
+            "an ignored tag grew the registers"
+        );
+        assert_eq!(after[0], 1);
+        assert_eq!(after.iter().map(|&c| u64::from(c)).sum::<u64>(), 1);
     }
 
     #[test]

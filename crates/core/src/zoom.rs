@@ -103,13 +103,16 @@ struct ActivePath {
 }
 
 /// The upstream half of a hash-based tree: local counters plus zooming
-/// state. The downstream half is just `slot_count × width` counters driven
-/// by tags (see `fancy_core::switch`).
+/// state. The downstream half is the counters its tags drive (see
+/// `fancy_core::switch`). Both sides provision `slot_count × width`
+/// counters, the shape of a Report, but hold only the nodes a path has
+/// used: a healthy link never zooms, so it never holds more than the root.
 #[derive(Debug, Clone)]
 pub struct ZoomEngine {
     hasher: TreeHasher,
-    /// Local counters, slot-major (`slot_count × width`): the shape of a
-    /// Report.
+    /// Local counters, slot-major: the root node, then every slot up to
+    /// the highest one a path has held (grown by `take_slot`, never
+    /// shrunk). A slot past the end reads 0.
     counters: Vec<u32>,
     paths: Vec<ActivePath>,
     free_slots: Vec<u8>,
@@ -130,7 +133,7 @@ impl ZoomEngine {
         let slots = params.slot_count();
         ZoomEngine {
             hasher: TreeHasher::new(params, seed),
-            counters: vec![0; slots * usize::from(params.width)],
+            counters: vec![0; usize::from(params.width)],
             paths: Vec::new(),
             free_slots: (1..slots as u8).rev().collect(),
             uniform_active: false,
@@ -161,9 +164,10 @@ impl ZoomEngine {
         &self.hasher
     }
 
-    /// Number of provisioned node slots (= report length / width).
+    /// Number of provisioned node slots (= report length / width),
+    /// whether or not a path has used them yet.
     pub fn slot_count(&self) -> usize {
-        self.counters.len() / usize::from(self.params().width)
+        self.params().slot_count()
     }
 
     /// Currently explored partial paths (deepest-first not guaranteed).
@@ -203,9 +207,25 @@ impl ZoomEngine {
         FancyTag::Tree { slot, index }
     }
 
-    /// A copy of the local counters, slot-major (the shape of a Report).
+    /// A copy of the local counters, slot-major, in the full shape of a
+    /// Report (`slot_count × width`; slots never held are 0).
     pub fn local_report(&self) -> Vec<u32> {
-        self.counters.clone()
+        let len = self.slot_count() * usize::from(self.params().width);
+        let mut report = Vec::with_capacity(len);
+        report.extend_from_slice(&self.counters);
+        report.resize(len, 0);
+        report
+    }
+
+    /// Pop a free node slot for a new path, growing the local counters to
+    /// hold it.
+    fn take_slot(&mut self) -> Option<u8> {
+        let slot = self.free_slots.pop()?;
+        let end = (usize::from(slot) + 1) * usize::from(self.params().width);
+        if self.counters.len() < end {
+            self.counters.resize(end, 0);
+        }
+        Some(slot)
     }
 
     fn paths_at_level(&self, level: usize) -> usize {
@@ -234,7 +254,7 @@ impl ZoomEngine {
         // Per-slot positive differences (local − remote = packets lost).
         let diff = |slot: usize, idx: usize| -> i64 {
             let i = slot * width + idx;
-            i64::from(self.counters[i]) - i64::from(report[i])
+            i64::from(self.counters.get(i).copied().unwrap_or(0)) - i64::from(report[i])
         };
 
         // 1. Uniform check on the root node (§4.2: "If it detects
@@ -246,8 +266,13 @@ impl ZoomEngine {
         // the paper's own Figure 11 keeps zooming in exactly that setup),
         // so the check is enabled only for widths ≥ UNIFORM_CHECK_MIN_WIDTH
         // — which FANcY's deployed width (190) comfortably satisfies.
-        let root_mismatching = (0..width).filter(|&i| diff(0, i) > 0).count();
-        if width >= usize::from(UNIFORM_CHECK_MIN_WIDTH) && root_mismatching * 2 > width {
+        let mut root_mism: Vec<(usize, i64)> = (0..width)
+            .filter_map(|i| {
+                let d = diff(0, i);
+                (d > 0).then_some((i, d))
+            })
+            .collect();
+        if width >= usize::from(UNIFORM_CHECK_MIN_WIDTH) && root_mism.len() * 2 > width {
             if !self.uniform_active {
                 self.uniform_active = true;
                 outcomes.push(ZoomOutcome::Uniform);
@@ -335,7 +360,7 @@ impl ZoomEngine {
         for q in extensions {
             let level = q.len();
             if self.paths_at_level(level) < self.params().path_capacity(level as u8) {
-                if let Some(slot) = self.free_slots.pop() {
+                if let Some(slot) = self.take_slot() {
                     self.zoom_steps += 1;
                     self.session_log.push(ZoomStep::Descend { path: q.clone() });
                     self.paths.push(ActivePath { path: q, slot });
@@ -345,12 +370,7 @@ impl ZoomEngine {
 
         // 3. Adopt up to `split` new root counters with the largest
         // mismatch that are not already being explored.
-        let mut root_mism: Vec<(usize, i64)> = (0..width)
-            .filter_map(|i| {
-                let d = diff(0, i);
-                (d > 0 && !self.covered_root(i as u8)).then_some((i, d))
-            })
-            .collect();
+        root_mism.retain(|&(i, _)| !self.covered_root(i as u8));
         match self.policy {
             SelectionPolicy::MaxLoss => root_mism.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0))),
             SelectionPolicy::FirstIndex => root_mism.sort_by_key(|&(i, _)| i),
@@ -359,7 +379,7 @@ impl ZoomEngine {
             if self.paths_at_level(1) >= self.params().path_capacity(1) {
                 break;
             }
-            let Some(slot) = self.free_slots.pop() else {
+            let Some(slot) = self.take_slot() else {
                 break;
             };
             self.zoom_steps += 1;

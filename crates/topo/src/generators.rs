@@ -152,6 +152,6 @@ mod tests {
         let r = Routes::compute(&t).unwrap();
         let e0 = t.index_of("p0e0").unwrap();
         let e1 = t.index_of("p1e0").unwrap();
-        assert_eq!(r.group(e0, e1).edges.len(), 2);
+        assert_eq!(r.group(e0, e1).len(), 2);
     }
 }

@@ -9,8 +9,10 @@
 //!   ([`isp_backbone`]) and k-ary fat-trees ([`fat_tree`]), both fully
 //!   deterministic in their seed/arity;
 //! * [`Routes`] — deterministic shortest-path computation with ECMP path
-//!   groups ([`EcmpGroup`]): per `(source, destination)` the set of
-//!   equal-cost egress edges, with a seeded hash picking one per prefix so
+//!   groups ([`Routes::group`]): per `(source, destination)` the set of
+//!   equal-cost egress edges, held in one flat all-pairs table (a cost and
+//!   an offset per ordered pair, the groups' edges back to back), with a
+//!   seeded hash picking one per prefix so
 //!   a prefix follows a single stable path (FANcY's per-entry counters
 //!   assume entry-stable paths);
 //! * [`BackupPlan`] — SPIDER-inspired pre-provisioned backup paths for a
@@ -43,5 +45,5 @@ pub use builder::{
 };
 pub use generators::{fat_tree, isp_backbone};
 pub use partition::{Partition, DEFAULT_REGIONS};
-pub use routes::{EcmpGroup, Routes};
+pub use routes::Routes;
 pub use spider::{BackupPlan, BackupRoute};

@@ -14,25 +14,28 @@ fn edge_cost(topo: &Topology, edge: EdgeIdx) -> u64 {
     topo.edges[edge].spec.delay.as_nanos() + 1
 }
 
-/// The equal-cost egress set for one `(source, destination)` pair: every
-/// edge out of the source that lies on some minimum-cost path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EcmpGroup {
-    /// Egress edges, sorted by edge index (deterministic).
-    pub edges: Vec<EdgeIdx>,
-    /// Total cost (ns + hops) of the shortest path.
-    pub cost: u64,
-}
-
 /// All-pairs shortest-path routes over a [`Topology`], with ECMP groups.
+///
+/// The equal-cost egress set of a `(source, destination)` pair is every
+/// edge out of the source that lies on some minimum-cost path. The table
+/// is flat: pair `(src, dst)` is row `src * n + dst` of `cost` and
+/// `start`, and its group is `edges[start[i]..start[i + 1]]`, so the
+/// whole table is three heap blocks however many switches there are.
 ///
 /// Computation is deterministic (see the crate-level determinism
 /// contract): Dijkstra per destination with index-ordered tie-breaking,
 /// groups sorted by edge index.
 #[derive(Debug, Clone)]
 pub struct Routes {
-    /// `groups[src][dst]`; `groups[s][s]` is an empty group with cost 0.
-    groups: Vec<Vec<EcmpGroup>>,
+    /// Number of switches.
+    n: usize,
+    /// Shortest-path cost per ordered pair; 0 on the diagonal.
+    cost: Vec<u64>,
+    /// Offset of each pair's group in `edges` (`n² + 1` entries).
+    start: Vec<u32>,
+    /// Every group's egress edges, pair-major, each group sorted by edge
+    /// index; a pair with itself has an empty group.
+    edges: Vec<EdgeIdx>,
 }
 
 impl Routes {
@@ -40,49 +43,56 @@ impl Routes {
     /// [`TopoError::Unreachable`] naming the first disconnected pair.
     pub fn compute(topo: &Topology) -> Result<Routes, TopoError> {
         let n = topo.len();
-        let mut groups: Vec<Vec<EcmpGroup>> = vec![Vec::with_capacity(n); n];
         // One single-source Dijkstra per destination (the graph is
         // undirected, so distances to `dst` equal distances from it).
+        let mut cost = vec![0u64; n * n];
         for dst in 0..n {
             let dist = dijkstra(topo, dst);
-            for (src, row) in groups.iter_mut().enumerate() {
-                if src == dst {
-                    row.push(EcmpGroup {
-                        edges: Vec::new(),
-                        cost: 0,
-                    });
-                    continue;
-                }
-                let d = dist[src];
+            for (src, &d) in dist.iter().enumerate() {
                 if d == u64::MAX {
                     return Err(TopoError::Unreachable { from: src, to: dst });
                 }
-                // An edge is in the group iff stepping over it lands on a
-                // node exactly `cost` closer to the destination.
-                let edges: Vec<EdgeIdx> = topo
-                    .incident(src)
-                    .iter()
-                    .copied()
-                    .filter(|&e| {
-                        let w = topo.other_end(e, src);
-                        dist[w].saturating_add(edge_cost(topo, e)) == d
-                    })
-                    .collect();
-                debug_assert!(!edges.is_empty(), "reachable node with empty ECMP group");
-                row.push(EcmpGroup { edges, cost: d });
+                cost[src * n + dst] = d;
             }
         }
-        Ok(Routes { groups })
+        // An edge is in the group iff stepping over it lands on a node
+        // exactly `cost` closer to the destination.
+        let mut start = Vec::with_capacity(n * n + 1);
+        let mut edges = Vec::new();
+        start.push(0);
+        for src in 0..n {
+            for dst in 0..n {
+                let before = edges.len();
+                if src != dst {
+                    let d = cost[src * n + dst];
+                    edges.extend(topo.incident(src).iter().copied().filter(|&e| {
+                        let w = topo.other_end(e, src);
+                        cost[w * n + dst].saturating_add(edge_cost(topo, e)) == d
+                    }));
+                    debug_assert!(edges.len() > before, "reachable node with empty ECMP group");
+                }
+                start.push(u32::try_from(edges.len()).expect("ECMP table exceeds u32 offsets"));
+            }
+        }
+        edges.shrink_to_fit();
+        Ok(Routes {
+            n,
+            cost,
+            start,
+            edges,
+        })
     }
 
     /// Shortest-path cost from `src` to `dst` (ns + hop count).
     pub fn cost(&self, src: SwitchIdx, dst: SwitchIdx) -> u64 {
-        self.groups[src][dst].cost
+        self.cost[src * self.n + dst]
     }
 
-    /// The ECMP group for `(src, dst)`.
-    pub fn group(&self, src: SwitchIdx, dst: SwitchIdx) -> &EcmpGroup {
-        &self.groups[src][dst]
+    /// The ECMP group for `(src, dst)`: egress edges sorted by edge index,
+    /// empty when `src == dst`.
+    pub fn group(&self, src: SwitchIdx, dst: SwitchIdx) -> &[EdgeIdx] {
+        let i = src * self.n + dst;
+        &self.edges[self.start[i] as usize..self.start[i + 1] as usize]
     }
 
     /// Pick the egress edge for `(src, dst)` deterministically from
@@ -94,10 +104,10 @@ impl Routes {
     /// # Panics
     /// Panics if `src == dst` (there is no egress edge).
     pub fn next_edge(&self, src: SwitchIdx, dst: SwitchIdx, flow_key: u64) -> EdgeIdx {
-        let g = &self.groups[src][dst];
-        assert!(!g.edges.is_empty(), "no egress edge from {src} to itself");
-        let pick = seeded_hash(0x1ECB_ECF0, flow_key, g.edges.len() as u64) as usize;
-        g.edges[pick]
+        let g = self.group(src, dst);
+        assert!(!g.is_empty(), "no egress edge from {src} to itself");
+        let pick = seeded_hash(0x1ECB_ECF0, flow_key, g.len() as u64) as usize;
+        g[pick]
     }
 
     /// The switch sequence a packet keyed by `flow_key` follows from `src`
@@ -126,12 +136,13 @@ impl Routes {
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::default();
         let mut eat_u64 = |v: u64| h.write(&v.to_le_bytes());
-        eat_u64(self.groups.len() as u64);
-        for row in &self.groups {
-            for g in row {
-                eat_u64(g.cost);
-                eat_u64(g.edges.len() as u64);
-                for &e in &g.edges {
+        eat_u64(self.n as u64);
+        for src in 0..self.n {
+            for dst in 0..self.n {
+                let g = self.group(src, dst);
+                eat_u64(self.cost(src, dst));
+                eat_u64(g.len() as u64);
+                for &e in g {
                     eat_u64(e as u64);
                 }
             }
@@ -195,10 +206,10 @@ mod tests {
         let r = Routes::compute(&t).unwrap();
         // 0 → 2: via 1 or via 3, both 2 ms + 2 hops; the direct 5 ms edge
         // is not in the group.
-        assert_eq!(r.group(0, 2).edges, vec![0, 2]);
+        assert_eq!(r.group(0, 2), [0, 2]);
         assert_eq!(r.cost(0, 2), 2 * (1_000_000 + 1));
         // 0 → 1 is the direct edge only.
-        assert_eq!(r.group(0, 1).edges, vec![0]);
+        assert_eq!(r.group(0, 1), [0]);
     }
 
     #[test]
@@ -249,7 +260,7 @@ mod tests {
         b.link(0, 1, ms(2)).unwrap();
         let t = b.build().unwrap();
         let r = Routes::compute(&t).unwrap();
-        assert_eq!(r.group(0, 1).edges, vec![0, 1]);
+        assert_eq!(r.group(0, 1), [0, 1]);
     }
 
     #[test]

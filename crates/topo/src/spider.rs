@@ -90,7 +90,7 @@ impl BackupPlan {
         let mut plan = Vec::new();
         let mut uncovered = Vec::new();
         for d in 0..topo.len() {
-            if d == u || !routes.group(u, d).edges.contains(&edge) {
+            if d == u || !routes.group(u, d).contains(&edge) {
                 continue;
             }
             // Candidate neighbors, best (cheapest detour) first; ties break

@@ -50,8 +50,8 @@ proptest! {
                     continue;
                 }
                 let g = routes.group(u, d);
-                prop_assert!(!g.edges.is_empty(), "no ECMP group {u} → {d}");
-                for &e in &g.edges {
+                prop_assert!(!g.is_empty(), "no ECMP group {u} → {d}");
+                for &e in g {
                     let v = topo.other_end(e, u);
                     // Delay-consistent: the group's cost decomposes into
                     // this edge plus the neighbor's residual. A strictly
@@ -78,7 +78,7 @@ proptest! {
                 if u == d {
                     continue;
                 }
-                for &e in &routes.group(u, d).edges {
+                for &e in routes.group(u, d) {
                     let v = topo.other_end(e, u);
                     prop_assert_eq!(
                         routes.cost(u, d),
@@ -168,4 +168,12 @@ proptest! {
         }
         prop_assert_eq!(Routes::compute(&topo).unwrap().fingerprint(), base);
     }
+}
+
+/// The routes of the 100-switch backbone the netwide runs use, pinned: a
+/// change to how routes are stored must hash the same groups and costs.
+#[test]
+fn backbone_route_fingerprint_is_pinned() {
+    let routes = Routes::compute(&isp_backbone(100, 1).unwrap()).unwrap();
+    assert_eq!(routes.fingerprint(), 4_324_206_852_197_622_109);
 }
