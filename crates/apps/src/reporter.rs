@@ -9,15 +9,16 @@
 //! ```
 //!
 //! This module renders [`fancy_sim::DetectionRecord`]s in that spirit:
-//! one line per detection, hash paths resolved to candidate entries when a
-//! tree hasher is available, and loss magnitude estimated from the
-//! simulator's ground truth when requested.
+//! one line per detection, naming the mechanism that fired by
+//! [`fancy_sim::DetectorKind::label`], hash paths resolved to candidate
+//! entries when a tree hasher is available, and loss magnitude estimated
+//! from the simulator's ground truth when requested.
 
 use std::fmt::Write as _;
 
 use fancy_core::TreeHasher;
 use fancy_net::Prefix;
-use fancy_sim::{DetectionRecord, DetectionScope, DetectorKind, Records};
+use fancy_sim::{DetectionRecord, DetectionScope, Records};
 
 /// Render one detection as an operator-facing line.
 pub fn format_detection(
@@ -26,13 +27,6 @@ pub fn format_detection(
     hasher: Option<&TreeHasher>,
     universe: Option<&[Prefix]>,
 ) -> String {
-    let mechanism = match rec.detector {
-        DetectorKind::DedicatedCounter => "dedicated counter",
-        DetectorKind::HashTree => "hash-tree zoom",
-        DetectorKind::UniformCheck => "uniform-loss check",
-        DetectorKind::ProtocolTimeout => "protocol timeout",
-        DetectorKind::Baseline(name) => name,
-    };
     let what = match &rec.scope {
         DetectionScope::Entry(p) => format!("{p}"),
         DetectionScope::Uniform => "all entries (uniform loss)".to_string(),
@@ -53,9 +47,10 @@ pub fn format_detection(
         },
     };
     format!(
-        "[@{switch_name}-eth{}] t={:.3}s: {what} — {mechanism}",
+        "[@{switch_name}-eth{}] t={:.3}s: {what} — {}",
         rec.port,
-        rec.time.as_secs_f64()
+        rec.time.as_secs_f64(),
+        rec.detector.label()
     )
 }
 
@@ -97,7 +92,7 @@ pub fn format_report(
 mod tests {
     use super::*;
     use fancy_core::TreeParams;
-    use fancy_sim::SimTime;
+    use fancy_sim::{DetectorKind, SimTime};
 
     fn rec(scope: DetectionScope, detector: DetectorKind) -> DetectionRecord {
         DetectionRecord {

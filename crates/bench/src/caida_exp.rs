@@ -18,11 +18,9 @@ use rand::{Rng, SeedableRng};
 
 use fancy_apps::{ScenarioError, ScenarioSpec};
 use fancy_baselines::{BaselineState, BaselineTap, TapSide};
-use fancy_core::{FancySwitch, TimerConfig, TreeParams};
+use fancy_core::{TimerConfig, TreeParams};
 use fancy_net::{mix64, Prefix};
-use fancy_sim::{
-    DetectionScope, DetectorKind, GrayFailure, LinkConfig, Network, SimDuration, SimTime,
-};
+use fancy_sim::{GrayFailure, LinkConfig, Network, SimDuration, SimTime};
 use fancy_tcp::{ReceiverHost, SenderHost};
 use fancy_traffic::{paper_traces, synthesize, SyntheticTrace};
 
@@ -121,57 +119,34 @@ pub fn run_trace_failure(
 ) -> Result<FailureOutcome, ScenarioError> {
     let seed = ctx.seed;
     let failed = trace.prefixes_by_rank[rank];
-    let dedicated: Vec<Prefix> = trace.top_prefixes(dedicated_count(trace));
-    let is_dedicated = dedicated.contains(&failed);
-
     let mut sc = ScenarioSpec::linear()
         .seed(seed)
         .flows(Arc::clone(&trace.flows))
-        .high_priority(dedicated)
+        .high_priority(trace.top_prefixes(dedicated_count(trace)))
         .build()?;
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xFA11);
     let horizon = duration.as_secs_f64();
     let fail_at =
         SimTime::ZERO + SimDuration::from_secs_f64(rng.gen_range(1.0..(horizon * 0.4).max(1.5)));
     sc.fail(GrayFailure::single_entry(failed, loss_pct / 100.0, fail_at));
-    let (s1, monitored_port) = (sc.switches[0], sc.monitored_edge().port_a);
     sc.net.run_until(SimTime::ZERO + duration);
 
-    let records = &sc.net.kernel.records;
-    let detection_s = if is_dedicated {
-        records
-            .first_entry_detection(failed)
-            .map(|d| d.time.duration_since(fail_at).as_secs_f64())
-    } else {
-        let sw: &FancySwitch = sc.net.node(s1);
-        let path = sw.tree_hasher(monitored_port).hash_path(failed);
-        records
-            .detections
-            .iter()
-            .filter(|d| d.detector == DetectorKind::HashTree)
-            .find(|d| matches!(&d.scope, DetectionScope::HashPath(p) if p == &path))
-            .map(|d| d.time.duration_since(fail_at).as_secs_f64())
-    };
-
+    let detection_s = sc
+        .detection_of(failed)
+        .map(|d| d.time.duration_since(fail_at).as_secs_f64());
     // Tree false positives: entries (other than the failed one) matching
     // any reported hash path.
-    let sw: &FancySwitch = sc.net.node(s1);
-    let hasher = sw.tree_hasher(monitored_port);
-    let mut fps: HashSet<Prefix> = HashSet::new();
-    for d in records.detections_by(DetectorKind::HashTree) {
-        if let DetectionScope::HashPath(p) = &d.scope {
-            for e in hasher.entries_matching(p, trace.prefixes_by_rank.iter().copied()) {
-                if e != failed {
-                    fps.insert(e);
-                }
-            }
-        }
-    }
+    let fps: HashSet<Prefix> = sc
+        .tree_suspects(&trace.prefixes_by_rank)
+        .into_iter()
+        .map(|(_, e)| e)
+        .filter(|&e| e != failed)
+        .collect();
 
     ctx.absorb(&sc.net);
     Ok(FailureOutcome {
         weight: trace.share_of_rank(rank),
-        dedicated: is_dedicated,
+        dedicated: sc.layout.dedicated_id(failed).is_some(),
         detection_s,
         false_positives: fps.len(),
     })
@@ -607,26 +582,19 @@ pub fn run_fig11_point(
             .build()?;
         let fail_at = SimTime::ZERO + SimDuration::from_secs_f64(rng.gen_range(1.0..2.0));
         sc.fail(GrayFailure::multi_entry(failed.clone(), 1.0, fail_at));
-        let (s1, monitored_port) = (sc.switches[0], sc.monitored_edge().port_a);
         sc.net.run_until(SimTime::ZERO + scale.duration);
 
-        let sw: &FancySwitch = sc.net.node(s1);
-        let hasher = sw.tree_hasher(monitored_port);
         let mut det_times = Vec::new();
         let mut detected_set: HashSet<Prefix> = HashSet::new();
         let mut fp_set: HashSet<Prefix> = HashSet::new();
         let failed_set: HashSet<Prefix> = failed.iter().copied().collect();
-        for d in sc.net.kernel.records.detections_by(DetectorKind::HashTree) {
-            if let DetectionScope::HashPath(p) = &d.scope {
-                for e in hasher.entries_matching(p, trace.prefixes_by_rank.iter().copied()) {
-                    if failed_set.contains(&e) {
-                        if detected_set.insert(e) {
-                            det_times.push(d.time.duration_since(fail_at).as_secs_f64());
-                        }
-                    } else {
-                        fp_set.insert(e);
-                    }
+        for (t, e) in sc.tree_suspects(&trace.prefixes_by_rank) {
+            if failed_set.contains(&e) {
+                if detected_set.insert(e) {
+                    det_times.push(t.duration_since(fail_at).as_secs_f64());
                 }
+            } else {
+                fp_set.insert(e);
             }
         }
         let mut all_times = det_times.clone();
@@ -673,6 +641,16 @@ mod tests {
         }
     }
 
+    /// The graded fields, with the latency as `f64` bits: detection
+    /// attribution must not move a single bit.
+    fn pin(o: &FailureOutcome) -> (Option<u64>, bool, usize) {
+        (
+            o.detection_s.map(f64::to_bits),
+            o.dedicated,
+            o.false_positives,
+        )
+    }
+
     #[test]
     fn trace_failure_blackhole_is_detected() -> Result<(), ScenarioError> {
         let scale = tiny();
@@ -681,10 +659,12 @@ mod tests {
         let o = run_trace_failure(&trace, 0, 100.0, scale.duration, &CellCtx::detached(77))?;
         assert!(o.dedicated);
         assert!(o.detection_s.is_some(), "top prefix blackhole missed");
+        assert_eq!(pin(&o), (Some(4592296950318961793), true, 0));
         // A mid-rank prefix goes through the tree.
         let mid = dedicated_count(&trace) + 5;
         let o = run_trace_failure(&trace, mid, 100.0, scale.duration, &CellCtx::detached(78))?;
         assert!(!o.dedicated);
+        assert_eq!(pin(&o), (Some(4608260820209864075), false, 0));
         Ok(())
     }
 
@@ -705,6 +685,8 @@ mod tests {
         let p = run_fig11_point(fig11_configs()[1], 3, &tiny(), &CellCtx::detached(42))?;
         assert!(p.tpr >= 0.0 && p.tpr <= 1.0);
         assert!(p.median_detection_s > 0.0);
+        let bits = [p.tpr, p.median_detection_s, p.false_positives].map(f64::to_bits);
+        assert_eq!(bits, [4604180019048437077, 4616426932334552728, 0]);
         Ok(())
     }
 }

@@ -10,9 +10,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use fancy_apps::{ScenarioError, ScenarioSpec};
-use fancy_core::{FancySwitch, TimerConfig};
+use fancy_core::TimerConfig;
 use fancy_net::{mix64, Prefix};
-use fancy_sim::{DetectionScope, DetectorKind, GrayFailure, SimDuration, SimTime};
+use fancy_sim::{GrayFailure, SimDuration, SimTime};
 use fancy_traffic::{generate, EntrySize};
 
 use crate::cache::{CacheCodec, Fingerprint, Record};
@@ -85,7 +85,7 @@ pub fn run_dedicated_cell(
         let fail_at = SimTime::ZERO + SimDuration::from_secs_f64(rng.gen_range(0.5..2.0));
         sc.fail(GrayFailure::single_entry(entry, loss_pct / 100.0, fail_at));
         sc.net.run_until(SimTime::ZERO + scale.duration);
-        match sc.net.kernel.records.first_entry_detection(entry) {
+        match sc.detection_of(entry) {
             Some(d) => {
                 tpr_sum += 1.0;
                 det_sum += d.time.duration_since(fail_at).as_secs_f64();
@@ -138,21 +138,9 @@ pub fn run_tree_cell(
         ));
         sc.net.run_until(SimTime::ZERO + scale.duration);
 
-        let (s1, monitored_port) = (sc.switches[0], sc.monitored_edge().port_a);
-        let sw: &FancySwitch = sc.net.node(s1);
-        let hasher = sw.tree_hasher(monitored_port);
-        let paths: Vec<Vec<u8>> = entries.iter().map(|&e| hasher.hash_path(e)).collect();
         let mut detected = 0usize;
-        for path in &paths {
-            let hit = sc
-                .net
-                .kernel
-                .records
-                .detections
-                .iter()
-                .filter(|d| d.detector == DetectorKind::HashTree)
-                .find(|d| matches!(&d.scope, DetectionScope::HashPath(p) if p == path));
-            match hit {
+        for &entry in &entries {
+            match sc.detection_of(entry) {
                 Some(d) => {
                     detected += 1;
                     det_sum += d.time.duration_since(fail_at).as_secs_f64();
@@ -244,6 +232,12 @@ mod tests {
         }
     }
 
+    /// A cell's fields, the rates as `f64` bits: grading must not move
+    /// a single bit.
+    fn pin(r: &CellResult) -> (u64, u64, u64) {
+        (r.tpr.to_bits(), r.avg_detection_s.to_bits(), r.reps)
+    }
+
     #[test]
     fn dedicated_cell_blackhole_is_found_fast() -> Result<(), ScenarioError> {
         let size = EntrySize {
@@ -253,6 +247,7 @@ mod tests {
         let r = run_dedicated_cell(size, 100.0, &tiny_scale(), &CellCtx::detached(42))?;
         assert_eq!(r.tpr, 1.0);
         assert!(r.avg_detection_s < 0.5, "took {}", r.avg_detection_s);
+        assert_eq!(pin(&r), (4607182418800017408, 4590708392235692478, 1));
         Ok(())
     }
 
@@ -273,6 +268,24 @@ mod tests {
         assert_eq!(r.tpr, 1.0);
         // ≈ 3 zooming sessions.
         assert!(r.avg_detection_s < 2.0, "took {}", r.avg_detection_s);
+        Ok(())
+    }
+
+    #[test]
+    fn tree_cell_grades_three_entries_to_pinned_bits() -> Result<(), ScenarioError> {
+        let size = EntrySize {
+            total_bps: 1_000_000,
+            flows_per_sec: 50.0,
+        };
+        let r = run_tree_cell(
+            size,
+            50.0,
+            3,
+            SimDuration::from_millis(200),
+            &tiny_scale(),
+            &CellCtx::detached(11),
+        )?;
+        assert_eq!(pin(&r), (4607182418800017408, 4604869692501142840, 1));
         Ok(())
     }
 

@@ -159,6 +159,48 @@ impl Scale {
     }
 }
 
+/// An example's `--flag value` command line, read in one walk: the one
+/// place the harness binaries turn argv into values.
+#[derive(Debug)]
+pub struct Flags(Vec<(String, String)>);
+
+impl Flags {
+    /// Walk `args`: a flag not in `known`, a flag given twice, or a flag
+    /// without its value is an error.
+    pub fn parse(args: impl IntoIterator<Item = String>, known: &[&str]) -> Result<Self, String> {
+        let mut out: Vec<(String, String)> = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            if !known.contains(&flag.as_str()) {
+                return Err(format!("unknown argument '{flag}'"));
+            }
+            if out.iter().any(|(f, _)| *f == flag) {
+                return Err(format!("{flag} given twice"));
+            }
+            let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            out.push((flag, value));
+        }
+        Ok(Flags(out))
+    }
+
+    /// The value given for `name`, if any.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .find(|(f, _)| f == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The value given for `name` parsed as a `T`, or `default` when the
+    /// flag is absent.
+    pub fn value_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.get(name) {
+            Some(v) => v.parse().map_err(|_| format!("{name}: cannot parse {v:?}")),
+            None => Ok(default),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
@@ -230,6 +272,22 @@ mod tests {
         );
         assert_eq!(parse(&[("FANCY_TRACE_DIR", "")]).trace_dir, None);
         assert_eq!(parse(&[]).trace_dir, None);
+    }
+
+    #[test]
+    fn flags_refuse_unknown_repeated_and_valueless() {
+        let walk = |args: &[&str]| {
+            let args = args.iter().map(|a| a.to_string());
+            Flags::parse(args, &["--n", "--out"])
+        };
+        let f = walk(&["--n", "4"]).unwrap();
+        assert_eq!(f.value_or("--n", 1u32), Ok(4));
+        assert_eq!(f.value_or("--out", 1u32), Ok(1));
+        assert_eq!(f.get("--out"), None);
+        assert!(walk(&["--n", "x"]).unwrap().value_or("--n", 1u32).is_err());
+        assert!(walk(&["--m", "4"]).is_err());
+        assert!(walk(&["--n", "4", "--n", "5"]).is_err());
+        assert!(walk(&["--n"]).is_err());
     }
 
     /// An unset variable, or a value that stresses the parser: numbers

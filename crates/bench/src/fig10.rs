@@ -13,7 +13,6 @@
 //! ratio) so a software run stays fast, and prints the scale used.
 
 use fancy_apps::{ScenarioError, ScenarioSpec};
-use fancy_core::{TimerConfig, TreeParams};
 use fancy_net::Prefix;
 use fancy_sim::LinkConfig;
 use fancy_sim::{GrayFailure, SimDuration, SimTime};
@@ -75,18 +74,11 @@ pub fn run_case_study(
         EntryKind::Dedicated => vec![entry],
         EntryKind::Tree => Vec::new(),
     };
-    // §6.1 prototype timing: 250 ms dedicated sessions, ≈200 ms zooming,
-    // sub-millisecond hardware links.
-    let timers = TimerConfig {
-        dedicated_interval: SimDuration::from_millis(250),
-        zooming_interval: SimDuration::from_millis(200),
-        ..TimerConfig::paper_default().for_link_delay(SimDuration::from_micros(5))
-    };
+    // The case study's defaults are the §6.1 prototype's: Tofino tree,
+    // 250 ms dedicated sessions, 200 ms zooming.
     let mut cs = ScenarioSpec::case_study()
         .seed(seed)
         .high_priority(high_priority)
-        .tree(TreeParams::tofino_default())
-        .timers(timers)
         .flows(flows)
         .udp_background(udp_bps, 0x0B_00_00_01, duration)
         .core_link(LinkConfig::new(link_bps, SimDuration::from_micros(5)))
@@ -99,28 +91,9 @@ pub fn run_case_study(
     cs.fail(GrayFailure::single_entry(entry, loss_pct / 100.0, FAIL_AT));
     cs.net.run_until(SimTime::ZERO + duration);
 
-    // Detection: dedicated flag or tree hash path.
-    let detection_s = match kind {
-        EntryKind::Dedicated => cs
-            .net
-            .kernel
-            .records
-            .first_entry_detection(entry)
-            .map(|d| d.time.duration_since(FAIL_AT).as_secs_f64()),
-        EntryKind::Tree => {
-            let (s1, primary_port) = (cs.switches[0], cs.monitored_edge().port_a);
-            let sw: &fancy_core::FancySwitch = cs.net.node(s1);
-            let path = sw.tree_hasher(primary_port).hash_path(entry);
-            cs.net
-                .kernel
-                .records
-                .detections
-                .iter()
-                .filter(|d| d.detector == fancy_sim::DetectorKind::HashTree)
-                .find(|d| matches!(&d.scope, fancy_sim::DetectionScope::HashPath(p) if p == &path))
-                .map(|d| d.time.duration_since(FAIL_AT).as_secs_f64())
-        }
-    };
+    let detection_s = cs
+        .detection_of(entry)
+        .map(|d| d.time.duration_since(FAIL_AT).as_secs_f64());
 
     let rx: &ReceiverHost = cs.net.node(cs.receivers[0]);
     let gbps_series = rx.probes[0]
@@ -157,6 +130,7 @@ mod tests {
         let r = run_case_study(100.0, EntryKind::Dedicated, &tiny(), 3)?;
         let d = r.detection_s.expect("must detect blackhole");
         assert!(d < 1.0, "detection took {d}s");
+        assert_eq!(d.to_bits(), 4575984894382169753);
         // Throughput in the last second is back above half the pre-failure
         // average (TCP needs a moment to ramp back up after rerouting).
         let pre: f64 = r.gbps_series[10..19].iter().sum::<f64>() / 9.0;
@@ -177,6 +151,7 @@ mod tests {
         let d = r.detection_s.expect("1% loss must be detected");
         // ≈ 3 zooming sessions on sub-ms links.
         assert!(d < 1.2, "tree detection took {d}s");
+        assert_eq!(d.to_bits(), 4601106617010302702);
         Ok(())
     }
 }

@@ -38,7 +38,7 @@ pub mod uniform;
 /// engine.
 pub mod prelude {
     pub use crate::cache::{CacheCodec, CacheKeyed, CellCache, Fingerprint, Record};
-    pub use crate::env::{BenchEnv, Scale};
+    pub use crate::env::{BenchEnv, Flags, Scale};
     pub use crate::runner::{CellCtx, Sweep, SweepReport};
     pub use crate::tracefile::{load_or_compile, TraceHandle, TraceProvenance};
 }

@@ -7,7 +7,7 @@
 
 use fancy_apps::{ScenarioError, ScenarioSpec};
 use fancy_net::Prefix;
-use fancy_sim::{DetectorKind, FailureMatcher, GrayFailure, SimDuration, SimTime};
+use fancy_sim::{FailureMatcher, GrayFailure, SimDuration, SimTime};
 use fancy_tcp::{FlowConfig, ScheduledFlow};
 
 use crate::env::Scale;
@@ -42,16 +42,6 @@ fn flows_for(entries: &[Prefix], rate: u64, duration: SimDuration) -> Vec<Schedu
     }
     flows.sort_by_key(|f| f.start);
     flows
-}
-
-fn mechanism_name(d: DetectorKind) -> &'static str {
-    match d {
-        DetectorKind::DedicatedCounter => "dedicated counter",
-        DetectorKind::HashTree => "hash tree",
-        DetectorKind::UniformCheck => "uniform check",
-        DetectorKind::ProtocolTimeout => "protocol timeout",
-        DetectorKind::Baseline(n) => n,
-    }
 }
 
 /// One class demo's inputs (a cell in the Table 1 sweep).
@@ -94,7 +84,7 @@ fn run_class(spec: &ClassSpec, scale: &Scale) -> Result<ClassDemo, ScenarioError
         bug: spec.bug,
         detected: first.is_some(),
         detection_s: first.map(|d| d.time.duration_since(fail_at).as_secs_f64()),
-        mechanism: first.map(|d| mechanism_name(d.detector)),
+        mechanism: first.map(|d| d.detector.label()),
     })
 }
 

@@ -71,6 +71,19 @@ impl DetectorKind {
             DetectorKind::Baseline(name) => name,
         }
     }
+
+    /// The human-readable name of the mechanism (Fig. 1's output
+    /// interface): the one label every operator-facing report and demo
+    /// table prints. Baselines use their bare name.
+    pub fn label(&self) -> &'static str {
+        match self {
+            DetectorKind::DedicatedCounter => "dedicated counter",
+            DetectorKind::HashTree => "hash-tree zoom",
+            DetectorKind::UniformCheck => "uniform check",
+            DetectorKind::ProtocolTimeout => "protocol timeout",
+            DetectorKind::Baseline(name) => name,
+        }
+    }
 }
 
 /// One detection event reported by an in-switch detector.

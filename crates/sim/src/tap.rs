@@ -67,30 +67,6 @@ impl TraceTap {
     pub fn reverse(&self) -> impl Iterator<Item = &Capture> {
         self.captures.iter().filter(|c| c.port == 1)
     }
-
-    /// Render the capture like a terse tcpdump.
-    pub fn dump(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for c in &self.captures {
-            let _ = writeln!(
-                out,
-                "{:>12.6}s [{}] {:08x} -> {:08x} {:>5}B {}{}",
-                c.time.as_secs_f64(),
-                if c.port == 0 { ">" } else { "<" },
-                c.src,
-                c.dst,
-                c.size,
-                c.kind,
-                match c.tag {
-                    Some(FancyTag::Dedicated { counter_id }) => format!(" tag=D{counter_id}"),
-                    Some(FancyTag::Tree { slot, index }) => format!(" tag=T{slot}:{index}"),
-                    None => String::new(),
-                }
-            );
-        }
-        out
-    }
 }
 
 impl Node for TraceTap {
@@ -146,8 +122,5 @@ mod tests {
         assert_eq!(t.forward().count(), 5);
         assert_eq!(t.reverse().count(), 0);
         assert!(t.captures.windows(2).all(|w| w[0].time <= w[1].time));
-        let dump = t.dump();
-        assert!(dump.contains("udp"), "dump: {dump}");
-        assert!(dump.contains("00000022"));
     }
 }

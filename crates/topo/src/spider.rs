@@ -33,13 +33,6 @@ pub struct BackupRoute {
     pub edges: Vec<EdgeIdx>,
 }
 
-impl BackupRoute {
-    /// The top-ranked (cheapest-detour) backup edge.
-    pub fn best(&self) -> EdgeIdx {
-        self.edges[0]
-    }
-}
-
 /// The pre-provisioned backup plan for one protected directed edge.
 #[derive(Debug, Clone)]
 pub struct BackupPlan {

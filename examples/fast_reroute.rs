@@ -37,12 +37,6 @@ fn main() -> Result<(), ScenarioError> {
     let mut cs = ScenarioSpec::case_study()
         .seed(7)
         .high_priority(vec![victim, bystander])
-        .tree(TreeParams::tofino_default())
-        .timers(TimerConfig {
-            dedicated_interval: SimDuration::from_millis(250),
-            zooming_interval: SimDuration::from_millis(200),
-            ..TimerConfig::paper_default().for_link_delay(SimDuration::from_micros(20))
-        })
         .flows(flows)
         .udp_background(1_000_000, 0x0B_00_00_01, duration)
         .core_link(LinkConfig::new(1_000_000_000, SimDuration::from_micros(5)))

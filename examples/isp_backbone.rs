@@ -36,55 +36,12 @@ use fancy::prelude::*;
 use fancy_bench::netwide::{
     directed_victim, run_netwide, run_netwide_multi, MultiFault, NetwideConfig,
 };
-use fancy_bench::prelude::{BenchEnv, CacheCodec, Record, Scale};
+use fancy_bench::prelude::{BenchEnv, CacheCodec, Flags, Record, Scale};
 use fancy_sim::metrics::MetricsHub;
 use fancy_sim::trace::{events_to_jsonl, merge_shard_streams, SharedRecorder};
 
 const USAGE: &str = "usage: isp_backbone [--switches N] [--fail N] [--multi K] [--combos N] \
                      [--seed N] [--dump PREFIX]";
-
-const FLAGS: [&str; 6] = [
-    "--switches",
-    "--fail",
-    "--multi",
-    "--combos",
-    "--seed",
-    "--dump",
-];
-
-/// `(flag, value)` pairs from one walk over the command line: an unknown
-/// or repeated flag, or a flag without its value, is an error.
-fn flags() -> Result<Vec<(String, String)>, String> {
-    let mut out: Vec<(String, String)> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        if !FLAGS.contains(&flag.as_str()) {
-            return Err(format!("unknown argument '{flag}'"));
-        }
-        if out.iter().any(|(f, _)| *f == flag) {
-            return Err(format!("{flag} given twice"));
-        }
-        let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        out.push((flag, value));
-    }
-    Ok(out)
-}
-
-fn arg_str(flags: &[(String, String)], name: &str) -> Option<String> {
-    flags
-        .iter()
-        .find(|(f, _)| f == name)
-        .map(|(_, v)| v.clone())
-}
-
-fn arg(flags: &[(String, String)], name: &str, default: usize) -> Result<usize, String> {
-    match arg_str(flags, name) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{name} needs a number, got '{v}'")),
-        None => Ok(default),
-    }
-}
 
 struct Args {
     switches: usize,
@@ -99,8 +56,16 @@ struct Args {
 const MIN_SWITCHES: usize = 2;
 
 fn parse_args() -> Result<Args, String> {
-    let flags = flags()?;
-    let arg = |name, default| arg(&flags, name, default);
+    let known = [
+        "--switches",
+        "--fail",
+        "--multi",
+        "--combos",
+        "--seed",
+        "--dump",
+    ];
+    let flags = Flags::parse(std::env::args().skip(1), &known)?;
+    let arg = |name, default: usize| flags.value_or(name, default);
     let switches = arg("--switches", 100)?;
     if switches < MIN_SWITCHES {
         return Err(format!(
@@ -122,8 +87,8 @@ fn parse_args() -> Result<Args, String> {
         fail_n: arg("--fail", 6)?,
         multi,
         combos_n,
-        seed: arg("--seed", 0x15B0)? as u64,
-        dump: arg_str(&flags, "--dump"),
+        seed: flags.value_or("--seed", 0x15B0)?,
+        dump: flags.get("--dump").map(str::to_owned),
     })
 }
 

@@ -31,24 +31,22 @@ use fancy::apps::{IncidentConfig, IncidentTracker};
 use fancy::prelude::*;
 use fancy::sim::scrape::DEFAULT_SCRAPE_INTERVAL;
 use fancy_bench::netwide::directed_victim;
+use fancy_bench::prelude::Flags;
 
 const USAGE: &str = "usage: metrics_report [--golden PATH | --write-golden PATH]";
 
-/// The one optional `(flag, path)`, from one walk over the command line.
-fn parse_args() -> Result<Option<(String, String)>, String> {
-    let mut args = std::env::args().skip(1);
-    let mut found: Option<(String, String)> = None;
-    while let Some(flag) = args.next() {
-        if flag != "--golden" && flag != "--write-golden" {
-            return Err(format!("unknown argument '{flag}'"));
-        }
-        let path = args.next().ok_or_else(|| format!("{flag} needs a path"))?;
-        if let Some((first, _)) = &found {
-            return Err(format!("{flag} after {first}: give one flag, once"));
-        }
-        found = Some((flag, path));
+/// The one optional `(flag, path)`.
+fn parse_args() -> Result<Option<(&'static str, String)>, String> {
+    let known = ["--golden", "--write-golden"];
+    let flags = Flags::parse(std::env::args().skip(1), &known)?;
+    let mut given = known
+        .into_iter()
+        .filter_map(|f| flags.get(f).map(|path| (f, path.to_owned())));
+    let first = given.next();
+    if given.next().is_some() {
+        return Err("give --golden or --write-golden, not both".to_owned());
     }
-    Ok(found)
+    Ok(first)
 }
 
 fn main() -> ExitCode {
@@ -139,7 +137,7 @@ fn main() -> ExitCode {
     let snap = hub.snapshot();
     let prom = snap.to_prometheus();
 
-    match golden.as_ref().map(|(flag, path)| (flag.as_str(), path)) {
+    match &golden {
         Some(("--golden", path)) => {
             let want = match std::fs::read_to_string(path) {
                 Ok(s) => s,

@@ -44,44 +44,6 @@ const USAGE: &str = "usage: trace_compile compile [--trace 1-4] [--scale (0,1]] 
        trace_compile verify --file FILE.events
        trace_compile smoke [--dump FILE]";
 
-/// `(flag, value)` pairs from one walk over the command line after the
-/// subcommand: a flag not in `known`, a repeated flag, or a flag without
-/// its value is an error.
-fn flags(known: &[&str]) -> Result<Vec<(String, String)>, String> {
-    let mut out: Vec<(String, String)> = Vec::new();
-    let mut args = std::env::args().skip(2);
-    while let Some(flag) = args.next() {
-        if !known.contains(&flag.as_str()) {
-            return Err(format!("unknown argument '{flag}'"));
-        }
-        if out.iter().any(|(f, _)| *f == flag) {
-            return Err(format!("{flag} given twice"));
-        }
-        let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        out.push((flag, value));
-    }
-    Ok(out)
-}
-
-/// The value given for `name`, if any.
-fn flag(flags: &[(String, String)], name: &str) -> Option<String> {
-    flags
-        .iter()
-        .find(|(f, _)| f == name)
-        .map(|(_, v)| v.clone())
-}
-
-fn parse<T: std::str::FromStr>(
-    flags: &[(String, String)],
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    match flag(flags, name) {
-        Some(v) => v.parse().map_err(|_| format!("{name}: cannot parse {v:?}")),
-        None => Ok(default),
-    }
-}
-
 /// Each subcommand returns `Err` for a malformed command line (usage,
 /// exit 2) and `Ok` with its exit code otherwise.
 fn main() -> ExitCode {
@@ -100,15 +62,18 @@ fn main() -> ExitCode {
 }
 
 fn cmd_compile() -> Result<ExitCode, String> {
-    let flags = flags(&["--trace", "--scale", "--secs", "--seed", "--out", "--dir"])?;
-    let (out, dir) = (flag(&flags, "--out"), flag(&flags, "--dir"));
+    let flags = Flags::parse(
+        std::env::args().skip(2),
+        &["--trace", "--scale", "--secs", "--seed", "--out", "--dir"],
+    )?;
+    let (out, dir) = (flags.get("--out"), flags.get("--dir"));
     if out.is_some() && dir.is_some() {
         return Err("--out and --dir are exclusive".to_owned());
     }
-    let id: u8 = parse(&flags, "--trace", 1)?;
-    let scale: f64 = parse(&flags, "--scale", 0.004)?;
-    let secs: f64 = parse(&flags, "--secs", 6.0)?;
-    let seed: u64 = parse(&flags, "--seed", 7)?;
+    let id: u8 = flags.value_or("--trace", 1)?;
+    let scale: f64 = flags.value_or("--scale", 0.004)?;
+    let secs: f64 = flags.value_or("--secs", 6.0)?;
+    let seed: u64 = flags.value_or("--seed", 7)?;
     let Some(spec) = paper_traces().into_iter().find(|t| t.id == id) else {
         return Err(format!("no Table-5 trace with id {id} (expected 1-4)"));
     };
@@ -121,8 +86,9 @@ fn cmd_compile() -> Result<ExitCode, String> {
     let duration = SimDuration::from_secs_f64(secs);
     let path = match out {
         Some(p) => PathBuf::from(p),
-        None => PathBuf::from(dir.unwrap_or_else(|| ".".into()))
-            .join(trace_file_name(&spec, duration, scale, seed)),
+        None => {
+            PathBuf::from(dir.unwrap_or(".")).join(trace_file_name(&spec, duration, scale, seed))
+        }
     };
     let trace = synthesize(spec, duration, scale, seed);
     Ok(match compile(&trace, &path) {
@@ -151,7 +117,10 @@ fn cmd_compile() -> Result<ExitCode, String> {
 /// The `--file` path, the subcommand's only flag (`Err` when it is not
 /// given).
 fn file_flag() -> Result<PathBuf, String> {
-    let path = flag(&flags(&["--file"])?, "--file").ok_or("--file <path.events> is required")?;
+    let flags = Flags::parse(std::env::args().skip(2), &["--file"])?;
+    let path = flags
+        .get("--file")
+        .ok_or("--file <path.events> is required")?;
     Ok(PathBuf::from(path))
 }
 
@@ -256,7 +225,8 @@ fn rows_to_jsonl(rows: &[Table3Row]) -> String {
 }
 
 fn cmd_smoke() -> Result<ExitCode, String> {
-    let dump = flag(&flags(&["--dump"])?, "--dump");
+    let flags = Flags::parse(std::env::args().skip(2), &["--dump"])?;
+    let dump = flags.get("--dump");
     // Fixed tiny scale and loss subset: the gate wants a fast,
     // deterministic fingerprint of the Table 3 path, not the table.
     let scale = Scale {
@@ -290,7 +260,7 @@ fn cmd_smoke() -> Result<ExitCode, String> {
     let jsonl = rows_to_jsonl(&rows);
     match dump {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, &jsonl) {
+            if let Err(e) = std::fs::write(path, &jsonl) {
                 eprintln!("trace_compile smoke: cannot write {path}: {e}");
                 return Ok(ExitCode::FAILURE);
             }
